@@ -25,7 +25,7 @@ from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
                       write_case_csv)
 from .model import (Model, ModelSpec, TrainConfig, TrainingDiverged, load_model,
                     predict_tta, save_model, train, write_training_log)
-from .optim import OPTIMIZER_KINDS
+from .optim import DEFAULT_LR, OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
 
 EXIT_OK = 0
@@ -41,8 +41,6 @@ PRESETS = {
     "gwdl": {"loss": "gwdl_ce", "population": "erm", "optimizer": "sgd"},
     "dro": {"loss": "dice_ce", "population": "dro", "optimizer": "sgd"},
 }
-
-DEFAULT_LR = {"sgd": 1e-2, "adam": 3e-3, "radam": 3e-3, "ranger": 3e-3}
 
 
 def parse_grid(text: str) -> tuple:

@@ -3,7 +3,8 @@
 Two levels are checked for every loss kind: the probability-space
 gradient reported by the loss itself, and the parameter-space gradient
 produced by backpropagation through the model.  Both use central
-differences with step 1e-6 on random instances.
+differences with step 1e-6 on random instances.  The analytic side of
+both is the batched kernel that training runs, called on one case.
 
 Instances keep probabilities bounded away from 0 so the differencing
 step never crosses the cross-entropy clamp, where the loss is
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import DistanceMatrix, LabelMap, LOSS_KINDS, brats_distance_matrix, composite_loss
+from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, _check_kind, _check_shapes,
+                     batch_loss, brats_distance_matrix, composite_loss)
 from .model import Model, ModelSpec
 from .numerics import Rng
 
@@ -64,17 +66,22 @@ def max_rel_error(analytic: np.ndarray, differenced: np.ndarray) -> float:
 
 def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
                      m: DistanceMatrix | None, h: float = FD_STEP) -> np.ndarray:
-    out = np.zeros_like(probs)
-    for v in range(probs.shape[0]):
-        for l in range(probs.shape[1]):
-            plus = probs.copy()
-            minus = probs.copy()
-            plus[v, l] += h
-            minus[v, l] -= h
-            f_plus = composite_loss(kind, plus, gt, m).value
-            f_minus = composite_loss(kind, minus, gt, m).value
-            out[v, l] = (f_plus - f_minus) / (2.0 * h)
-    return out
+    """Central differences over every probability entry, in one batch.
+
+    Case 2k of the batch steps entry k = (v, l) up by h and case 2k+1
+    steps it down; batch_loss() evaluates all 2*V*L maps in one call.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    _check_kind(kind, m)
+    _check_shapes(probs.shape, gt, m if "gwdl" in kind else None)
+    V, L = probs.shape
+    k = np.arange(V * L)
+    v, l = np.divmod(k, L)
+    stack = np.repeat(probs.T[:, None, :], 2 * V * L, axis=1)
+    stack[l, 2 * k, v] += h
+    stack[l, 2 * k + 1, v] -= h
+    values, _ = batch_loss(kind, stack, np.broadcast_to(gt.labels, (2 * V * L, V)), m)
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(V, L)
 
 
 def fd_param_gradient(model: Model, features: np.ndarray, gt: LabelMap, kind: str,

@@ -1,11 +1,16 @@
 """Per-sample segmentation losses with analytic gradients.
 
-All losses operate on a soft prediction of shape [V, L] (V voxels, L
-classes, each row a probability vector) against an integer label map, and
-return both a scalar value and, on request, the gradient with respect to
-the predicted probabilities.  Gradients are taken in probability space;
+The per-case functions take a soft prediction of shape [V, L] (V voxels,
+L classes, each row a probability vector) against an integer label map,
+and return both a scalar value and, on request, the gradient with respect
+to the predicted probabilities.  Gradients are taken in probability space;
 composing with the softmax Jacobian is the model's job, which keeps the
 loss math independent of the classifier head.
+
+All of them are one-case calls into batch_loss(), the single
+implementation: B same-size cases in class-major layout [L, B, V], values
+reduced per case along V.  Training and the finite-difference harness
+call it directly on whole batches.
 
 The centerpiece is the generalized Wasserstein Dice loss: a Dice-style
 overlap loss whose per-voxel error is the earth-mover distance between the
@@ -38,6 +43,7 @@ __all__ = [
     "load_distance_matrix",
     "wasserstein_voxel",
     "wasserstein_per_voxel",
+    "batch_loss",
     "gwdl",
     "dice_loss",
     "cross_entropy",
@@ -67,7 +73,9 @@ class ProbMap:
         require_finite(v, "probability map")
         if np.any(v < 0.0) or np.any(v > 1.0):
             raise ValueError("probability entries must lie in [0, 1]")
-        rowsums = v.sum(axis=1)
+        # A mat-vec, not v.sum(axis=1): a reduction over the short contiguous
+        # class axis runs a tiny inner loop per row and costs several times more.
+        rowsums = v @ np.ones(v.shape[1])
         if np.any(np.abs(rowsums - 1.0) > 1e-9):
             worst = int(np.argmax(np.abs(rowsums - 1.0)))
             raise ValueError(f"row {worst} sums to {rowsums[worst]!r}, not 1")
@@ -217,19 +225,21 @@ def _pred_array(pred) -> np.ndarray:
     return arr
 
 
-def _check_shapes(pred: np.ndarray, gt: LabelMap, m: DistanceMatrix | None = None) -> None:
-    if pred.shape[0] != gt.num_voxels:
+def _check_shapes(shape, gt: LabelMap, m: DistanceMatrix | None = None) -> None:
+    """Check a [V, L] prediction shape against the labels and the matrix."""
+    num_voxels, num_classes = shape
+    if num_voxels != gt.num_voxels:
         raise ValueError(
-            f"prediction has {pred.shape[0]} voxels but labels have {gt.num_voxels}"
+            f"prediction has {num_voxels} voxels but labels have {gt.num_voxels}"
         )
-    if pred.shape[1] != gt.num_classes:
+    if num_classes != gt.num_classes:
         raise ValueError(
-            f"prediction has {pred.shape[1]} classes but labels declare {gt.num_classes}"
+            f"prediction has {num_classes} classes but labels declare {gt.num_classes}"
         )
-    if m is not None and m.num_classes != pred.shape[1]:
+    if m is not None and m.num_classes != num_classes:
         raise ValueError(
             f"distance matrix is {m.num_classes}x{m.num_classes} "
-            f"but prediction has {pred.shape[1]} classes"
+            f"but prediction has {num_classes} classes"
         )
 
 
@@ -255,8 +265,164 @@ def wasserstein_voxel(pred_row, gt_class: int, m: DistanceMatrix) -> float:
 def wasserstein_per_voxel(pred, gt: LabelMap, m: DistanceMatrix) -> np.ndarray:
     """Vectorized one-hot earth-mover error for every voxel, shape [V]."""
     p = _pred_array(pred)
-    _check_shapes(p, gt, m)
+    _check_shapes(p.shape, gt, m)
     return np.einsum("vl,vl->v", m.m[gt.labels], p)
+
+
+def _check_kind(kind: str, m: DistanceMatrix | None) -> None:
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
+    if "gwdl" in kind and m is None:
+        raise ValueError(f"loss kind {kind!r} requires a distance matrix")
+
+
+def batch_loss(kind: str, probs, labels, m: DistanceMatrix | None = None,
+               want_gradient: bool = False):
+    """Per-case values of one loss kind over B cases of V voxels each.
+
+    The layout is class-major: ``probs[l, b, v]`` is the predicted
+    probability of class l at voxel v of case b, shape [L, B, V], and
+    ``labels`` is the matching [B, V] integer array with entries in
+    [0, L).  Every reduction runs along V, so case b's value depends on
+    case b alone.  Returns the values, shape [B], and when requested the
+    gradient of each case's value with respect to its own probabilities,
+    shape [L, B, V].  Rows need not sum to 1 (finite differencing steps
+    off the simplex); the label range is the caller's contract.
+    """
+    _check_kind(kind, m)
+    p = np.ascontiguousarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    if p.ndim != 3 or labels.shape != p.shape[1:]:
+        raise ValueError(
+            f"probabilities must be [L, B, V] over [B, V] labels, "
+            f"got shapes {p.shape} and {labels.shape}"
+        )
+    if "gwdl" in kind and m.num_classes != p.shape[0]:
+        raise ValueError(
+            f"distance matrix is {m.num_classes}x{m.num_classes} "
+            f"but prediction has {p.shape[0]} classes"
+        )
+    return _batch_terms(kind, p, labels, m, want_gradient)
+
+
+def _batch_terms(kind, p, labels, m, want_gradient):
+    """batch_loss() after its checks, on a C-contiguous [L, B, V] block.
+
+    Two index arrays replace one-hot masks: ``true_idx`` points at each
+    voxel's ground-truth entry in the flattened block (gather the true
+    class's probability, scatter the cross-entropy gradient), and
+    ``case_class`` numbers each (case, class) pair, to sum per case and
+    class with bincount and to spread per-(case, class) gradient tables
+    back over the voxels.
+    """
+    L, B, V = p.shape
+    true_idx = labels * (B * V) + np.arange(B * V).reshape(B, V)
+    case_class = labels + L * np.arange(B)[:, None]
+    flat = p.reshape(L, B * V)
+    true_p = flat.take(true_idx)
+    base = None
+    if kind in ("dice", "dice_ce"):
+        base = _dice_terms(flat, true_p, case_class, want_gradient)
+    elif kind in ("gwdl", "gwdl_ce"):
+        base = _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient)
+    if kind not in ("ce", "dice_ce", "gwdl_ce"):
+        return base
+    values, true_grad = _ce_terms(true_p, want_gradient)
+    grad = None
+    if want_gradient:
+        grad = np.zeros(p.shape) if base is None else base[1]
+        grad.reshape(-1)[true_idx] += true_grad
+    if base is not None:
+        values = base[0] + values
+    return values, grad
+
+
+def _spread(table, case_class):
+    """grad[l, b, v] = table[l, b, k] for the class k of voxel v of case b."""
+    L, B, K = table.shape
+    return table.reshape(L, B * K).take(case_class, axis=1)
+
+
+def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
+    """Generalized Wasserstein Dice loss per case; see gwdl()."""
+    L = flat.shape[0]
+    # Per-voxel earth-mover error: W = (m @ p)[gt], column by column.
+    w = (m.m @ flat).take(true_idx)
+    fg = labels != m.background_index
+    n = np.where(fg, 1.0 - w, 0.0).sum(axis=-1)
+    s = w.sum(axis=-1)
+    a = 2.0 * n + SMOOTH_EPS
+    b = 2.0 * n + s + SMOOTH_EPS
+    values = 1.0 - a / b
+
+    grad = None
+    if want_gradient:
+        # dW/dp_l = m[gt, l], so the gradient depends on the case and the
+        # voxel's class only: dN picks up -dW on foreground voxels, dS
+        # picks up +dW everywhere, the quotient rule does the rest.
+        dw = m.m.T[:, None, :]  # [l, 1, k] = m[k, l]
+        dn = np.where(np.arange(L) != m.background_index, -dw, 0.0)
+        da = 2.0 * dn
+        db = 2.0 * dn + dw
+        a, b = a[:, None], b[:, None]
+        grad = _spread((a * db - da * b) / (b * b), case_class)
+    return values, grad
+
+
+def _dice_terms(flat, true_p, case_class, want_gradient):
+    """Soft multi-class Dice loss per case; see dice_loss()."""
+    L, (B, V) = flat.shape[0], true_p.shape
+    n_fg = L - 1
+    if n_fg == 0:
+        raise ValueError("dice loss needs at least one foreground class")
+    # Per (case, class): the probability mass on the class's own voxels
+    # and the voxel count, both as [L, B].
+    keys = case_class.reshape(-1)
+    inter = np.bincount(keys, weights=true_p.reshape(-1), minlength=B * L)
+    inter = inter.reshape(B, L).T
+    count = np.bincount(keys, minlength=B * L).reshape(B, L).T
+    sums = flat.reshape(L, B, V).sum(axis=-1) + count
+    num = 2.0 * inter + SMOOTH_EPS
+    den = sums + SMOOTH_EPS
+    values = 1.0 - (num[1:] / den[1:]).sum(axis=0) / n_fg
+
+    grad = None
+    if want_gradient:
+        # d/dp_{l,b,v} of num/den is (2*onehot*den - num) / den^2: one value
+        # on the voxels of class l, another off them; foreground classes only.
+        sq = den * den
+        on = -((2.0 * den - num) / sq) / n_fg
+        off = -(-num / sq) / n_fg
+        table = np.where(np.eye(L, dtype=bool)[:, None, :], on[..., None], off[..., None])
+        table[0] = 0.0
+        grad = _spread(table, case_class)
+    return values, grad
+
+
+def _ce_terms(true_p, want_gradient):
+    """Clamped cross-entropy per case from the [B, V] true-class
+    probabilities; the gradient is d/d(true-class probability)."""
+    V = true_p.shape[-1]
+    clamped = np.maximum(true_p, CE_CLAMP)
+    values = -(np.log(clamped).sum(axis=-1) / V)
+
+    grad = None
+    if want_gradient:
+        # below the clamp the loss is locally constant
+        grad = np.where(true_p > CE_CLAMP, -1.0 / (V * clamped), 0.0)
+    return values, grad
+
+
+def _per_case(kind: str, pred, gt: LabelMap, m: DistanceMatrix | None,
+              want_gradient: bool) -> LossValue:
+    """One case through batch_loss()'s kernel: [V, L] in, B=1 class-major inside."""
+    p = _pred_array(pred)
+    _check_shapes(p.shape, gt, m)
+    values, grad = _batch_terms(kind, np.ascontiguousarray(p.T)[:, None, :],
+                                gt.labels[None, :], m, want_gradient)
+    if grad is not None:
+        grad = np.ascontiguousarray(grad[:, 0, :].T)
+    return LossValue(value=float(values[0]), gradient=grad)
 
 
 def gwdl(pred, gt: LabelMap, m: DistanceMatrix, want_gradient: bool = False) -> LossValue:
@@ -272,26 +438,7 @@ def gwdl(pred, gt: LabelMap, m: DistanceMatrix, want_gradient: bool = False) -> 
     perfect prediction, so the loss bottoms out at 0 there; the smoothing
     keeps the all-background case finite.
     """
-    p = _pred_array(pred)
-    _check_shapes(p, gt, m)
-    w = np.einsum("vl,vl->v", m.m[gt.labels], p)
-    fg = gt.labels != m.background_index
-    n = float(np.sum(1.0 - w[fg]))
-    s = float(np.sum(w))
-    a = 2.0 * n + SMOOTH_EPS
-    b = 2.0 * n + s + SMOOTH_EPS
-    value = 1.0 - a / b
-
-    grad = None
-    if want_gradient:
-        # dW_i/dp_{i,l} = m[gt_i, l]; dN picks up -dW on foreground voxels,
-        # dS picks up +dW everywhere; the quotient rule does the rest.
-        dw = m.m[gt.labels]
-        dn = np.where(fg[:, None], -dw, 0.0)
-        da = 2.0 * dn
-        db = 2.0 * dn + dw
-        grad = (a * db - da * b) / (b * b)
-    return LossValue(value=value, gradient=grad)
+    return _per_case("gwdl", pred, gt, m, want_gradient)
 
 
 def dice_loss(pred, gt: LabelMap, want_gradient: bool = False) -> LossValue:
@@ -302,49 +449,12 @@ def dice_loss(pred, gt: LabelMap, want_gradient: bool = False) -> LossValue:
     minus the mean quotient.  Class 0 is background by the label convention
     and is excluded from the mean.
     """
-    p = _pred_array(pred)
-    _check_shapes(p, gt)
-    V, L = p.shape
-    onehot = np.zeros((V, L))
-    onehot[np.arange(V), gt.labels] = 1.0
-
-    inter = np.einsum("vl,vl->l", p, onehot)
-    sums = p.sum(axis=0) + onehot.sum(axis=0)
-    num = 2.0 * inter + SMOOTH_EPS
-    den = sums + SMOOTH_EPS
-
-    fg = np.ones(L, dtype=bool)
-    fg[0] = False
-    n_fg = L - 1
-    if n_fg == 0:
-        raise ValueError("dice loss needs at least one foreground class")
-    value = 1.0 - float(np.mean(num[fg] / den[fg]))
-
-    grad = None
-    if want_gradient:
-        # d/dp_{v,l} of num_l/den_l = (2*onehot*den - num) / den^2, foreground only.
-        per_class = (2.0 * onehot * den[None, :] - num[None, :]) / (den[None, :] ** 2)
-        per_class[:, ~fg] = 0.0
-        grad = -per_class / n_fg
-    return LossValue(value=value, gradient=grad)
+    return _per_case("dice", pred, gt, None, want_gradient)
 
 
 def cross_entropy(pred, gt: LabelMap, want_gradient: bool = False) -> LossValue:
     """Mean negative log-probability of the true class, clamped away from log(0)."""
-    p = _pred_array(pred)
-    _check_shapes(p, gt)
-    V = p.shape[0]
-    true_p = p[np.arange(V), gt.labels]
-    clamped = np.maximum(true_p, CE_CLAMP)
-    value = float(-np.mean(np.log(clamped)))
-
-    grad = None
-    if want_gradient:
-        grad = np.zeros_like(p)
-        live = true_p > CE_CLAMP  # below the clamp the loss is locally constant
-        rows = np.arange(V)[live]
-        grad[rows, gt.labels[live]] = -1.0 / (V * clamped[live])
-    return LossValue(value=value, gradient=grad)
+    return _per_case("ce", pred, gt, None, want_gradient)
 
 
 def composite_loss(
@@ -355,21 +465,5 @@ def composite_loss(
     want_gradient: bool = False,
 ) -> LossValue:
     """Dispatch by kind; the *_ce variants sum the parts value- and gradient-wise."""
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
-    if "gwdl" in kind and m is None:
-        raise ValueError(f"loss kind {kind!r} requires a distance matrix")
-
-    if kind == "ce":
-        return cross_entropy(pred, gt, want_gradient)
-    if kind == "dice":
-        return dice_loss(pred, gt, want_gradient)
-    if kind == "gwdl":
-        return gwdl(pred, gt, m, want_gradient)
-
-    base = dice_loss(pred, gt, want_gradient) if kind == "dice_ce" else gwdl(pred, gt, m, want_gradient)
-    ce = cross_entropy(pred, gt, want_gradient)
-    grad = None
-    if want_gradient:
-        grad = base.gradient + ce.gradient
-    return LossValue(value=base.value + ce.value, gradient=grad)
+    _check_kind(kind, m)
+    return _per_case(kind, pred, gt, m if "gwdl" in kind else None, want_gradient)

@@ -5,16 +5,30 @@ feature vector: a linear softmax classifier and a one-hidden-layer ReLU
 network.  Parameters live in a single flat float64 vector so optimizers
 and serialization stay trivial.
 
-backward() chains the loss gradient (taken in probability space from the
+Inside, everything is class-major.  The features of the N voxels being
+processed arrive as rows of an [N, F] array and enter the first layer
+transposed, so logits, hidden activations and probabilities are [L, N]
+and [H, N] blocks with one row per class or unit; softmax runs down
+axis 0, and the losses reduce each case's V contiguous columns (the
+[L, N] block viewed as [L, B, V]).  The short class axis is the outer
+loop, so every numpy operation streams over voxels.
+
+The kernel chains the loss gradient (taken in probability space from the
 losses module) through the softmax Jacobian and the affine layers by
-hand; no autodiff anywhere.  For a softmax row p and upstream gradient g
-the logit gradient is p * (g - (g . p)), which follows from
+hand; no autodiff anywhere.  For a probability column p and upstream
+gradient g the logit gradient is p * (g - (g . p)), which follows from
 dp_j/dz_k = p_j (delta_jk - p_k).
 
-train() wires the pieces together: a loss kind, an epoch-level learning
-rate schedule, an optimizer, and either plain shuffling (ERM) or the
-hardness-weighted sampler (DRO).  Reweighting in DRO mode lives entirely
-in the sampling distribution; batch gradients stay unweighted means.
+train() validates the dataset and parameters once, then runs one kernel
+call per optimizer step: the batch's cases are grouped by voxel count,
+each group is concatenated into one class-major block, and a single
+forward, loss and backward pass gives every case's loss value and the
+batch's mean parameter gradient.  Model.forward() and Model.backward()
+are the same kernel on one case.  The loop wires in a loss kind, an
+epoch-level learning rate schedule, an optimizer, and either plain
+shuffling (ERM) or the hardness-weighted sampler (DRO).  Reweighting in
+DRO mode lives entirely in the sampling distribution; batch gradients
+stay unweighted means.
 """
 
 from __future__ import annotations
@@ -27,8 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler
-from .losses import DistanceMatrix, LabelMap, LOSS_KINDS, LossValue, ProbMap, composite_loss
-from .numerics import Rng, as_f64, require_finite, softmax
+from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, LossValue, ProbMap, _check_kind,
+                     _check_shapes, batch_loss)
+from .numerics import Rng, as_f64, require_finite, softmax_inplace
+# Not called in this module, but kept as its attributes: the benchmark's
+# tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
+# segopt.model.softmax.
+from .losses import composite_loss  # noqa: F401
+from .numerics import softmax  # noqa: F401
 from .optim import OPTIMIZER_KINDS, PolySchedule, make_optimizer
 from .synthdata import Case
 
@@ -43,6 +63,7 @@ __all__ = [
     "EpochRecord",
     "TrainedModel",
     "TrainingDiverged",
+    "batch_gradient",
     "train",
     "predict_tta",
     "save_model",
@@ -125,15 +146,7 @@ class Model:
         return cls(spec, np.concatenate(parts))
 
     def _unpack(self):
-        f, l = self.spec.input_features, self.spec.num_classes
-        p = self.params
-        if self.spec.kind == "linear":
-            w = p[: l * f].reshape(l, f)
-            b = p[l * f:]
-            return w, b
-        h = self.spec.hidden_width
-        o1, o2, o3 = h * f, h * f + h, h * f + h + l * h
-        return (p[:o1].reshape(h, f), p[o1:o2], p[o2:o3].reshape(l, h), p[o3:])
+        return _unpack(self.spec, self.params)
 
     def _features(self, features) -> np.ndarray:
         x = as_f64(features, "features")
@@ -141,48 +154,118 @@ class Model:
             raise ValueError(
                 f"features must be [V, {self.spec.input_features}], got shape {x.shape}"
             )
-        require_finite(x, "features")
         return x
 
-    def _logits(self, x: np.ndarray):
-        if self.spec.kind == "linear":
-            w, b = self._unpack()
-            return x @ w.T + b, None
-        w1, b1, w2, b2 = self._unpack()
-        h_pre = x @ w1.T + b1
-        h = np.maximum(h_pre, 0.0)
-        return h @ w2.T + b2, (h_pre, h)
-
     def forward(self, features) -> ProbMap:
-        x = self._features(features)
-        z, _ = self._logits(x)
-        return ProbMap(softmax(z))
+        probs, _ = _forward(self.spec, self.params, self._features(features))
+        return ProbMap(probs.T)
 
     def backward(self, features, gt: LabelMap, loss_kind: str,
                  m: DistanceMatrix | None = None):
         """Loss on the forward pass plus its gradient over the flat params."""
         x = self._features(features)
-        z, hidden = self._logits(x)
-        p = softmax(z)
-        loss = composite_loss(loss_kind, p, gt, m, want_gradient=True)
-        g = loss.gradient
-        # Softmax Jacobian: dz = p * (g - rowdot(g, p)).
-        dz = p * (g - np.einsum("vl,vl->v", g, p)[:, None])
-        if self.spec.kind == "linear":
-            dw = dz.T @ x
-            db = dz.sum(axis=0)
-            grad = np.concatenate([dw.reshape(-1), db])
-        else:
-            _, _, w2, _ = self._unpack()
-            h_pre, h = hidden
-            dw2 = dz.T @ h
-            db2 = dz.sum(axis=0)
-            dh = dz @ w2
-            dh_pre = dh * (h_pre > 0.0)
-            dw1 = dh_pre.T @ x
-            db1 = dh_pre.sum(axis=0)
-            grad = np.concatenate([dw1.reshape(-1), db1, dw2.reshape(-1), db2])
-        return LossValue(value=loss.value, gradient=loss.gradient), grad
+        _check_kind(loss_kind, m)
+        _check_shapes((x.shape[0], self.spec.num_classes), gt,
+                      m if "gwdl" in loss_kind else None)
+        values, prob_grad, grad = _kernel(self.spec, self.params, x, gt.labels[None, :],
+                                          loss_kind, m)
+        return LossValue(value=float(values[0]),
+                         gradient=np.ascontiguousarray(prob_grad[:, 0, :].T)), grad
+
+
+def _unpack(spec: ModelSpec, params: np.ndarray):
+    f, l = spec.input_features, spec.num_classes
+    if spec.kind == "linear":
+        return params[: l * f].reshape(l, f), params[l * f:]
+    h = spec.hidden_width
+    o1, o2, o3 = h * f, h * f + h, h * f + h + l * h
+    return (params[:o1].reshape(h, f), params[o1:o2], params[o2:o3].reshape(l, h),
+            params[o3:])
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """Class-major probabilities [L, N] for the feature rows x [N, F].
+
+    Also returns the MLP's ReLU activations [H, N], which backward needs
+    (None for the linear model).  Inputs are trusted: finite parameters
+    and features give finite logits.
+    """
+    if spec.kind == "linear":
+        w, b = _unpack(spec, params)
+        hidden = None
+        z = w @ x.T
+    else:
+        w1, b1, w2, b = _unpack(spec, params)
+        hidden = w1 @ x.T
+        hidden += b1[:, None]
+        np.maximum(hidden, 0.0, out=hidden)
+        z = w2 @ hidden
+    z += b[:, None]
+    return softmax_inplace(z, axis=0), hidden
+
+
+def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
+            loss_kind: str, m: DistanceMatrix | None):
+    """Forward, loss and backward over B same-size cases in one pass.
+
+    x holds the cases' feature rows back to back, [B*V, F], and labels
+    their [B, V] label maps.  Returns the per-case loss values [B], the
+    probability-space loss gradient [L, B, V], and the parameter gradient
+    of the summed loss.
+    """
+    num_cases, num_voxels = labels.shape
+    probs, hidden = _forward(spec, params, x)
+    values, prob_grad = batch_loss(
+        loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, m, want_gradient=True)
+    # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)).
+    g = prob_grad.reshape(probs.shape)
+    dz = g - np.einsum("ln,ln->n", g, probs)
+    dz *= probs
+    if spec.kind == "linear":
+        grad = np.concatenate([(dz @ x).reshape(-1), dz.sum(axis=1)])
+    else:
+        _, _, w2, _ = _unpack(spec, params)
+        dw2 = dz @ hidden.T
+        db2 = dz.sum(axis=1)
+        relu_mask = hidden > 0.0  # the activation is positive iff its input was
+        dh = np.matmul(w2.T, dz, out=hidden)  # the activations are spent: reuse them
+        dh *= relu_mask
+        grad = np.concatenate([(dh @ x).reshape(-1), dh.sum(axis=1), dw2.reshape(-1), db2])
+    return values, prob_grad, grad
+
+
+def batch_gradient(spec: ModelSpec, params: np.ndarray, cases, batch,
+                   loss_kind: str, m: DistanceMatrix | None = None):
+    """Per-case loss values and mean parameter gradient of one optimizer step.
+
+    ``batch`` indexes ``cases`` and may repeat an index (DRO draws with
+    replacement).  Cases are grouped by voxel count and each group goes
+    through the kernel as one block, so mixed 2-D/3-D datasets work.
+    Values come back in batch order.  Nothing is validated here: train()
+    checks the dataset, parameters and loss arguments once, on entry.
+    """
+    groups: dict[int, list[int]] = {}
+    for pos, idx in enumerate(batch):
+        groups.setdefault(cases[int(idx)].num_voxels, []).append(pos)
+    values = np.empty(len(batch))
+    grad = None
+    for positions in groups.values():
+        # The group's stacked inputs live only for the duration of the call.
+        group_values, _, group_grad = _kernel(
+            spec, params, *_stack([cases[int(batch[pos])] for pos in positions]),
+            loss_kind, m)
+        values[positions] = group_values
+        grad = group_grad if grad is None else grad + group_grad
+    grad /= len(batch)
+    return values, grad
+
+
+def _stack(members):
+    """Feature rows [B*V, F] and labels [B, V] of same-size cases, back to back."""
+    if len(members) == 1:
+        return members[0].features, members[0].labels.labels[None, :]
+    return (np.concatenate([case.features for case in members]),
+            np.stack([case.labels.labels for case in members]))
 
 
 @dataclass
@@ -240,20 +323,36 @@ class TrainedModel:
         return Model(self.spec, self.params)
 
 
-def _check_dataset(dataset, spec: ModelSpec) -> None:
+def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
+    """Everything the training kernel trusts, checked once on entry."""
+    spec = model.spec
     if not dataset:
         raise ValueError("training dataset is empty")
+    require_finite(model.params, "params")
+    m = config.distance_matrix
+    if "gwdl" in config.loss and m.num_classes != spec.num_classes:
+        raise ValueError(
+            f"distance matrix is {m.num_classes}x{m.num_classes}, "
+            f"model has {spec.num_classes} classes"
+        )
     for case in dataset:
-        if case.features.shape[1] != spec.input_features:
+        shape = np.shape(case.features)
+        if len(shape) != 2 or shape[1] != spec.input_features:
             raise ValueError(
-                f"case {case.case_id!r} has {case.features.shape[1]} features, "
-                f"model expects {spec.input_features}"
+                f"case {case.case_id!r} has features of shape {shape}, "
+                f"model expects [V, {spec.input_features}]"
+            )
+        if shape[0] != case.labels.num_voxels:
+            raise ValueError(
+                f"case {case.case_id!r}: {shape[0]} feature rows vs "
+                f"{case.labels.num_voxels} labels"
             )
         if case.labels.num_classes != spec.num_classes:
             raise ValueError(
                 f"case {case.case_id!r} declares {case.labels.num_classes} classes, "
                 f"model expects {spec.num_classes}"
             )
+        require_finite(case.features, f"features of case {case.case_id!r}")
 
 
 def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
@@ -263,10 +362,11 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     erm_shuffle mode, hardness-weighted draws with replacement in dro
     mode.  Draws are consumed in batches; the optimizer steps once per
     batch on the mean of the per-case gradients, at the epoch's scheduled
-    learning rate.
+    learning rate.  Each batch's per-case losses reach the divergence
+    guard and the sampler in batch order.
     """
     dataset = list(dataset)
-    _check_dataset(dataset, model.spec)
+    _check_inputs(model, dataset, config)
     n = len(dataset)
 
     optimizer = make_optimizer(config.optimizer, config.lr,
@@ -294,22 +394,18 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            work = Model(model.spec, params)
-            grads = []
-            for idx in batch:
-                case = dataset[int(idx)]
-                loss, grad = work.backward(case.features, case.labels,
-                                           config.loss, config.distance_matrix)
-                if not math.isfinite(loss.value) or abs(loss.value) > DIVERGENCE_LIMIT:
+            values, grad = batch_gradient(model.spec, params, dataset, batch,
+                                          config.loss, config.distance_matrix)
+            for idx, value in zip(batch, values.tolist()):
+                if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch}: "
-                        f"loss {loss.value!r} on case {case.case_id!r}"
+                        f"loss {value!r} on case {dataset[int(idx)].case_id!r}"
                     )
-                epoch_losses.append(loss.value)
-                grads.append(grad)
+                epoch_losses.append(value)
                 if sampler is not None:
-                    sampler.update_loss(int(idx), loss.value)
-            params = optimizer.step(params, np.mean(grads, axis=0), lr=lr)
+                    sampler.update_loss(int(idx), value)
+            params = optimizer.step(params, grad, lr=lr)
             peak = float(np.abs(params).max())
             if not np.isfinite(params).all() or peak > PARAM_LIMIT:
                 raise TrainingDiverged(

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Rng", "softmax", "one_hot", "rng_uniform", "require_finite", "as_f64"]
+__all__ = ["Rng", "softmax", "softmax_inplace", "one_hot", "rng_uniform", "require_finite",
+           "as_f64"]
 
 
 def as_f64(values, name: str = "array") -> np.ndarray:
@@ -67,14 +68,24 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     Accepts a single logit vector or a batch of rows; rows of the result are
     probability vectors summing to 1 within 1e-12.
     """
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.array(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("empty input")
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite input")
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return softmax_inplace(z, axis)
+
+
+def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """softmax() without input checks, overwriting the float64 array ``z``.
+
+    For callers whose logits are finite by construction (validated inputs
+    and parameters); non-finite logits come out as NaN probabilities.
+    """
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
 
 
 def one_hot(label: int, num_classes: int) -> np.ndarray:

@@ -35,10 +35,15 @@ __all__ = [
     "Lookahead",
     "ranger",
     "make_optimizer",
+    "DEFAULT_LR",
     "OPTIMIZER_KINDS",
 ]
 
-OPTIMIZER_KINDS = ("sgd", "adam", "radam", "ranger")
+# Default learning rate per optimizer kind; the single source for the
+# optimizer classes, make_optimizer() and the command line.
+DEFAULT_LR = {"sgd": 1e-2, "adam": 3e-3, "radam": 3e-3, "ranger": 3e-3}
+
+OPTIMIZER_KINDS = tuple(DEFAULT_LR)
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class _OptimizerBase:
 class SgdNesterov(_OptimizerBase):
     """SGD with Nesterov momentum (momentum 0.99 by default, nnU-Net style)."""
 
-    def __init__(self, lr: float = 1e-2, momentum: float = 0.99):
+    def __init__(self, lr: float = DEFAULT_LR["sgd"], momentum: float = 0.99):
         super().__init__(lr)
         self.momentum = float(momentum)
         self._velocity = None
@@ -102,8 +107,8 @@ class SgdNesterov(_OptimizerBase):
 class Adam(_OptimizerBase):
     """Adam with bias-corrected first and second moments."""
 
-    def __init__(self, lr: float = 3e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = DEFAULT_LR["adam"], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(lr)
         self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self._m = None
@@ -124,8 +129,8 @@ class Adam(_OptimizerBase):
 class RAdam(_OptimizerBase):
     """Rectified Adam: variance-rectified adaptive steps once rho_t > 4."""
 
-    def __init__(self, lr: float = 3e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = DEFAULT_LR["radam"], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(lr)
         self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.rho_inf = 2.0 / (1.0 - self.beta2) - 1.0
@@ -199,8 +204,8 @@ class Lookahead:
         return params
 
 
-def ranger(lr: float = 3e-3, k: int = 6, alpha: float = 0.5, beta1: float = 0.9,
-           beta2: float = 0.999, eps: float = 1e-8) -> Lookahead:
+def ranger(lr: float = DEFAULT_LR["ranger"], k: int = 6, alpha: float = 0.5,
+           beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> Lookahead:
     """Ranger: the Lookahead wrapper around RAdam."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"slow step alpha must be in (0, 1], got {alpha}")
@@ -212,10 +217,12 @@ def make_optimizer(kind: str, lr: float | None = None, lookahead_k: int = 6,
     """Build an optimizer by CLI name, with per-kind default learning rates."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")
+    if lr is None:
+        lr = DEFAULT_LR[kind]
     if kind == "sgd":
-        return SgdNesterov(lr=1e-2 if lr is None else lr)
+        return SgdNesterov(lr=lr)
     if kind == "adam":
-        return Adam(lr=3e-3 if lr is None else lr)
+        return Adam(lr=lr)
     if kind == "radam":
-        return RAdam(lr=3e-3 if lr is None else lr)
-    return ranger(lr=3e-3 if lr is None else lr, k=lookahead_k, alpha=lookahead_alpha)
+        return RAdam(lr=lr)
+    return ranger(lr=lr, k=lookahead_k, alpha=lookahead_alpha)

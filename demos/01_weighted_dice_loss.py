@@ -15,7 +15,6 @@ from segopt.losses import (
     composite_loss,
     gwdl,
 )
-from segopt.numerics import one_hot
 
 
 def label_map(labels):

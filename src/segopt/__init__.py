@@ -18,7 +18,7 @@ from .metrics import (REGIONS, AggregateStats, CaseMetrics, RegionSpec, aggregat
                       dice_score, ensemble_mean_softmax, evaluate_case, hd95,
                       postprocess_et, region_mask)
 from .model import (Model, ModelSpec, TrainConfig, TrainedModel, TrainingDiverged,
-                    load_model, predict_tta, save_model, train)
+                    load_model, save_model, train)
 from .numerics import Rng, softmax
 from .optim import (Adam, Lookahead, PolySchedule, RAdam, SgdNesterov,
                     make_optimizer, ranger)
@@ -36,7 +36,7 @@ __all__ = [
     "dice_score", "ensemble_mean_softmax", "evaluate_case", "hd95",
     "postprocess_et", "region_mask",
     "Model", "ModelSpec", "TrainConfig", "TrainedModel", "TrainingDiverged",
-    "load_model", "predict_tta", "save_model", "train",
+    "load_model", "save_model", "train",
     "Rng", "softmax",
     "Adam", "Lookahead", "PolySchedule", "RAdam", "SgdNesterov",
     "make_optimizer", "ranger",

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
                       format_aggregate_table, postprocess_et, write_aggregate_csv,
                       write_case_csv)
 from .model import (Model, ModelSpec, TrainConfig, TrainingDiverged, load_model,
-                    predict_tta, save_model, train, write_training_log)
+                    save_model, train, write_training_log)
 from .optim import DEFAULT_LR, OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
 
@@ -214,27 +213,16 @@ def cmd_evaluate(args) -> int:
             )
         models.append(trained.model())
     os.makedirs(args.out, exist_ok=True)
-    spacing = manifest.spacing_mm
 
     def eval_one(case):
-        preds = []
-        for m in models:
-            if args.tta:
-                preds.append(predict_tta(m, case.features, case.labels.spatial_shape))
-            else:
-                preds.append(m.forward(case.features))
-        ens = ensemble_mean_softmax(preds)
+        # A function scope frees each case's probability maps before the next.
+        ens = ensemble_mean_softmax([m.forward(case.features) for m in models])
         labels = np.argmax(ens.voxels, axis=1)
         pred_map = LabelMap(labels, manifest.num_classes, case.labels.spatial_shape)
-        pred_map = postprocess_et(pred_map)
-        return evaluate_case(pred_map, case.labels, spacing, case_id=case.case_id)
+        return evaluate_case(postprocess_et(pred_map), case.labels, manifest.spacing_mm,
+                             case_id=case.case_id)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_case = list(pool.map(eval_one, cases))
-    else:
-        per_case = [eval_one(c) for c in cases]
-
+    per_case = [eval_one(c) for c in cases]
     stats = aggregate(per_case)
     write_case_csv(per_case, os.path.join(args.out, "metrics.csv"))
     write_aggregate_csv(stats, os.path.join(args.out, "aggregate.csv"))
@@ -246,9 +234,6 @@ def cmd_evaluate(args) -> int:
         "models": list(args.models),
         "dataset": args.dataset,
         "out": args.out,
-        "tta": bool(args.tta),
-        "jobs": args.jobs,
-        "seed": args.seed,
     })
     print(table, end="")
     return EXIT_OK
@@ -316,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("models", nargs="+", help="model JSON files; several mean-softmax ensemble")
     p.add_argument("--dataset", required=True, help="manifest path or dataset directory")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--tta", action="store_true", help="average predictions over axis flips")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers across cases")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LabelMap, ProbMap
-
-# Class convention for the evaluation regions (see module docstring).
-NUM_CLASSES = 4
+from .synthdata import NUM_CLASSES
 
 __all__ = [
     "RegionSpec",
@@ -206,24 +204,15 @@ def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,
     return CaseMetrics(case_id=case_id, dice=dice, hd95=hausdorff)
 
 
-def _median(sorted_vals: np.ndarray) -> float:
-    n = sorted_vals.size
-    mid = n // 2
-    if n % 2 == 1:
-        return float(sorted_vals[mid])
-    return float((sorted_vals[mid - 1] + sorted_vals[mid]) / 2.0)
-
-
 def _column_stats(values, n_excluded: int) -> MetricStats:
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         return MetricStats(None, None, None, None, 0, n_excluded)
-    srt = np.sort(vals)
-    q75, q25 = np.percentile(srt, [75, 25])
+    q75, q25 = np.percentile(vals, [75, 25])
     return MetricStats(
         mean=float(vals.mean()),
         std=float(vals.std()),  # population std
-        median=_median(srt),
+        median=float(np.median(vals)),
         iqr=float(q75 - q25),
         n_used=int(vals.size),
         n_excluded=n_excluded,

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler
-from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, LossValue, ProbMap, _check_kind,
-                     _check_shapes, batch_loss)
+from .losses import (DistanceMatrix, LabelMap, LossValue, ProbMap, _check_kind, _check_shapes,
+                     batch_loss)
 from .numerics import Rng, as_f64, require_finite, softmax_inplace
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
@@ -65,7 +65,6 @@ __all__ = [
     "TrainingDiverged",
     "batch_gradient",
     "train",
-    "predict_tta",
     "save_model",
     "load_model",
     "write_training_log",
@@ -123,7 +122,6 @@ class Model:
             raise ValueError(
                 f"parameter vector has {p.size} entries, spec needs {self.spec.param_count()}"
             )
-        require_finite(p, "params")
         self.params = p
 
     @classmethod
@@ -283,10 +281,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss!r}, expected one of {LOSS_KINDS}")
-        if "gwdl" in self.loss and self.distance_matrix is None:
-            raise ValueError(f"loss kind {self.loss!r} requires a distance matrix")
+        _check_kind(self.loss, self.distance_matrix)
         if self.sampler_mode not in SAMPLER_MODES:
             raise ValueError(
                 f"unknown sampler mode {self.sampler_mode!r}, expected one of {SAMPLER_MODES}"
@@ -416,34 +411,6 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
         log.append(EpochRecord(epoch=epoch, loss=float(np.mean(epoch_losses)),
                                lr=lr, sampler_entropy=entropy))
     return TrainedModel(model.spec, params, log, sampler)
-
-
-def predict_tta(model: Model, features, spatial_shape) -> ProbMap:
-    """Average forward probabilities over every axis-flip of the grid.
-
-    Features arrive flattened row-major from the grid; each of the 2^D
-    flip combinations is predicted and unflipped before averaging.
-    """
-    spatial_shape = tuple(int(s) for s in spatial_shape)
-    x = as_f64(features, "features")
-    if x.ndim != 2 or int(np.prod(spatial_shape)) != x.shape[0]:
-        raise ValueError(
-            f"features of shape {x.shape} do not cover grid {spatial_shape}"
-        )
-    ndim = len(spatial_shape)
-    grid_x = x.reshape(spatial_shape + (x.shape[1],))
-    total = None
-    count = 0
-    for bits in range(2 ** ndim):
-        axes = tuple(a for a in range(ndim) if bits >> a & 1)
-        flipped = np.flip(grid_x, axes) if axes else grid_x
-        probs = model.forward(flipped.reshape(x.shape[0], x.shape[1]))
-        grid_p = probs.voxels.reshape(spatial_shape + (probs.num_classes,))
-        restored = np.flip(grid_p, axes) if axes else grid_p
-        total = restored if total is None else total + restored
-        count += 1
-    mean = (total / count).reshape(x.shape[0], -1)
-    return ProbMap(mean)
 
 
 def _spec_to_dict(spec: ModelSpec) -> dict:

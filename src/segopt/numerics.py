@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Rng", "softmax", "softmax_inplace", "one_hot", "rng_uniform", "require_finite",
-           "as_f64"]
+__all__ = ["Rng", "softmax", "softmax_inplace", "require_finite", "as_f64"]
 
 
 def as_f64(values, name: str = "array") -> np.ndarray:
@@ -55,13 +54,6 @@ class Rng:
         return self._gen.integers(low, high, size=size)
 
 
-def rng_uniform(rng: Rng, n: int) -> np.ndarray:
-    """Draw ``n`` reals in [0, 1), advancing the stream."""
-    if n < 0:
-        raise ValueError(f"draw count must be >= 0, got {n}")
-    return rng.uniform(size=n)
-
-
 def softmax(logits, axis: int = -1) -> np.ndarray:
     """Stable softmax (max-subtracted) along ``axis``.
 
@@ -86,12 +78,3 @@ def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
     return z
-
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    """Probability vector with all mass on ``label``."""
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range for {num_classes} classes")
-    v = np.zeros(num_classes, dtype=np.float64)
-    v[label] = 1.0
-    return v

@@ -192,16 +192,15 @@ class Lookahead:
         return self.inner.step_count
 
     def step(self, params, grad, lr: float | None = None) -> np.ndarray:
-        params = as_f64(params, "params")
+        fast = self.inner.step(params, grad, lr)  # validates params and grad
         if self.slow_weights is None:
-            self.slow_weights = params.copy()
-        params = self.inner.step(params, grad, lr)
+            self.slow_weights = np.array(params, dtype=np.float64)
         self.inner_counter += 1
         if self.inner_counter == self.k:
-            self.slow_weights = (1.0 - self.alpha) * self.slow_weights + self.alpha * params
-            params = self.slow_weights.copy()
+            self.slow_weights = (1.0 - self.alpha) * self.slow_weights + self.alpha * fast
+            fast = self.slow_weights.copy()
             self.inner_counter = 0
-        return params
+        return fast
 
 
 def ranger(lr: float = DEFAULT_LR["ranger"], k: int = 6, alpha: float = 0.5,

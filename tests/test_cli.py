@@ -220,25 +220,18 @@ class TestEvaluate:
         assert file_bytes(os.path.join(solo, "metrics.csv")) == \
             file_bytes(os.path.join(trio, "metrics.csv"))
 
-    def test_tta_matches_plain_for_per_voxel_model(self, trained_run, dataset,
-                                                   tmp_path):
-        # the model scores voxels independently, so flip averaging is a no-op
-        model = os.path.join(trained_run, "model.json")
-        plain, tta = str(tmp_path / "plain"), str(tmp_path / "tta")
-        assert self.run([model], dataset, plain) == 0
-        assert self.run([model], dataset, tta, extra=["--tta"]) == 0
-        assert file_bytes(os.path.join(plain, "metrics.csv")) == \
-            file_bytes(os.path.join(tta, "metrics.csv"))
+    def test_run_config_records_inputs_only(self, trained_run, dataset, tmp_path):
+        out = str(tmp_path / "eval")
+        assert self.run([os.path.join(trained_run, "model.json")], dataset, out) == 0
+        doc = read_json(os.path.join(out, "run_config.json"))
+        assert set(doc) == {"command", "models", "dataset", "out"}
 
-    def test_parallel_jobs_match_serial(self, trained_run, dataset, tmp_path):
-        model = os.path.join(trained_run, "model.json")
-        serial, parallel = str(tmp_path / "serial"), str(tmp_path / "par")
-        assert self.run([model], dataset, serial) == 0
-        assert self.run([model], dataset, parallel,
-                        extra=["--jobs", "3"]) == 0
-        assert file_bytes(os.path.join(serial, "metrics.csv")) == \
-            file_bytes(os.path.join(parallel, "metrics.csv"))
-        assert read_json(os.path.join(parallel, "run_config.json"))["jobs"] == 3
+    @pytest.mark.parametrize("flag", ["--tta", "--jobs=2", "--seed=0"])
+    def test_removed_flags_are_usage_errors(self, dataset, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            self.run([str(tmp_path / "model.json")], dataset, str(tmp_path / "eval"),
+                     extra=[flag])
+        assert exc.value.code == 2
 
     def test_feature_width_mismatch_is_config_error(self, dataset, tmp_path,
                                                     capsys):

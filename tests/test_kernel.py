@@ -156,11 +156,12 @@ def test_default_learning_rates_have_one_source():
         assert inner.lr == DEFAULT_LR[kind]
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
+@pytest.mark.parametrize("module", ["scipy.ndimage", "concurrent.futures"])
+def test_cli_import_leaves_module_unloaded(module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(segopt.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, segopt.cli; print('scipy.ndimage' in sys.modules)"
+    code = f"import sys, segopt.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -11,7 +11,6 @@ from segopt.model import (
     TrainedModel,
     TrainingDiverged,
     load_model,
-    predict_tta,
     save_model,
     train,
     write_training_log,
@@ -257,48 +256,6 @@ class TestTrain:
                    LabelMap(np.zeros(4, dtype=np.int64), 2, (4,)), "toy")
         with pytest.raises(ValueError, match="odd"):
             train(Model.init(LINEAR), [bad], TrainConfig(loss="ce"))
-
-
-class TestPredictTta:
-    def test_matches_forward_for_per_voxel_model(self, rng):
-        spec = ModelSpec(kind="mlp", input_features=3, num_classes=4,
-                         hidden_width=5, seed=8)
-        model = Model.init(spec)
-        feats = rng.normal(size=(24, 3))
-        direct = model.forward(feats).voxels
-        averaged = predict_tta(model, feats, (4, 6)).voxels
-        assert np.abs(direct - averaged).max() < 1e-12
-
-    def test_averages_exactly_four_variants_on_2d_grid(self, rng):
-        calls = []
-        model = Model.init(LINEAR)
-
-        class Spy:
-            def forward(self, feats):
-                calls.append(1)
-                return model.forward(feats)
-
-        predict_tta(Spy(), rng.normal(size=(12, 2)), (3, 4))
-        assert len(calls) == 4
-
-    def test_flip_closure(self, rng):
-        model = Model.init(LINEAR)
-        feats = rng.normal(size=(12, 2))
-        grid = feats.reshape(3, 4, 2)
-        flipped = np.flip(grid, axis=0).reshape(12, 2)
-        base = predict_tta(model, feats, (3, 4)).voxels.reshape(3, 4, 2)
-        moved = predict_tta(model, flipped, (3, 4)).voxels.reshape(3, 4, 2)
-        assert np.abs(np.flip(base, axis=0) - moved).max() < 1e-12
-
-    def test_rows_sum_to_one(self, rng):
-        model = Model.init(LINEAR)
-        out = predict_tta(model, rng.normal(size=(8, 2)), (2, 4))
-        assert np.abs(out.voxels.sum(axis=1) - 1.0).max() < 1e-9
-
-    def test_grid_coverage_checked(self, rng):
-        model = Model.init(LINEAR)
-        with pytest.raises(ValueError, match="do not cover"):
-            predict_tta(model, rng.normal(size=(7, 2)), (2, 4))
 
 
 class TestSerialization:

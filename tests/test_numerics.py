@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from segopt.numerics import Rng, as_f64, one_hot, require_finite, rng_uniform, softmax
+from segopt.numerics import Rng, as_f64, require_finite, softmax
 
 
 class TestSoftmax:
@@ -37,19 +37,6 @@ class TestSoftmax:
             softmax(np.array([1.0, np.nan]))
 
 
-class TestOneHot:
-    def test_basic(self):
-        assert_allclose(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0], rtol=0, atol=0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            one_hot(3, 3)
-
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            one_hot(-1, 3)
-
-
 class TestRng:
     def test_deterministic(self):
         a = Rng(42).uniform(size=100)
@@ -76,16 +63,6 @@ class TestRng:
     def test_integers_bounds(self):
         v = Rng(1).integers(2, 5, size=1000)
         assert v.min() >= 2 and v.max() <= 4
-
-    def test_rng_uniform_empty(self):
-        assert rng_uniform(Rng(3), 0).shape == (0,)
-
-    def test_rng_uniform_negative_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            rng_uniform(Rng(3), -1)
-
-    def test_rng_uniform_deterministic(self):
-        assert (rng_uniform(Rng(9), 50) == rng_uniform(Rng(9), 50)).all()
 
 
 class TestValidation:

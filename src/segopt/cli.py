@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
 from .losses import LOSS_KINDS, LabelMap, brats_distance_matrix, load_distance_matrix
 from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
@@ -24,7 +23,7 @@ from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
                       write_case_csv)
 from .model import (Model, ModelSpec, TrainConfig, TrainingDiverged, load_model,
                     save_model, train, write_training_log)
-from .optim import DEFAULT_LR, OPTIMIZER_KINDS
+from .optim import OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
 
 EXIT_OK = 0
@@ -98,23 +97,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _resolve_arm(args, preset: str | None) -> dict:
-    base = PRESETS.get(preset, {})
-    loss = args.loss or base.get("loss", "dice_ce")
-    population = args.population or base.get("population", "erm")
-    optimizer = args.optimizer or base.get("optimizer", "sgd")
-    lr = args.lr if args.lr is not None else DEFAULT_LR[optimizer]
-    beta = args.beta if args.beta is not None else DEFAULT_BETA
-    return {
-        "loss": loss,
-        "population": population,
-        "optimizer": optimizer,
-        "lr": lr,
-        "beta": beta,
-    }
-
-
-def _train_one(arm: dict, args, cases, manifest, tag: str | None, out_dir: str) -> dict:
+def _train_one(args, preset: str | None, cases, manifest, tag: str | None) -> dict:
+    # Explicit --loss/--population/--optimizer flags override the preset's.
+    arm = {key: getattr(args, key) or value
+           for key, value in PRESETS.get(preset, PRESETS["baseline"]).items()}
     needs_matrix = "gwdl" in arm["loss"]
     matrix = None
     if needs_matrix:
@@ -132,9 +118,9 @@ def _train_one(arm: dict, args, cases, manifest, tag: str | None, out_dir: str) 
         loss=arm["loss"],
         distance_matrix=matrix,
         sampler_mode="dro" if arm["population"] == "dro" else "erm_shuffle",
-        beta=arm["beta"],
+        beta=args.beta,
         optimizer=arm["optimizer"],
-        lr=arm["lr"],
+        lr=args.lr,
         lookahead_k=args.lookahead_k,
         lookahead_alpha=args.lookahead_alpha,
         epochs=args.epochs,
@@ -143,13 +129,15 @@ def _train_one(arm: dict, args, cases, manifest, tag: str | None, out_dir: str) 
     )
     trained = train(Model.init(spec), cases, config)
     suffix = f"_{tag}" if tag else ""
-    model_path = os.path.join(out_dir, f"model{suffix}.json")
+    model_path = os.path.join(args.out, f"model{suffix}.json")
     save_model(trained, model_path)
-    write_training_log(trained, os.path.join(out_dir, f"training_log{suffix}.csv"))
+    write_training_log(trained, os.path.join(args.out, f"training_log{suffix}.csv"))
     final = trained.training_log[-1].loss if trained.training_log else float("nan")
     print(f"trained {tag or 'model'}: {config.epochs} epochs, final mean loss {final:.6f}")
     return {
         **arm,
+        "lr": config.lr,
+        "beta": config.beta,
         "model_kind": args.model,
         "hidden_width": hidden,
         "distance_matrix": (args.distance_matrix or "builtin") if needs_matrix else None,
@@ -167,30 +155,12 @@ def cmd_train(args) -> int:
     manifest = read_manifest(manifest_path)
     cases = load(manifest_path)
     os.makedirs(args.out, exist_ok=True)
-
+    doc = {"command": "train", "dataset": args.dataset, "out": args.out, "preset": args.preset}
     if args.preset == "ensemble":
-        arms = {}
-        for tag in PRESETS:
-            arm = _resolve_arm(args, tag)
-            arms[tag] = _train_one(arm, args, cases, manifest, tag, args.out)
-        _write_run_config(args.out, {
-            "command": "train",
-            "dataset": args.dataset,
-            "out": args.out,
-            "preset": "ensemble",
-            "arms": arms,
-        })
-        return EXIT_OK
-
-    arm = _resolve_arm(args, args.preset)
-    resolved = _train_one(arm, args, cases, manifest, None, args.out)
-    _write_run_config(args.out, {
-        "command": "train",
-        "dataset": args.dataset,
-        "out": args.out,
-        "preset": args.preset,
-        **resolved,
-    })
+        doc["arms"] = {tag: _train_one(args, tag, cases, manifest, tag) for tag in PRESETS}
+    else:
+        doc.update(_train_one(args, args.preset, cases, manifest, None))
+    _write_run_config(args.out, doc)
     return EXIT_OK
 
 
@@ -280,15 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.add_argument("--population", choices=("erm", "dro"), default=None,
                    help="erm: uniform shuffling; dro: hardness-weighted sampling")
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--beta", type=float, default=TrainConfig.beta,
                    help="hardness-weighting strength (dro)")
     p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default=None)
     p.add_argument("--lr", type=float, default=None,
                    help="initial learning rate (per-optimizer default otherwise)")
-    p.add_argument("--lookahead-k", type=int, default=6)
-    p.add_argument("--lookahead-alpha", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=2)
+    p.add_argument("--lookahead-k", type=int, default=TrainConfig.lookahead_k)
+    p.add_argument("--lookahead-alpha", type=float, default=TrainConfig.lookahead_alpha)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--distance-matrix", default=None,
                    help="JSON distance-matrix file (builtin 4-class matrix otherwise)")
     p.add_argument("--preset", choices=("baseline", "ranger", "gwdl", "dro", "ensemble"),
@@ -320,7 +290,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

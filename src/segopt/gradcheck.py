@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, _check_kind, _check_shapes,
-                     batch_loss, brats_distance_matrix, composite_loss)
+from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, _batch_terms, _check_kind,
+                     _check_shapes, brats_distance_matrix, composite_loss)
 from .model import Model, ModelSpec
 from .numerics import Rng
 
@@ -69,7 +69,7 @@ def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
     """Central differences over every probability entry, in one batch.
 
     Case 2k of the batch steps entry k = (v, l) up by h and case 2k+1
-    steps it down; batch_loss() evaluates all 2*V*L maps in one call.
+    steps it down; the loss kernel evaluates all 2*V*L maps in one call.
     """
     probs = np.asarray(probs, dtype=np.float64)
     _check_kind(kind, m)
@@ -80,7 +80,8 @@ def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
     stack = np.repeat(probs.T[:, None, :], 2 * V * L, axis=1)
     stack[l, 2 * k, v] += h
     stack[l, 2 * k + 1, v] -= h
-    values, _ = batch_loss(kind, stack, np.broadcast_to(gt.labels, (2 * V * L, V)), m)
+    values, _ = _batch_terms(kind, stack, np.broadcast_to(gt.labels, (2 * V * L, V)), m,
+                             want_gradient=False)
     return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(V, L)
 
 
@@ -124,8 +125,7 @@ def run_gradcheck(kinds=None, trials: int = 100, seed: int = 0,
     matrix = brats_distance_matrix()
     results = []
     for kind in kinds:
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
+        _check_kind(kind, matrix)
         m = matrix if "gwdl" in kind else None
         worst_prob = 0.0
         worst_param = 0.0

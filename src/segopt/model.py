@@ -41,15 +41,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler
-from .losses import (DistanceMatrix, LabelMap, LossValue, ProbMap, _check_kind, _check_shapes,
-                     batch_loss)
+from .losses import (DistanceMatrix, LabelMap, LossValue, ProbMap, _batch_terms, _check_kind,
+                     _check_shapes)
 from .numerics import Rng, as_f64, require_finite, softmax_inplace
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
 # segopt.model.softmax.
 from .losses import composite_loss  # noqa: F401
 from .numerics import softmax  # noqa: F401
-from .optim import OPTIMIZER_KINDS, PolySchedule, make_optimizer
+from .optim import (DEFAULT_LR, LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS, PolySchedule,
+                    make_optimizer)
 from .synthdata import Case
 
 __all__ = [
@@ -160,15 +161,13 @@ class Model:
 
     def backward(self, features, gt: LabelMap, loss_kind: str,
                  m: DistanceMatrix | None = None):
-        """Loss on the forward pass plus its gradient over the flat params."""
+        """Loss value on the forward pass plus its gradient over the flat params."""
         x = self._features(features)
         _check_kind(loss_kind, m)
         _check_shapes((x.shape[0], self.spec.num_classes), gt,
                       m if "gwdl" in loss_kind else None)
-        values, prob_grad, grad = _kernel(self.spec, self.params, x, gt.labels[None, :],
-                                          loss_kind, m)
-        return LossValue(value=float(values[0]),
-                         gradient=np.ascontiguousarray(prob_grad[:, 0, :].T)), grad
+        values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss_kind, m)
+        return LossValue(value=float(values[0])), grad
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
@@ -207,13 +206,13 @@ def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarr
     """Forward, loss and backward over B same-size cases in one pass.
 
     x holds the cases' feature rows back to back, [B*V, F], and labels
-    their [B, V] label maps.  Returns the per-case loss values [B], the
-    probability-space loss gradient [L, B, V], and the parameter gradient
-    of the summed loss.
+    their [B, V] label maps.  Returns the per-case loss values [B] and the
+    parameter gradient of the summed loss.  The loss arguments are trusted:
+    the callers check them.
     """
     num_cases, num_voxels = labels.shape
     probs, hidden = _forward(spec, params, x)
-    values, prob_grad = batch_loss(
+    values, prob_grad = _batch_terms(
         loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, m, want_gradient=True)
     # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)).
     g = prob_grad.reshape(probs.shape)
@@ -229,7 +228,7 @@ def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarr
         dh = np.matmul(w2.T, dz, out=hidden)  # the activations are spent: reuse them
         dh *= relu_mask
         grad = np.concatenate([(dh @ x).reshape(-1), dh.sum(axis=1), dw2.reshape(-1), db2])
-    return values, prob_grad, grad
+    return values, grad
 
 
 def batch_gradient(spec: ModelSpec, params: np.ndarray, cases, batch,
@@ -249,7 +248,7 @@ def batch_gradient(spec: ModelSpec, params: np.ndarray, cases, batch,
     grad = None
     for positions in groups.values():
         # The group's stacked inputs live only for the duration of the call.
-        group_values, _, group_grad = _kernel(
+        group_values, group_grad = _kernel(
             spec, params, *_stack([cases[int(batch[pos])] for pos in positions]),
             loss_kind, m)
         values[positions] = group_values
@@ -274,9 +273,9 @@ class TrainConfig:
     beta: float = DEFAULT_BETA
     optimizer: str = "sgd"
     lr: float | None = None
-    lookahead_k: int = 6
-    lookahead_alpha: float = 0.5
-    epochs: int = 100
+    lookahead_k: int = LOOKAHEAD_K
+    lookahead_alpha: float = LOOKAHEAD_ALPHA
+    epochs: int = 1000
     batch_size: int = 2
     seed: int = 0
 
@@ -290,6 +289,8 @@ class TrainConfig:
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZER_KINDS}"
             )
+        if self.lr is None:
+            self.lr = DEFAULT_LR[self.optimizer]
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.epochs < 0:
@@ -366,7 +367,6 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
 
     optimizer = make_optimizer(config.optimizer, config.lr,
                                config.lookahead_k, config.lookahead_alpha)
-    base_lr = optimizer.inner.lr if hasattr(optimizer, "inner") else optimizer.lr
     params = model.params.copy()
     log = []
     sampler = None
@@ -379,7 +379,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     if config.epochs == 0:
         return TrainedModel(model.spec, params, log, sampler)
 
-    schedule = PolySchedule(initial_lr=base_lr, t_max=config.epochs)
+    schedule = PolySchedule(initial_lr=config.lr, t_max=config.epochs)
     for epoch in range(config.epochs):
         lr = schedule.at(epoch)
         if sampler is not None:

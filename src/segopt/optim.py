@@ -37,13 +37,19 @@ __all__ = [
     "make_optimizer",
     "DEFAULT_LR",
     "OPTIMIZER_KINDS",
+    "LOOKAHEAD_K",
+    "LOOKAHEAD_ALPHA",
 ]
 
 # Default learning rate per optimizer kind; the single source for the
-# optimizer classes, make_optimizer() and the command line.
+# optimizer classes, make_optimizer() and TrainConfig.
 DEFAULT_LR = {"sgd": 1e-2, "adam": 3e-3, "radam": 3e-3, "ranger": 3e-3}
 
 OPTIMIZER_KINDS = tuple(DEFAULT_LR)
+
+# Lookahead's default sync period and slow step, as in Ranger.
+LOOKAHEAD_K = 6
+LOOKAHEAD_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,28 +120,29 @@ class Adam(_OptimizerBase):
         self._m = None
         self._v = None
 
-    def _update(self, params, grad, lr):
+    def _moments(self, params, grad):
+        """Update both moments; return the step count and the corrected first moment."""
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
         t = self.step_count
         self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
         self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
-        m_hat = self._m / (1.0 - self.beta1**t)
+        return t, self._m / (1.0 - self.beta1**t)
+
+    def _update(self, params, grad, lr):
+        t, m_hat = self._moments(params, grad)
         v_hat = self._v / (1.0 - self.beta2**t)
         return params - lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class RAdam(_OptimizerBase):
+class RAdam(Adam):
     """Rectified Adam: variance-rectified adaptive steps once rho_t > 4."""
 
     def __init__(self, lr: float = DEFAULT_LR["radam"], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(lr)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
+        super().__init__(lr, beta1, beta2, eps)
         self.rho_inf = 2.0 / (1.0 - self.beta2) - 1.0
-        self._m = None
-        self._v = None
 
     def rho_t(self, t: int) -> float:
         """Length of the approximated simple moving average after t steps."""
@@ -151,13 +158,7 @@ class RAdam(_OptimizerBase):
         )
 
     def _update(self, params, grad, lr):
-        if self._m is None:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
-        t = self.step_count
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
-        m_hat = self._m / (1.0 - self.beta1**t)
+        t, m_hat = self._moments(params, grad)
         if self.rho_t(t) > 4.0:
             v_hat = self._v / (1.0 - self.beta2**t)
             return params - lr * self.rectification(t) * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -174,13 +175,12 @@ class Lookahead:
     reproduces the inner optimizer exactly, with no rounding drift.
     """
 
-    def __init__(self, inner: _OptimizerBase, k: int = 6, alpha: float = 0.5):
+    def __init__(self, inner: _OptimizerBase, k: int = LOOKAHEAD_K,
+                 alpha: float = LOOKAHEAD_ALPHA):
         if k < 1:
             raise ValueError(f"sync period k must be >= 1, got {k}")
-        # alpha=0 is the degenerate "never move" limit, allowed here for
-        # completeness; ranger() restricts to (0, 1].
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"slow step alpha must be in [0, 1], got {alpha}")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"slow step alpha must be in (0, 1], got {alpha}")
         self.inner = inner
         self.k = int(k)
         self.alpha = float(alpha)
@@ -203,16 +203,14 @@ class Lookahead:
         return fast
 
 
-def ranger(lr: float = DEFAULT_LR["ranger"], k: int = 6, alpha: float = 0.5,
-           beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> Lookahead:
+def ranger(lr: float = DEFAULT_LR["ranger"], k: int = LOOKAHEAD_K,
+           alpha: float = LOOKAHEAD_ALPHA) -> Lookahead:
     """Ranger: the Lookahead wrapper around RAdam."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"slow step alpha must be in (0, 1], got {alpha}")
-    return Lookahead(RAdam(lr=lr, beta1=beta1, beta2=beta2, eps=eps), k=k, alpha=alpha)
+    return Lookahead(RAdam(lr=lr), k=k, alpha=alpha)
 
 
-def make_optimizer(kind: str, lr: float | None = None, lookahead_k: int = 6,
-                   lookahead_alpha: float = 0.5):
+def make_optimizer(kind: str, lr: float | None = None, lookahead_k: int = LOOKAHEAD_K,
+                   lookahead_alpha: float = LOOKAHEAD_ALPHA):
     """Build an optimizer by CLI name, with per-kind default learning rates."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")

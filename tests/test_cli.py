@@ -12,8 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from segopt.cli import main
-from segopt.model import Model, ModelSpec, TrainedModel, save_model
+from segopt.cli import build_parser, main
+from segopt.model import Model, ModelSpec, TrainConfig, TrainedModel, save_model
 
 
 def read_json(path):
@@ -174,6 +174,12 @@ class TestTrain:
                      "--epochs", "50"])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_flag_defaults_are_train_config_defaults(self):
+        args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])
+        defaults = TrainConfig()
+        for name in ("beta", "lookahead_k", "lookahead_alpha", "epochs", "batch_size"):
+            assert getattr(args, name) == getattr(defaults, name), name
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         args = ["train", "--dataset", dataset, "--epochs", "5",

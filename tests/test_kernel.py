@@ -154,6 +154,7 @@ def test_default_learning_rates_have_one_source():
         optimizer = make_optimizer(kind)
         inner = getattr(optimizer, "inner", optimizer)
         assert inner.lr == DEFAULT_LR[kind]
+        assert TrainConfig(optimizer=kind).lr == DEFAULT_LR[kind]
 
 
 @pytest.mark.parametrize("module", ["scipy.ndimage", "concurrent.futures"])

@@ -149,13 +149,9 @@ class TestLookahead:
             xb = wrapped.step(xb, g)
             assert (xa == xb).all()
 
-    def test_alpha_zero_freezes_slow_weights(self):
-        wrapped = Lookahead(SgdNesterov(lr=0.1, momentum=0.0), k=3, alpha=0.0)
-        x = np.array([1.0])
-        for step in range(1, 10):
-            x = wrapped.step(x, np.array([1.0]))
-            if step % 3 == 0:
-                assert x[0] == 1.0  # reset to the never-moving slow weights
+    def test_alpha_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            Lookahead(SgdNesterov(lr=0.1), alpha=0.0)
 
     def test_hand_simulated_sync(self):
         # five SGD steps (lr=0.1, no momentum) on x^2 from 1.0 reach

@@ -10,11 +10,7 @@ the near-miss/catastrophe contrast that motivates the whole construction.
 
 import numpy as np
 
-from segopt.losses import (
-    brats_distance_matrix,
-    composite_loss,
-    gwdl,
-)
+from segopt.losses import brats_distance_matrix, composite_loss
 
 
 def label_map(labels):
@@ -38,7 +34,7 @@ def main():
     probs[0, 2] = 1.0
     probs[1, 3] = 1.0
     gt = label_map([2, 2])
-    loss = gwdl(probs, gt, m)
+    loss = composite_loss("gwdl", probs, gt, m)
     print("two-voxel hand example (truth: edema, edema):")
     print(f"  prediction: edema, core -> loss {loss.value:.4f}")
     print(f"  by hand: 1 - 2*(1+0.3)/(2*1.3+0.7) = {1 - 2.6 / 3.3:.4f}")
@@ -54,8 +50,8 @@ def main():
     catastrophe[:4, 2] = 1.0
     catastrophe[4:, 0] = 1.0  # half the voxels called background (distance 1)
     print("eight edema voxels, half mislabeled either way:")
-    print(f"  called core:       {gwdl(near_miss, gt, m).value:.4f}")
-    print(f"  called background: {gwdl(catastrophe, gt, m).value:.4f}")
+    print(f"  called core:       {composite_loss('gwdl', near_miss, gt, m).value:.4f}")
+    print(f"  called background: {composite_loss('gwdl', catastrophe, gt, m).value:.4f}")
     print("  the background call costs more; plain dice cannot tell them apart")
     print()
 

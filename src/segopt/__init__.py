@@ -11,9 +11,7 @@ them into reproducible experiments.
 from .dro import DEFAULT_BETA, HardnessWeightedSampler
 from .losses import (CE_CLAMP, DistanceMatrix, LabelMap, LOSS_KINDS, LossValue,
                      ProbMap, SMOOTH_EPS, brats_distance_matrix, composite_loss,
-                     cross_entropy, dice_loss, gwdl, load_distance_matrix,
-                     validate_distance_matrix, wasserstein_per_voxel,
-                     wasserstein_voxel)
+                     load_distance_matrix, wasserstein_per_voxel, wasserstein_voxel)
 from .metrics import (REGIONS, AggregateStats, CaseMetrics, RegionSpec, aggregate,
                       dice_score, ensemble_mean_softmax, evaluate_case, hd95,
                       postprocess_et, region_mask)
@@ -30,8 +28,7 @@ __all__ = [
     "DEFAULT_BETA", "HardnessWeightedSampler",
     "CE_CLAMP", "DistanceMatrix", "LabelMap", "LOSS_KINDS", "LossValue",
     "ProbMap", "SMOOTH_EPS", "brats_distance_matrix", "composite_loss",
-    "cross_entropy", "dice_loss", "gwdl", "load_distance_matrix",
-    "validate_distance_matrix", "wasserstein_per_voxel", "wasserstein_voxel",
+    "load_distance_matrix", "wasserstein_per_voxel", "wasserstein_voxel",
     "REGIONS", "AggregateStats", "CaseMetrics", "RegionSpec", "aggregate",
     "dice_score", "ensemble_mean_softmax", "evaluate_case", "hd95",
     "postprocess_et", "region_mask",

@@ -97,26 +97,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_one(args, preset: str | None, cases, manifest, tag: str | None) -> dict:
-    # Explicit --loss/--population/--optimizer flags override the preset's.
-    arm = {key: getattr(args, key) or value
-           for key, value in PRESETS.get(preset, PRESETS["baseline"]).items()}
-    needs_matrix = "gwdl" in arm["loss"]
-    matrix = None
-    if needs_matrix:
-        matrix = (load_distance_matrix(args.distance_matrix)
-                  if args.distance_matrix else brats_distance_matrix())
-    hidden = args.hidden if args.model == "mlp" else None
-    spec = ModelSpec(
-        kind=args.model,
-        input_features=manifest.feature_width,
-        num_classes=manifest.num_classes,
-        hidden_width=hidden,
-        seed=args.seed + 2,  # keep init, shuffle and sampler streams apart
-    )
-    config = TrainConfig(
+def _train_config(args, arm: dict, matrix) -> TrainConfig:
+    return TrainConfig(
         loss=arm["loss"],
-        distance_matrix=matrix,
+        distance_matrix=matrix if "gwdl" in arm["loss"] else None,
         sampler_mode="dro" if arm["population"] == "dro" else "erm_shuffle",
         beta=args.beta,
         optimizer=arm["optimizer"],
@@ -127,6 +111,10 @@ def _train_one(args, preset: str | None, cases, manifest, tag: str | None) -> di
         batch_size=args.batch_size,
         seed=args.seed,
     )
+
+
+def _train_one(args, arm: dict, spec: ModelSpec, config: TrainConfig, cases,
+               tag: str | None) -> dict:
     trained = train(Model.init(spec), cases, config)
     suffix = f"_{tag}" if tag else ""
     model_path = os.path.join(args.out, f"model{suffix}.json")
@@ -139,8 +127,9 @@ def _train_one(args, preset: str | None, cases, manifest, tag: str | None) -> di
         "lr": config.lr,
         "beta": config.beta,
         "model_kind": args.model,
-        "hidden_width": hidden,
-        "distance_matrix": (args.distance_matrix or "builtin") if needs_matrix else None,
+        "hidden_width": spec.hidden_width,
+        "distance_matrix": ((args.distance_matrix or "builtin")
+                            if config.distance_matrix is not None else None),
         "lookahead_k": args.lookahead_k,
         "lookahead_alpha": args.lookahead_alpha,
         "epochs": args.epochs,
@@ -154,12 +143,32 @@ def cmd_train(args) -> int:
     manifest_path = _dataset_path(args.dataset)
     manifest = read_manifest(manifest_path)
     cases = load(manifest_path)
+    # Every arm is configured, and so checked, before the first one trains.
+    tags = tuple(PRESETS) if args.preset == "ensemble" else (None,)
+    # Explicit --loss/--population/--optimizer flags override the preset's.
+    arms = {tag: {key: getattr(args, key) or value
+                  for key, value in PRESETS.get(tag or args.preset, PRESETS["baseline"]).items()}
+            for tag in tags}
+    matrix = None
+    if any("gwdl" in arm["loss"] for arm in arms.values()):
+        matrix = (load_distance_matrix(args.distance_matrix)
+                  if args.distance_matrix else brats_distance_matrix())
+    configs = {tag: _train_config(args, arm, matrix) for tag, arm in arms.items()}
+    spec = ModelSpec(
+        kind=args.model,
+        input_features=manifest.feature_width,
+        num_classes=manifest.num_classes,
+        hidden_width=args.hidden if args.model == "mlp" else None,
+        seed=args.seed + 2,  # keep init, shuffle and sampler streams apart
+    )
     os.makedirs(args.out, exist_ok=True)
+    records = {tag: _train_one(args, arms[tag], spec, configs[tag], cases, tag)
+               for tag in tags}
     doc = {"command": "train", "dataset": args.dataset, "out": args.out, "preset": args.preset}
     if args.preset == "ensemble":
-        doc["arms"] = {tag: _train_one(args, tag, cases, manifest, tag) for tag in PRESETS}
+        doc["arms"] = records
     else:
-        doc.update(_train_one(args, args.preset, cases, manifest, None))
+        doc.update(records[None])
     _write_run_config(args.out, doc)
     return EXIT_OK
 

@@ -1,16 +1,17 @@
 """Per-sample segmentation losses with analytic gradients.
 
-The per-case functions take a soft prediction of shape [V, L] (V voxels,
+composite_loss(kind, ...) is the one per-case entry point, for every kind
+in LOSS_KINDS.  It takes a soft prediction of shape [V, L] (V voxels,
 L classes, each row a probability vector) against an integer label map,
-and return both a scalar value and, on request, the gradient with respect
+and returns the scalar value and, on request, the gradient with respect
 to the predicted probabilities.  Gradients are taken in probability space;
 composing with the softmax Jacobian is the model's job, which keeps the
 loss math independent of the classifier head.
 
-All of them are one-case calls into batch_loss(), the single
-implementation: B same-size cases in class-major layout [L, B, V], values
-reduced per case along V.  Training and the finite-difference harness
-call it directly on whole batches.
+_batch_terms() is the one batched core behind it: B same-size cases in
+class-major layout [L, B, V], values reduced per case along V.  Training
+and the finite-difference harness call it directly on whole batches,
+after their own checks.
 
 The centerpiece is the generalized Wasserstein Dice loss: a Dice-style
 overlap loss whose per-voxel error is the earth-mover distance between the
@@ -38,15 +39,10 @@ __all__ = [
     "LabelMap",
     "DistanceMatrix",
     "LossValue",
-    "validate_distance_matrix",
     "brats_distance_matrix",
     "load_distance_matrix",
     "wasserstein_voxel",
     "wasserstein_per_voxel",
-    "batch_loss",
-    "gwdl",
-    "dice_loss",
-    "cross_entropy",
     "composite_loss",
 ]
 
@@ -138,42 +134,37 @@ class DistanceMatrix:
     background_index: int = 0
 
     def __post_init__(self):
-        self.m = np.ascontiguousarray(self.m, dtype=np.float64)
-        validate_distance_matrix(self)
+        """Check every structural invariant, naming the first offending entry."""
+        m = self.m = np.ascontiguousarray(self.m, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"distance matrix must be square, got shape {m.shape}")
+        L = m.shape[0]
+        b = self.background_index
+        if not 0 <= b < L:
+            raise ValueError(f"background index {b} out of range for {L} classes")
+        require_finite(m, "distance matrix")
+        if np.any(m < 0.0) or np.any(m > 1.0):
+            i, j = np.unravel_index(int(np.argmax((m < 0) | (m > 1))), m.shape)
+            raise ValueError(f"entry ({i},{j})={m[i, j]!r} outside [0, 1]")
+        diag = np.diagonal(m)
+        if np.any(diag != 0.0):
+            i = int(np.argmax(diag != 0.0))
+            raise ValueError(f"nonzero diagonal at ({i},{i})={m[i, i]!r}")
+        asym = m != m.T
+        if np.any(asym):
+            i, j = np.unravel_index(int(np.argmax(asym)), m.shape)
+            raise ValueError(f"asymmetric at ({i},{j}): {m[i, j]!r} != {m[j, i]!r}")
+        off = np.ones(L, dtype=bool)
+        off[b] = False
+        if np.any(m[b, off] != 1.0) or np.any(m[off, b] != 1.0):
+            j = int(np.argmax(m[b] != 1.0)) if np.any(m[b, off] != 1.0) else b
+            raise ValueError(
+                f"background row/column must be 1 off-diagonal, entry ({b},{j})={m[b, j]!r}"
+            )
 
     @property
     def num_classes(self) -> int:
         return self.m.shape[0]
-
-
-def validate_distance_matrix(dm: DistanceMatrix) -> None:
-    """Check every structural invariant, naming the first offending entry."""
-    m = dm.m
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {m.shape}")
-    L = m.shape[0]
-    b = dm.background_index
-    if not 0 <= b < L:
-        raise ValueError(f"background index {b} out of range for {L} classes")
-    require_finite(m, "distance matrix")
-    if np.any(m < 0.0) or np.any(m > 1.0):
-        i, j = np.unravel_index(int(np.argmax((m < 0) | (m > 1))), m.shape)
-        raise ValueError(f"entry ({i},{j})={m[i, j]!r} outside [0, 1]")
-    diag = np.diagonal(m)
-    if np.any(diag != 0.0):
-        i = int(np.argmax(diag != 0.0))
-        raise ValueError(f"nonzero diagonal at ({i},{i})={m[i, i]!r}")
-    asym = m != m.T
-    if np.any(asym):
-        i, j = np.unravel_index(int(np.argmax(asym)), m.shape)
-        raise ValueError(f"asymmetric at ({i},{j}): {m[i, j]!r} != {m[j, i]!r}")
-    off = np.ones(L, dtype=bool)
-    off[b] = False
-    if np.any(m[b, off] != 1.0) or np.any(m[off, b] != 1.0):
-        j = int(np.argmax(m[b] != 1.0)) if np.any(m[b, off] != 1.0) else b
-        raise ValueError(
-            f"background row/column must be 1 off-diagonal, entry ({b},{j})={m[b, j]!r}"
-        )
 
 
 def brats_distance_matrix() -> DistanceMatrix:
@@ -276,37 +267,18 @@ def _check_kind(kind: str, m: DistanceMatrix | None) -> None:
         raise ValueError(f"loss kind {kind!r} requires a distance matrix")
 
 
-def batch_loss(kind: str, probs, labels, m: DistanceMatrix | None = None,
-               want_gradient: bool = False):
+def _batch_terms(kind, p, labels, m, want_gradient):
     """Per-case values of one loss kind over B cases of V voxels each.
 
-    The layout is class-major: ``probs[l, b, v]`` is the predicted
-    probability of class l at voxel v of case b, shape [L, B, V], and
-    ``labels`` is the matching [B, V] integer array with entries in
-    [0, L).  Every reduction runs along V, so case b's value depends on
-    case b alone.  Returns the values, shape [B], and when requested the
-    gradient of each case's value with respect to its own probabilities,
-    shape [L, B, V].  Rows need not sum to 1 (finite differencing steps
-    off the simplex); the label range is the caller's contract.
-    """
-    _check_kind(kind, m)
-    p = np.ascontiguousarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if p.ndim != 3 or labels.shape != p.shape[1:]:
-        raise ValueError(
-            f"probabilities must be [L, B, V] over [B, V] labels, "
-            f"got shapes {p.shape} and {labels.shape}"
-        )
-    if "gwdl" in kind and m.num_classes != p.shape[0]:
-        raise ValueError(
-            f"distance matrix is {m.num_classes}x{m.num_classes} "
-            f"but prediction has {p.shape[0]} classes"
-        )
-    return _batch_terms(kind, p, labels, m, want_gradient)
-
-
-def _batch_terms(kind, p, labels, m, want_gradient):
-    """batch_loss() after its checks, on a C-contiguous [L, B, V] block.
+    The layout is class-major: ``p[l, b, v]`` is the predicted
+    probability of class l at voxel v of case b, a C-contiguous [L, B, V]
+    block, and ``labels`` is the matching [B, V] integer array with
+    entries in [0, L).  Every reduction runs along V, so case b's value
+    depends on case b alone.  Returns the values, shape [B], and when
+    requested the gradient of each case's value with respect to its own
+    probabilities, shape [L, B, V].  Rows need not sum to 1 (finite
+    differencing steps off the simplex).  Nothing is checked: the kind,
+    matrix, shapes and label range are the caller's contract.
 
     Two index arrays replace one-hot masks: ``true_idx`` points at each
     voxel's ground-truth entry in the flattened block (gather the true
@@ -344,7 +316,18 @@ def _spread(table, case_class):
 
 
 def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
-    """Generalized Wasserstein Dice loss per case; see gwdl()."""
+    """Generalized Wasserstein Dice loss per case.
+
+    Let W_i be the per-voxel earth-mover error and F the set of foreground
+    voxels (ground-truth class != background).  The loss is
+
+        1 - (2*N + eps) / (2*N + S + eps)
+
+    with N = sum_{i in F} (1 - W_i) and S = sum_i W_i over all voxels.  The
+    quotient is a Wasserstein-weighted Dice overlap that equals 1 for a
+    perfect prediction, so the loss bottoms out at 0 there; the smoothing
+    keeps the all-background case finite.
+    """
     L = flat.shape[0]
     # Per-voxel earth-mover error: W = (m @ p)[gt], column by column.
     w = (m.m @ flat).take(true_idx)
@@ -370,7 +353,13 @@ def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
 
 
 def _dice_terms(flat, true_p, case_class, want_gradient):
-    """Soft multi-class Dice loss per case; see dice_loss()."""
+    """Soft multi-class Dice loss per case, averaged over foreground classes.
+
+    Per foreground class l the overlap quotient is
+    (2*sum_i p_hat*p + eps) / (sum_i p_hat + sum_i p + eps); the loss is one
+    minus the mean quotient.  Class 0 is background by the label convention
+    and is excluded from the mean.
+    """
     L, (B, V) = flat.shape[0], true_p.shape
     n_fg = L - 1
     if n_fg == 0:
@@ -400,8 +389,9 @@ def _dice_terms(flat, true_p, case_class, want_gradient):
 
 
 def _ce_terms(true_p, want_gradient):
-    """Clamped cross-entropy per case from the [B, V] true-class
-    probabilities; the gradient is d/d(true-class probability)."""
+    """Clamped cross-entropy per case: the mean negative log-probability of
+    the true class, from the [B, V] true-class probabilities; the gradient
+    is d/d(true-class probability)."""
     V = true_p.shape[-1]
     clamped = np.maximum(true_p, CE_CLAMP)
     values = -(np.log(clamped).sum(axis=-1) / V)
@@ -413,50 +403,6 @@ def _ce_terms(true_p, want_gradient):
     return values, grad
 
 
-def _per_case(kind: str, pred, gt: LabelMap, m: DistanceMatrix | None,
-              want_gradient: bool) -> LossValue:
-    """One case through batch_loss()'s kernel: [V, L] in, B=1 class-major inside."""
-    p = _pred_array(pred)
-    _check_shapes(p.shape, gt, m)
-    values, grad = _batch_terms(kind, np.ascontiguousarray(p.T)[:, None, :],
-                                gt.labels[None, :], m, want_gradient)
-    if grad is not None:
-        grad = np.ascontiguousarray(grad[:, 0, :].T)
-    return LossValue(value=float(values[0]), gradient=grad)
-
-
-def gwdl(pred, gt: LabelMap, m: DistanceMatrix, want_gradient: bool = False) -> LossValue:
-    """Generalized Wasserstein Dice loss.
-
-    Let W_i be the per-voxel earth-mover error and F the set of foreground
-    voxels (ground-truth class != background).  The loss is
-
-        1 - (2*N + eps) / (2*N + S + eps)
-
-    with N = sum_{i in F} (1 - W_i) and S = sum_i W_i over all voxels.  The
-    quotient is a Wasserstein-weighted Dice overlap that equals 1 for a
-    perfect prediction, so the loss bottoms out at 0 there; the smoothing
-    keeps the all-background case finite.
-    """
-    return _per_case("gwdl", pred, gt, m, want_gradient)
-
-
-def dice_loss(pred, gt: LabelMap, want_gradient: bool = False) -> LossValue:
-    """Soft multi-class Dice loss, averaged over foreground classes.
-
-    Per foreground class l the overlap quotient is
-    (2*sum_i p_hat*p + eps) / (sum_i p_hat + sum_i p + eps); the loss is one
-    minus the mean quotient.  Class 0 is background by the label convention
-    and is excluded from the mean.
-    """
-    return _per_case("dice", pred, gt, None, want_gradient)
-
-
-def cross_entropy(pred, gt: LabelMap, want_gradient: bool = False) -> LossValue:
-    """Mean negative log-probability of the true class, clamped away from log(0)."""
-    return _per_case("ce", pred, gt, None, want_gradient)
-
-
 def composite_loss(
     kind: str,
     pred,
@@ -464,6 +410,19 @@ def composite_loss(
     m: DistanceMatrix | None = None,
     want_gradient: bool = False,
 ) -> LossValue:
-    """Dispatch by kind; the *_ce variants sum the parts value- and gradient-wise."""
+    """One case's loss: "ce", "dice", "gwdl" (needs ``m``), or the sums
+    "dice_ce" and "gwdl_ce", which add the parts value- and gradient-wise.
+
+    ``pred`` is a ProbMap or a [V, L] array; it runs through the batched
+    core as one class-major case, and the gradient comes back as [V, L].
+    """
     _check_kind(kind, m)
-    return _per_case(kind, pred, gt, m if "gwdl" in kind else None, want_gradient)
+    if "gwdl" not in kind:
+        m = None
+    p = _pred_array(pred)
+    _check_shapes(p.shape, gt, m)
+    values, grad = _batch_terms(kind, np.ascontiguousarray(p.T)[:, None, :],
+                                gt.labels[None, :], m, want_gradient)
+    if grad is not None:
+        grad = np.ascontiguousarray(grad[:, 0, :].T)
+    return LossValue(value=float(values[0]), gradient=grad)

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler
-from .losses import (DistanceMatrix, LabelMap, LossValue, ProbMap, _batch_terms, _check_kind,
-                     _check_shapes)
+from .losses import DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind, _check_shapes
 from .numerics import Rng, as_f64, require_finite, softmax_inplace
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
@@ -50,7 +49,7 @@ from .numerics import Rng, as_f64, require_finite, softmax_inplace
 from .losses import composite_loss  # noqa: F401
 from .numerics import softmax  # noqa: F401
 from .optim import (DEFAULT_LR, LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS, PolySchedule,
-                    make_optimizer)
+                    _check_lookahead, make_optimizer)
 from .synthdata import Case
 
 __all__ = [
@@ -161,13 +160,14 @@ class Model:
 
     def backward(self, features, gt: LabelMap, loss_kind: str,
                  m: DistanceMatrix | None = None):
-        """Loss value on the forward pass plus its gradient over the flat params."""
+        """The loss value on the forward pass, as a float, and its gradient
+        over the flat params."""
         x = self._features(features)
         _check_kind(loss_kind, m)
         _check_shapes((x.shape[0], self.spec.num_classes), gt,
                       m if "gwdl" in loss_kind else None)
         values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss_kind, m)
-        return LossValue(value=float(values[0])), grad
+        return float(values[0]), grad
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
@@ -291,6 +291,8 @@ class TrainConfig:
             )
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
+        # Checked whatever the optimizer, so a bad value fails before training.
+        _check_lookahead(self.lookahead_k, self.lookahead_alpha)
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.epochs < 0:

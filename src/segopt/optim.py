@@ -166,6 +166,14 @@ class RAdam(Adam):
         return params - lr * m_hat
 
 
+def _check_lookahead(k: int, alpha: float) -> None:
+    """Lookahead's sync period k must be >= 1 and its slow step alpha in (0, 1]."""
+    if k < 1:
+        raise ValueError(f"sync period k must be >= 1, got {k}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"slow step alpha must be in (0, 1], got {alpha}")
+
+
 class Lookahead:
     """Slow/fast weight wrapper around any inner optimizer.
 
@@ -177,10 +185,7 @@ class Lookahead:
 
     def __init__(self, inner: _OptimizerBase, k: int = LOOKAHEAD_K,
                  alpha: float = LOOKAHEAD_ALPHA):
-        if k < 1:
-            raise ValueError(f"sync period k must be >= 1, got {k}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"slow step alpha must be in (0, 1], got {alpha}")
+        _check_lookahead(k, alpha)
         self.inner = inner
         self.k = int(k)
         self.alpha = float(alpha)

@@ -175,6 +175,22 @@ class TestTrain:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["--preset", "ensemble", "--lookahead-alpha", "0"],
+        ["--lookahead-k", "-3", "--lookahead-alpha", "7"],
+        ["--preset", "ensemble", "--distance-matrix", "MATRIX"],
+    ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background"])
+    def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"matrix": (1.0 - np.eye(4)).tolist()}))
+        out = tmp_path / "run"
+        argv = ["train", "--dataset", dataset, "--out", str(out), "--epochs", "1"]
+        assert main(argv + [str(matrix) if a == "MATRIX" else a for a in extra]) == 2
+        assert "error:" in capsys.readouterr().err
+        left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert not [name for name in left if name.startswith(
+            ("model", "training_log", "run_config.json"))], left
+
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])
         defaults = TrainConfig()

@@ -56,7 +56,7 @@ def test_batched_step_matches_per_case_backward(kind, model_kind, rng):
     values, grad = batch_gradient(model.spec, model.params, cases, batch, kind, m)
 
     per_case = [model.backward(cases[i].features, cases[i].labels, kind, m) for i in batch]
-    want_values = np.array([loss.value for loss, _ in per_case])
+    want_values = np.array([loss for loss, _ in per_case])
     want_grad = np.mean([g for _, g in per_case], axis=0)
     assert values.shape == (4,)
     assert values[0] == values[3]
@@ -90,7 +90,7 @@ def reference_epoch(model, dataset, config):
         outs = [work.backward(dataset[i].features, dataset[i].labels, config.loss,
                               config.distance_matrix)
                 for i in order[start:start + config.batch_size]]
-        losses.extend(loss.value for loss, _ in outs)
+        losses.extend(loss for loss, _ in outs)
         params = optimizer.step(params, np.mean([g for _, g in outs], axis=0), lr=lr)
     return params, float(np.mean(losses))
 

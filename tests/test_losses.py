@@ -10,9 +10,6 @@ from segopt.losses import (
     ProbMap,
     brats_distance_matrix,
     composite_loss,
-    cross_entropy,
-    dice_loss,
-    gwdl,
     load_distance_matrix,
     wasserstein_per_voxel,
     wasserstein_voxel,
@@ -132,20 +129,20 @@ class TestGwdl:
         m = brats_distance_matrix()
         labels = stratified_labels(rng, 12, 4)
         pred = np.eye(4)[labels]
-        assert gwdl(pred, label_map(labels), m).value <= 1e-4
+        assert composite_loss("gwdl", pred, label_map(labels), m).value <= 1e-4
 
     def test_two_voxel_hand_instance(self):
         # both gt=2; predictions one-hot on classes 2 and 3 give
         # per-voxel distances (0, 0.7) and loss 1 - 2.6/3.3
         m = brats_distance_matrix()
         pred = np.eye(4)[[2, 3]]
-        got = gwdl(pred, label_map([2, 2]), m).value
+        got = composite_loss("gwdl", pred, label_map([2, 2]), m).value
         assert_allclose(got, 1.0 - 2.6 / 3.3, atol=1e-4)
 
     def test_all_background_gt_no_foreground_pred(self):
         m = brats_distance_matrix()
         pred = np.eye(4)[[0, 0]]
-        out = gwdl(pred, label_map([0, 0]), m)
+        out = composite_loss("gwdl", pred, label_map([0, 0]), m)
         assert np.isfinite(out.value)
         assert 0.0 <= out.value <= 1.0 + 1e-3
 
@@ -155,7 +152,7 @@ class TestGwdl:
             n = int(rng.integers(1, 65))
             pred = bounded_probs(rng, n, 4)
             gt = label_map(rng.integers(0, 4, size=n))
-            v = gwdl(pred, gt, m).value
+            v = composite_loss("gwdl", pred, gt, m).value
             assert 0.0 <= v <= 1.0 + 1e-3
 
     def test_moving_mass_off_gt_class_never_helps(self, rng):
@@ -165,7 +162,7 @@ class TestGwdl:
             pred = bounded_probs(rng, n, 4)
             gt_labels = rng.integers(0, 4, size=n)
             gt = label_map(gt_labels)
-            base = gwdl(pred, gt, m).value
+            base = composite_loss("gwdl", pred, gt, m).value
             i = int(rng.integers(0, n))
             c = int(gt_labels[i])
             others = [l for l in range(4) if l != c]
@@ -174,41 +171,42 @@ class TestGwdl:
             worse = pred.copy()
             worse[i, c] -= shift
             worse[i, j] += shift
-            assert gwdl(worse, gt, m).value >= base - 1e-12
+            assert composite_loss("gwdl", worse, gt, m).value >= base - 1e-12
 
     def test_voxel_permutation_invariance(self, rng):
         m = brats_distance_matrix()
         pred = bounded_probs(rng, 20, 4)
         gt_labels = rng.integers(0, 4, size=20)
         perm = rng.permutation(20)
-        a = gwdl(pred, label_map(gt_labels), m, want_gradient=True)
-        b = gwdl(pred[perm], label_map(gt_labels[perm]), m, want_gradient=True)
+        a = composite_loss("gwdl", pred, label_map(gt_labels), m, want_gradient=True)
+        b = composite_loss("gwdl", pred[perm], label_map(gt_labels[perm]), m,
+                           want_gradient=True)
         assert a.value == b.value
         assert (a.gradient[perm] == b.gradient).all()
 
     def test_gradient_none_when_not_requested(self, rng):
         m = brats_distance_matrix()
         pred = bounded_probs(rng, 4, 4)
-        out = gwdl(pred, label_map(rng.integers(0, 4, size=4)), m)
+        out = composite_loss("gwdl", pred, label_map(rng.integers(0, 4, size=4)), m)
         assert out.gradient is None
 
 
 class TestDice:
     def test_perfect_prediction(self, rng):
         labels = stratified_labels(rng, 10, 4)
-        assert dice_loss(np.eye(4)[labels], label_map(labels)).value <= 1e-4
+        assert composite_loss("dice", np.eye(4)[labels], label_map(labels)).value <= 1e-4
 
     def test_all_background_prediction_on_foreground_gt(self, rng):
         labels = stratified_labels(rng, 12, 4)
         pred = np.tile(np.eye(4)[0], (12, 1))
-        assert_allclose(dice_loss(pred, label_map(labels)).value, 1.0, atol=1e-3)
+        assert_allclose(composite_loss("dice", pred, label_map(labels)).value, 1.0, atol=1e-3)
 
     def test_value_in_unit_range(self, rng):
         for _ in range(300):
             n = int(rng.integers(1, 33))
             pred = bounded_probs(rng, n, 4)
             gt = label_map(rng.integers(0, 4, size=n))
-            v = dice_loss(pred, gt).value
+            v = composite_loss("dice", pred, gt).value
             assert 0.0 <= v <= 1.0 + 1e-3
 
 
@@ -216,15 +214,15 @@ class TestCrossEntropy:
     def test_uniform_prediction(self, rng):
         pred = np.full((6, 4), 0.25)
         gt = label_map(rng.integers(0, 4, size=6))
-        assert_allclose(cross_entropy(pred, gt).value, np.log(4.0), atol=1e-12)
+        assert_allclose(composite_loss("ce", pred, gt).value, np.log(4.0), atol=1e-12)
 
     def test_perfect_prediction_clamped_zero(self, rng):
         labels = stratified_labels(rng, 8, 4)
-        assert cross_entropy(np.eye(4)[labels], label_map(labels)).value == 0.0
+        assert composite_loss("ce", np.eye(4)[labels], label_map(labels)).value == 0.0
 
     def test_totally_wrong_prediction_stays_finite(self):
         pred = np.tile(np.eye(4)[1], (3, 1))
-        out = cross_entropy(pred, label_map([0, 2, 3]))
+        out = composite_loss("ce", pred, label_map([0, 2, 3]))
         assert np.isfinite(out.value)
         assert_allclose(out.value, -np.log(1e-12), rtol=1e-12)
 
@@ -234,15 +232,16 @@ class TestComposite:
         pred = bounded_probs(rng, 15, 4)
         gt = label_map(rng.integers(0, 4, size=15))
         combined = composite_loss("dice_ce", pred, gt)
-        assert combined.value == dice_loss(pred, gt).value + cross_entropy(pred, gt).value
+        assert combined.value == (composite_loss("dice", pred, gt).value
+                                  + composite_loss("ce", pred, gt).value)
 
     def test_gwdl_ce_gradient_is_exact_sum(self, rng):
         m = brats_distance_matrix()
         pred = bounded_probs(rng, 15, 4)
         gt = label_map(rng.integers(0, 4, size=15))
         combined = composite_loss("gwdl_ce", pred, gt, m, want_gradient=True)
-        expected = (gwdl(pred, gt, m, want_gradient=True).gradient
-                    + cross_entropy(pred, gt, want_gradient=True).gradient)
+        expected = (composite_loss("gwdl", pred, gt, m, want_gradient=True).gradient
+                    + composite_loss("ce", pred, gt, want_gradient=True).gradient)
         assert (combined.gradient == expected).all()
 
     def test_gwdl_ce_perfect_prediction(self, rng):

@@ -134,7 +134,7 @@ class TestBackward:
         gt = label_map(rng.integers(0, 4, size=9))
         loss, _ = model.backward(feats, gt, "dice_ce")
         direct = composite_loss("dice_ce", model.forward(feats), gt)
-        assert loss.value == direct.value
+        assert loss == direct.value
 
     def test_duplicated_voxels_contribute_identically(self, rng):
         # cross-entropy averages per-voxel terms, so a doubled voxel at

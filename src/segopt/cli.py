@@ -21,7 +21,7 @@ from .losses import LOSS_KINDS, LabelMap, brats_distance_matrix, load_distance_m
 from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
                       format_aggregate_table, postprocess_et, write_aggregate_csv,
                       write_case_csv)
-from .model import (Model, ModelSpec, TrainConfig, TrainingDiverged, load_model,
+from .model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, load_model,
                     save_model, train, write_training_log)
 from .optim import OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
@@ -100,7 +100,7 @@ def cmd_synth(args) -> int:
 def _train_config(args, arm: dict, matrix) -> TrainConfig:
     return TrainConfig(
         loss=arm["loss"],
-        distance_matrix=matrix if "gwdl" in arm["loss"] else None,
+        distance_matrix=matrix,
         sampler_mode="dro" if arm["population"] == "dro" else "erm_shuffle",
         beta=args.beta,
         optimizer=arm["optimizer"],
@@ -149,11 +149,11 @@ def cmd_train(args) -> int:
     arms = {tag: {key: getattr(args, key) or value
                   for key, value in PRESETS.get(tag or args.preset, PRESETS["baseline"]).items()}
             for tag in tags}
-    matrix = None
-    if any("gwdl" in arm["loss"] for arm in arms.values()):
-        matrix = (load_distance_matrix(args.distance_matrix)
-                  if args.distance_matrix else brats_distance_matrix())
+    matrix = (load_distance_matrix(args.distance_matrix)
+              if args.distance_matrix else brats_distance_matrix())
     configs = {tag: _train_config(args, arm, matrix) for tag, arm in arms.items()}
+    if args.distance_matrix and all(c.distance_matrix is None for c in configs.values()):
+        raise ValueError(f"no arm's loss uses --distance-matrix {args.distance_matrix}")
     spec = ModelSpec(
         kind=args.model,
         input_features=manifest.feature_width,
@@ -245,16 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="16x16", help="grid extents, e.g. 16x16 or 16x16x8")
     p.add_argument("--subgroups", default="common:8",
                    help="cases per subgroup, e.g. common:40,rare:4")
-    p.add_argument("--sigma", type=float, default=0.3, help="feature noise level")
-    p.add_argument("--no-et-frac", type=float, default=0.0,
+    p.add_argument("--sigma", type=float, default=SynthConfig.sigma, help="feature noise level")
+    p.add_argument("--no-et-frac", type=float, default=SynthConfig.no_et_fraction,
                    help="fraction of cases without an enhancing-tumor region")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--dataset", required=True, help="manifest path or dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--model", choices=("linear", "mlp"), default="linear")
+    p.add_argument("--model", choices=MODEL_KINDS, default="linear")
     p.add_argument("--hidden", type=int, default=16, help="hidden width (mlp only)")
     p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.add_argument("--population", choices=("erm", "dro"), default=None,
@@ -270,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--distance-matrix", default=None,
                    help="JSON distance-matrix file (builtin 4-class matrix otherwise)")
-    p.add_argument("--preset", choices=("baseline", "ranger", "gwdl", "dro", "ensemble"),
-                   default=None,
+    p.add_argument("--preset", choices=(*PRESETS, "ensemble"), default=None,
                    help="experiment arm shorthand; explicit flags override its choices")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate one model or an ensemble")

@@ -15,8 +15,6 @@ hardest sample.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .numerics import Rng, softmax
@@ -80,24 +78,3 @@ class HardnessWeightedSampler:
         q = self.probabilities()
         nz = q > 0
         return float(-np.sum(q[nz] * np.log(q[nz])))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "beta": self.beta,
-                "loss_estimates": self.loss_estimates.tolist(),
-                "seed": self.rng.seed,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "HardnessWeightedSampler":
-        data = json.loads(payload)
-        sampler = cls(
-            n=len(data["loss_estimates"]),
-            beta=float(data["beta"]),
-            seed=int(data["seed"]),
-        )
-        sampler.loss_estimates = np.asarray(data["loss_estimates"], dtype=np.float64)
-        sampler.initialized = np.ones(sampler.n, dtype=bool)
-        return sampler

@@ -72,8 +72,8 @@ def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
     steps it down; the loss kernel evaluates all 2*V*L maps in one call.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    _check_kind(kind, m)
-    _check_shapes(probs.shape, gt, m if "gwdl" in kind else None)
+    m = _check_kind(kind, m)
+    _check_shapes(probs.shape, gt, m)
     V, L = probs.shape
     k = np.arange(V * L)
     v, l = np.divmod(k, L)
@@ -111,8 +111,7 @@ def _random_instance(rng: Rng, num_classes: int = 4):
     return gt, probs, features
 
 
-def run_gradcheck(kinds=None, trials: int = 100, seed: int = 0,
-                  inject_bug: bool = False) -> list:
+def run_gradcheck(kinds=None, *, trials: int, seed: int, inject_bug: bool = False) -> list:
     """Check every requested loss kind on ``trials`` random instances.
 
     inject_bug deliberately corrupts one analytic gradient entry per
@@ -125,8 +124,7 @@ def run_gradcheck(kinds=None, trials: int = 100, seed: int = 0,
     matrix = brats_distance_matrix()
     results = []
     for kind in kinds:
-        _check_kind(kind, matrix)
-        m = matrix if "gwdl" in kind else None
+        m = _check_kind(kind, matrix)
         worst_prob = 0.0
         worst_param = 0.0
         rng = Rng(seed)

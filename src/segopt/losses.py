@@ -260,11 +260,16 @@ def wasserstein_per_voxel(pred, gt: LabelMap, m: DistanceMatrix) -> np.ndarray:
     return np.einsum("vl,vl->v", m.m[gt.labels], p)
 
 
-def _check_kind(kind: str, m: DistanceMatrix | None) -> None:
+def _check_kind(kind: str, m: DistanceMatrix | None) -> DistanceMatrix | None:
+    """Check a loss kind and return the distance matrix it uses: ``m`` for
+    "gwdl" and "gwdl_ce", which require one, and None for every other kind."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
-    if "gwdl" in kind and m is None:
+    if "gwdl" not in kind:
+        return None
+    if m is None:
         raise ValueError(f"loss kind {kind!r} requires a distance matrix")
+    return m
 
 
 def _batch_terms(kind, p, labels, m, want_gradient):
@@ -416,9 +421,7 @@ def composite_loss(
     ``pred`` is a ProbMap or a [V, L] array; it runs through the batched
     core as one class-major case, and the gradient comes back as [V, L].
     """
-    _check_kind(kind, m)
-    if "gwdl" not in kind:
-        m = None
+    m = _check_kind(kind, m)
     p = _pred_array(pred)
     _check_shapes(p.shape, gt, m)
     values, grad = _batch_terms(kind, np.ascontiguousarray(p.T)[:, None, :],

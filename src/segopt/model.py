@@ -163,9 +163,8 @@ class Model:
         """The loss value on the forward pass, as a float, and its gradient
         over the flat params."""
         x = self._features(features)
-        _check_kind(loss_kind, m)
-        _check_shapes((x.shape[0], self.spec.num_classes), gt,
-                      m if "gwdl" in loss_kind else None)
+        m = _check_kind(loss_kind, m)
+        _check_shapes((x.shape[0], self.spec.num_classes), gt, m)
         values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss_kind, m)
         return float(values[0]), grad
 
@@ -267,6 +266,9 @@ def _stack(members):
 
 @dataclass
 class TrainConfig:
+    """Every training setting, with its default.  ``distance_matrix`` is
+    None unless ``loss`` is a gwdl kind; other kinds drop a given matrix."""
+
     loss: str = "dice_ce"
     distance_matrix: DistanceMatrix | None = None
     sampler_mode: str = "erm_shuffle"
@@ -280,7 +282,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_kind(self.loss, self.distance_matrix)
+        self.distance_matrix = _check_kind(self.loss, self.distance_matrix)
         if self.sampler_mode not in SAMPLER_MODES:
             raise ValueError(
                 f"unknown sampler mode {self.sampler_mode!r}, expected one of {SAMPLER_MODES}"
@@ -328,7 +330,7 @@ def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
         raise ValueError("training dataset is empty")
     require_finite(model.params, "params")
     m = config.distance_matrix
-    if "gwdl" in config.loss and m.num_classes != spec.num_classes:
+    if m is not None and m.num_classes != spec.num_classes:
         raise ValueError(
             f"distance matrix is {m.num_classes}x{m.num_classes}, "
             f"model has {spec.num_classes} classes"

@@ -14,6 +14,7 @@ import pytest
 
 from segopt.cli import build_parser, main
 from segopt.model import Model, ModelSpec, TrainConfig, TrainedModel, save_model
+from segopt.synthdata import SynthConfig
 
 
 def read_json(path):
@@ -93,6 +94,13 @@ class TestSynth:
         assert main(["synth", "--out", b] + args) == 0
         # run_config records the output path, everything else must match
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_flag_defaults_are_synth_config_defaults(self):
+        args = build_parser().parse_args(["synth", "--out", "o"])
+        defaults = SynthConfig(grid=(2, 2), subgroup_cases={"common": 1})
+        for flag, field in (("sigma", "sigma"), ("no_et_frac", "no_et_fraction"),
+                            ("seed", "seed")):
+            assert getattr(args, flag) == getattr(defaults, field), flag
 
 
 class TestTrain:
@@ -179,13 +187,19 @@ class TestTrain:
         ["--preset", "ensemble", "--lookahead-alpha", "0"],
         ["--lookahead-k", "-3", "--lookahead-alpha", "7"],
         ["--preset", "ensemble", "--distance-matrix", "MATRIX"],
-    ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background"])
+        ["--preset", "baseline", "--distance-matrix", "VALID_MATRIX"],
+    ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background",
+            "baseline-unused-matrix"])
     def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
         matrix = tmp_path / "matrix.json"
         matrix.write_text(json.dumps({"matrix": (1.0 - np.eye(4)).tolist()}))
+        valid = tmp_path / "valid_matrix.json"
+        valid.write_text(json.dumps({"background_index": 0,
+                                     "matrix": (1.0 - np.eye(4)).tolist()}))
+        files = {"MATRIX": str(matrix), "VALID_MATRIX": str(valid)}
         out = tmp_path / "run"
         argv = ["train", "--dataset", dataset, "--out", str(out), "--epochs", "1"]
-        assert main(argv + [str(matrix) if a == "MATRIX" else a for a in extra]) == 2
+        assert main(argv + [files.get(a, a) for a in extra]) == 2
         assert "error:" in capsys.readouterr().err
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert not [name for name in left if name.startswith(
@@ -194,7 +208,7 @@ class TestTrain:
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])
         defaults = TrainConfig()
-        for name in ("beta", "lookahead_k", "lookahead_alpha", "epochs", "batch_size"):
+        for name in ("beta", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed"):
             assert getattr(args, name) == getattr(defaults, name), name
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -174,24 +172,3 @@ class TestEntropy:
         s = HardnessWeightedSampler(n=8, beta=1e6)
         s.update_loss(0, 2.0)
         assert s.entropy() < 1e-3
-
-
-class TestSerialization:
-    def test_schema(self):
-        s = HardnessWeightedSampler(n=3, beta=25.0, seed=9)
-        s.update_loss(1, 0.33)
-        payload = json.loads(s.to_json())
-        assert set(payload) == {"beta", "loss_estimates", "seed"}
-        assert payload["beta"] == 25.0
-        assert payload["seed"] == 9
-        assert payload["loss_estimates"][1] == 0.33
-
-    def test_round_trip_preserves_law(self):
-        s = HardnessWeightedSampler(n=4, beta=100.0, seed=2)
-        for i, loss in enumerate([0.4, 0.1, 0.2, 0.3]):
-            s.update_loss(i, loss)
-        restored = HardnessWeightedSampler.from_json(s.to_json())
-        assert restored.n == 4
-        assert restored.beta == 100.0
-        assert (restored.loss_estimates == s.loss_estimates).all()
-        assert (restored.probabilities() == s.probabilities()).all()

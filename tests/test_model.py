@@ -164,6 +164,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="requires a distance matrix"):
             TrainConfig(loss="gwdl_ce")
 
+    def test_non_gwdl_loss_keeps_no_matrix(self):
+        config = TrainConfig(loss="dice_ce", distance_matrix=brats_distance_matrix())
+        assert config.distance_matrix is None
+
     def test_unknown_sampler_mode(self):
         with pytest.raises(ValueError, match="sampler mode"):
             TrainConfig(sampler_mode="boosted")

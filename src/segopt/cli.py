@@ -16,13 +16,14 @@ import sys
 
 import numpy as np
 
+from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
 from .losses import LOSS_KINDS, LabelMap, brats_distance_matrix, load_distance_matrix
 from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
                       format_aggregate_table, postprocess_et, write_aggregate_csv,
                       write_case_csv)
-from .model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, load_model,
-                    save_model, train, write_training_log)
+from .model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _check_matrix,
+                    load_model, save_model, train, write_training_log)
 from .optim import OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
 
@@ -154,13 +155,17 @@ def cmd_train(args) -> int:
     configs = {tag: _train_config(args, arm, matrix) for tag, arm in arms.items()}
     if args.distance_matrix and all(c.distance_matrix is None for c in configs.values()):
         raise ValueError(f"no arm's loss uses --distance-matrix {args.distance_matrix}")
+    if args.beta is not None and all(c.sampler_mode != "dro" for c in configs.values()):
+        raise ValueError(f"no arm's population uses --beta {args.beta}")
     spec = ModelSpec(
         kind=args.model,
         input_features=manifest.feature_width,
         num_classes=manifest.num_classes,
-        hidden_width=args.hidden if args.model == "mlp" else None,
+        hidden_width=16 if args.hidden is None and args.model == "mlp" else args.hidden,
         seed=args.seed + 2,  # keep init, shuffle and sampler streams apart
     )
+    for config in configs.values():
+        _check_matrix(spec, config.distance_matrix)
     os.makedirs(args.out, exist_ok=True)
     records = {tag: _train_one(args, arms[tag], spec, configs[tag], cases, tag)
                for tag in tags}
@@ -220,8 +225,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     kinds = [args.loss] if args.loss else None
-    results = run_gradcheck(kinds, trials=args.trials, seed=args.seed,
-                            inject_bug=args.inject_bug)
+    results = run_gradcheck(kinds, trials=args.trials, seed=args.seed)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -255,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="manifest path or dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--model", choices=MODEL_KINDS, default="linear")
-    p.add_argument("--hidden", type=int, default=16, help="hidden width (mlp only)")
+    p.add_argument("--hidden", type=int, default=None, help="hidden width (mlp only; default 16)")
     p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.add_argument("--population", choices=("erm", "dro"), default=None,
                    help="erm: uniform shuffling; dro: hardness-weighted sampling")
-    p.add_argument("--beta", type=float, default=TrainConfig.beta,
-                   help="hardness-weighting strength (dro)")
+    p.add_argument("--beta", type=float, default=None,
+                   help=f"hardness-weighting strength (dro only; default {DEFAULT_BETA:g})")
     p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default=None)
     p.add_argument("--lr", type=float, default=None,
                    help="initial learning rate (per-optimizer default otherwise)")
@@ -286,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single loss kind (all kinds otherwise)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

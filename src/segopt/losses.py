@@ -55,6 +55,9 @@ CE_CLAMP = 1e-12
 
 LOSS_KINDS = ("ce", "dice", "gwdl", "dice_ce", "gwdl_ce")
 
+# The background class of every label map, prediction and distance matrix.
+BACKGROUND = 0
+
 
 @dataclass
 class ProbMap:
@@ -76,14 +79,6 @@ class ProbMap:
             worst = int(np.argmax(np.abs(rowsums - 1.0)))
             raise ValueError(f"row {worst} sums to {rowsums[worst]!r}, not 1")
         self.voxels = v
-
-    @property
-    def num_voxels(self) -> int:
-        return self.voxels.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.voxels.shape[1]
 
 
 @dataclass
@@ -116,32 +111,27 @@ class LabelMap:
     def num_voxels(self) -> int:
         return self.labels.size
 
-    def grid(self) -> np.ndarray:
-        return self.labels.reshape(self.spatial_shape)
-
 
 @dataclass
 class DistanceMatrix:
     """Symmetric zero-diagonal ground-distance matrix between classes.
 
-    Entries live in [0, 1]; the background row/column sits at the maximal
-    distance 1 from every other class, so background mistakes always pay
-    full price while distances between foreground classes encode how much
-    they have in common.
+    Entries live in [0, 1]; the row/column of the background class
+    BACKGROUND (class 0) sits at the maximal distance 1 from every other
+    class, so background mistakes always pay full price while distances
+    between foreground classes encode how much they have in common.
     """
 
     m: np.ndarray
-    background_index: int = 0
 
     def __post_init__(self):
         """Check every structural invariant, naming the first offending entry."""
         m = self.m = np.ascontiguousarray(self.m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {m.shape}")
-        L = m.shape[0]
-        b = self.background_index
-        if not 0 <= b < L:
-            raise ValueError(f"background index {b} out of range for {L} classes")
+        L, b = m.shape[0], BACKGROUND
+        if L == 0:
+            raise ValueError("distance matrix has no classes")
         require_finite(m, "distance matrix")
         if np.any(m < 0.0) or np.any(m > 1.0):
             i, j = np.unravel_index(int(np.argmax((m < 0) | (m > 1))), m.shape)
@@ -183,12 +173,12 @@ def brats_distance_matrix() -> DistanceMatrix:
                 [1.0, 0.5, 0.7, 0.0],
             ]
         ),
-        background_index=0,
     )
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    """Load a matrix from JSON: {"background_index": int, "matrix": [[...]]}."""
+    """Load a matrix from JSON: {"background_index": 0, "matrix": [[...]]}.
+    Background is class 0, so the required "background_index" must be 0."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
@@ -196,7 +186,9 @@ def load_distance_matrix(path) -> DistanceMatrix:
         background = int(payload["background_index"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distance-matrix file {path}: {exc}") from exc
-    return DistanceMatrix(m=np.asarray(matrix, dtype=np.float64), background_index=background)
+    if background != BACKGROUND:
+        raise ValueError(f"{path}: background_index must be {BACKGROUND}, got {background}")
+    return DistanceMatrix(m=np.asarray(matrix, dtype=np.float64))
 
 
 @dataclass
@@ -336,7 +328,7 @@ def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
     L = flat.shape[0]
     # Per-voxel earth-mover error: W = (m @ p)[gt], column by column.
     w = (m.m @ flat).take(true_idx)
-    fg = labels != m.background_index
+    fg = labels != BACKGROUND
     n = np.where(fg, 1.0 - w, 0.0).sum(axis=-1)
     s = w.sum(axis=-1)
     a = 2.0 * n + SMOOTH_EPS
@@ -349,7 +341,7 @@ def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
         # voxel's class only: dN picks up -dW on foreground voxels, dS
         # picks up +dW everywhere, the quotient rule does the rest.
         dw = m.m.T[:, None, :]  # [l, 1, k] = m[k, l]
-        dn = np.where(np.arange(L) != m.background_index, -dw, 0.0)
+        dn = np.where(np.arange(L) != BACKGROUND, -dw, 0.0)
         da = 2.0 * dn
         db = 2.0 * dn + dw
         a, b = a[:, None], b[:, None]
@@ -362,8 +354,8 @@ def _dice_terms(flat, true_p, case_class, want_gradient):
 
     Per foreground class l the overlap quotient is
     (2*sum_i p_hat*p + eps) / (sum_i p_hat + sum_i p + eps); the loss is one
-    minus the mean quotient.  Class 0 is background by the label convention
-    and is excluded from the mean.
+    minus the mean quotient.  The background class BACKGROUND is excluded
+    from the mean.
     """
     L, (B, V) = flat.shape[0], true_p.shape
     n_fg = L - 1
@@ -378,7 +370,9 @@ def _dice_terms(flat, true_p, case_class, want_gradient):
     sums = flat.reshape(L, B, V).sum(axis=-1) + count
     num = 2.0 * inter + SMOOTH_EPS
     den = sums + SMOOTH_EPS
-    values = 1.0 - (num[1:] / den[1:]).sum(axis=0) / n_fg
+    quotient = num / den
+    quotient[BACKGROUND] = 0.0
+    values = 1.0 - quotient.sum(axis=0) / n_fg
 
     grad = None
     if want_gradient:
@@ -388,7 +382,7 @@ def _dice_terms(flat, true_p, case_class, want_gradient):
         on = -((2.0 * den - num) / sq) / n_fg
         off = -(-num / sq) / n_fg
         table = np.where(np.eye(L, dtype=bool)[:, None, :], on[..., None], off[..., None])
-        table[0] = 0.0
+        table[BACKGROUND] = 0.0
         grad = _spread(table, case_class)
     return values, grad
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -142,9 +142,6 @@ class Model:
             w2 = 0.2 * rng.uniform(l * h) - 0.1
             parts = [w1, np.zeros(h), w2, np.zeros(l)]
         return cls(spec, np.concatenate(parts))
-
-    def _unpack(self):
-        return _unpack(self.spec, self.params)
 
     def _features(self, features) -> np.ndarray:
         x = as_f64(features, "features")
@@ -272,7 +269,7 @@ class TrainConfig:
     loss: str = "dice_ce"
     distance_matrix: DistanceMatrix | None = None
     sampler_mode: str = "erm_shuffle"
-    beta: float = DEFAULT_BETA
+    beta: float | None = None
     optimizer: str = "sgd"
     lr: float | None = None
     lookahead_k: int = LOOKAHEAD_K
@@ -295,6 +292,8 @@ class TrainConfig:
             self.lr = DEFAULT_LR[self.optimizer]
         # Checked whatever the optimizer, so a bad value fails before training.
         _check_lookahead(self.lookahead_k, self.lookahead_alpha)
+        if self.beta is None:
+            self.beta = DEFAULT_BETA
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.epochs < 0:
@@ -323,18 +322,22 @@ class TrainedModel:
         return Model(self.spec, self.params)
 
 
+def _check_matrix(spec: ModelSpec, m: DistanceMatrix | None) -> None:
+    """A training config's distance matrix, if any, has the model's classes."""
+    if m is not None and m.num_classes != spec.num_classes:
+        raise ValueError(
+            f"distance matrix is {m.num_classes}x{m.num_classes}, "
+            f"model has {spec.num_classes} classes"
+        )
+
+
 def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
     """Everything the training kernel trusts, checked once on entry."""
     spec = model.spec
     if not dataset:
         raise ValueError("training dataset is empty")
     require_finite(model.params, "params")
-    m = config.distance_matrix
-    if m is not None and m.num_classes != spec.num_classes:
-        raise ValueError(
-            f"distance matrix is {m.num_classes}x{m.num_classes}, "
-            f"model has {spec.num_classes} classes"
-        )
+    _check_matrix(spec, config.distance_matrix)
     for case in dataset:
         shape = np.shape(case.features)
         if len(shape) != 2 or shape[1] != spec.input_features:
@@ -417,16 +420,6 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     return TrainedModel(model.spec, params, log, sampler)
 
 
-def _spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "input_features": spec.input_features,
-        "num_classes": spec.num_classes,
-        "hidden_width": spec.hidden_width,
-        "seed": spec.seed,
-    }
-
-
 def _spec_from_dict(doc: dict) -> ModelSpec:
     keys = ("kind", "input_features", "num_classes", "hidden_width", "seed")
     missing = [k for k in keys if k not in doc]
@@ -448,7 +441,7 @@ def save_model(trained: TrainedModel, path) -> None:
     stem = path[:-5] if path.endswith(".json") else path
     param_file = os.path.basename(stem) + ".params.bin"
     doc = {
-        "spec": _spec_to_dict(trained.spec),
+        "spec": asdict(trained.spec),
         "param_file": param_file,
         "param_count": int(trained.params.size),
     }

@@ -12,7 +12,9 @@ import os
 import numpy as np
 import pytest
 
+from segopt import gradcheck
 from segopt.cli import build_parser, main
+from segopt.dro import DEFAULT_BETA
 from segopt.model import Model, ModelSpec, TrainConfig, TrainedModel, save_model
 from segopt.synthdata import SynthConfig
 
@@ -188,18 +190,25 @@ class TestTrain:
         ["--lookahead-k", "-3", "--lookahead-alpha", "7"],
         ["--preset", "ensemble", "--distance-matrix", "MATRIX"],
         ["--preset", "baseline", "--distance-matrix", "VALID_MATRIX"],
+        ["--preset", "ensemble", "--distance-matrix", "MATRIX_3X3"],
+        ["--hidden", "64"],
+        ["--preset", "baseline", "--beta", "5"],
+        ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_2_MATRIX"],
     ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background",
-            "baseline-unused-matrix"])
+            "baseline-unused-matrix", "ensemble-3x3-matrix", "linear-hidden",
+            "baseline-unused-beta", "gwdl-background-two"])
     def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
-        matrix = tmp_path / "matrix.json"
-        matrix.write_text(json.dumps({"matrix": (1.0 - np.eye(4)).tolist()}))
-        valid = tmp_path / "valid_matrix.json"
-        valid.write_text(json.dumps({"background_index": 0,
-                                     "matrix": (1.0 - np.eye(4)).tolist()}))
-        files = {"MATRIX": str(matrix), "VALID_MATRIX": str(valid)}
+        files = {}
+        for name, background, size in (("MATRIX", None, 4), ("VALID_MATRIX", 0, 4),
+                                       ("MATRIX_3X3", 0, 3), ("BACKGROUND_2_MATRIX", 2, 4)):
+            doc = {"matrix": (1.0 - np.eye(size)).tolist()}
+            if background is not None:
+                doc["background_index"] = background
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(doc))
         out = tmp_path / "run"
         argv = ["train", "--dataset", dataset, "--out", str(out), "--epochs", "1"]
-        assert main(argv + [files.get(a, a) for a in extra]) == 2
+        assert main(argv + [str(files.get(a, a)) for a in extra]) == 2
         assert "error:" in capsys.readouterr().err
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert not [name for name in left if name.startswith(
@@ -208,8 +217,10 @@ class TestTrain:
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])
         defaults = TrainConfig()
-        for name in ("beta", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed"):
+        for name in ("lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed"):
             assert getattr(args, name) == getattr(defaults, name), name
+        assert args.beta is None
+        assert defaults.beta == DEFAULT_BETA
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         args = ["train", "--dataset", dataset, "--epochs", "5",
@@ -299,9 +310,23 @@ class TestGradcheck:
         assert len(lines) == 1
         assert lines[0].startswith("gwdl")
 
-    def test_injected_bug_is_numeric_error(self, capsys):
-        assert main(["gradcheck", "--trials", "3", "--inject-bug"]) == 3
+    def test_wrong_gradient_is_numeric_error(self, monkeypatch, capsys):
+        exact = gradcheck.composite_loss
+
+        def corrupted(*args, **kwargs):
+            out = exact(*args, **kwargs)
+            if out.gradient is not None:
+                out.gradient[0, 0] += 1e-3
+            return out
+
+        monkeypatch.setattr(gradcheck, "composite_loss", corrupted)
+        assert main(["gradcheck", "--trials", "3"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_removed_inject_bug_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--trials", "3", "--inject-bug"])
+        assert exc.value.code == 2
 
 
 def test_unknown_command_raises_usage_exit():

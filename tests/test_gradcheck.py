@@ -1,5 +1,7 @@
+from segopt import gradcheck
 from segopt.gradcheck import PARAM_TOL, PROB_TOL, run_gradcheck
 from segopt.losses import LOSS_KINDS
+from segopt.model import Model
 
 
 def test_all_kinds_pass_at_default_tolerances():
@@ -25,6 +27,28 @@ def test_deterministic_given_seed():
     assert a.worst_param_err == b.worst_param_err
 
 
-def test_injected_bug_is_caught():
-    results = run_gradcheck(trials=5, seed=0, inject_bug=True)
-    assert any(not r.passed for r in results)
+def test_wrong_prob_gradient_is_caught(monkeypatch):
+    exact = gradcheck.composite_loss
+
+    def corrupted(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        if out.gradient is not None:
+            out.gradient[0, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(gradcheck, "composite_loss", corrupted)
+    for r in run_gradcheck(trials=5, seed=0):
+        assert r.worst_prob_err > PROB_TOL, r.kind
+
+
+def test_wrong_param_gradient_is_caught(monkeypatch):
+    exact = Model.backward
+
+    def corrupted(self, *args, **kwargs):
+        value, grad = exact(self, *args, **kwargs)
+        grad[0] += 1e-3
+        return value, grad
+
+    monkeypatch.setattr(Model, "backward", corrupted)
+    for r in run_gradcheck(trials=5, seed=0):
+        assert r.worst_param_err > PARAM_TOL, r.kind

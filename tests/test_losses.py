@@ -26,7 +26,7 @@ from conftest import (
 
 
 def identity_complement(num_classes=4):
-    return DistanceMatrix(m=1.0 - np.eye(num_classes), background_index=0)
+    return DistanceMatrix(m=1.0 - np.eye(num_classes))
 
 
 class TestDistanceMatrix:
@@ -71,13 +71,16 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="square"):
             DistanceMatrix(m=np.zeros((2, 3)))
 
+    def test_empty(self):
+        with pytest.raises(ValueError, match="no classes"):
+            DistanceMatrix(m=np.zeros((0, 0)))
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "m.json"
         ref = brats_distance_matrix()
         path.write_text(json.dumps({"background_index": 0, "matrix": ref.m.tolist()}))
         loaded = load_distance_matrix(path)
         assert (loaded.m == ref.m).all()
-        assert loaded.background_index == 0
 
     def test_json_missing_key(self, tmp_path):
         path = tmp_path / "m.json"

@@ -10,6 +10,7 @@ from segopt.model import (
     TrainConfig,
     TrainedModel,
     TrainingDiverged,
+    _unpack,
     load_model,
     save_model,
     train,
@@ -107,7 +108,7 @@ class TestForward:
         spec = ModelSpec(kind="mlp", input_features=3, num_classes=4,
                          hidden_width=5, seed=3)
         model = Model.init(spec)
-        w1, b1, w2, b2 = model._unpack()
+        w1, b1, w2, b2 = _unpack(spec, model.params)
         assert (b1 == 0).all() and (b2 == 0).all()
         assert np.abs(w1).max() <= 0.1 and np.abs(w2).max() <= 0.1
 

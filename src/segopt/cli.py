@@ -14,22 +14,31 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
 from .losses import LOSS_KINDS, LabelMap, brats_distance_matrix, load_distance_matrix
-from .metrics import (aggregate, ensemble_mean_softmax, evaluate_case,
-                      format_aggregate_table, postprocess_et, write_aggregate_csv,
-                      write_case_csv)
+from .metrics import (aggregate, evaluate_case, format_aggregate_table, postprocess_et,
+                      write_aggregate_csv, write_case_csv)
+# Not called in this module, but kept as its attribute: the benchmark's
+# tracer (perfbench/tracer.py) patches segopt.cli.ensemble_mean_softmax.
+from .metrics import ensemble_mean_softmax  # noqa: F401
 from .model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _check_matrix,
-                    load_model, save_model, train, write_training_log)
-from .optim import OPTIMIZER_KINDS
+                    ensemble_labels, load_model, save_model, train, write_training_log)
+from .optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# evaluate scores cases on threads only when they are at least this large on
+# average.  The distance transforms and matmuls release the GIL, but smaller
+# cases spend most of their time in Python and numpy call overhead, where two
+# threads fight over it.  On a 2-core VM (24 cases, four members, median of
+# five runs), two threads against one ran evaluate at 0.44x the speed at 576
+# voxels per case, 0.90x at 4,096, 1.21x at 8,192, 1.23x at 12,288 and 1.60x
+# at 32,768.
+PARALLEL_MIN_VOXELS = 8192
 
 # The four experiment arms: default ingredients, a better optimizer, a
 # semantically informed loss, and robust sampling.  "ensemble" trains all
@@ -131,8 +140,8 @@ def _train_one(args, arm: dict, spec: ModelSpec, config: TrainConfig, cases,
         "hidden_width": spec.hidden_width,
         "distance_matrix": ((args.distance_matrix or "builtin")
                             if config.distance_matrix is not None else None),
-        "lookahead_k": args.lookahead_k,
-        "lookahead_alpha": args.lookahead_alpha,
+        "lookahead_k": config.lookahead_k,
+        "lookahead_alpha": config.lookahead_alpha,
         "epochs": args.epochs,
         "batch_size": args.batch_size,
         "seed": args.seed,
@@ -157,6 +166,10 @@ def cmd_train(args) -> int:
         raise ValueError(f"no arm's loss uses --distance-matrix {args.distance_matrix}")
     if args.beta is not None and all(c.sampler_mode != "dro" for c in configs.values()):
         raise ValueError(f"no arm's population uses --beta {args.beta}")
+    lookahead = {"--lookahead-k": args.lookahead_k, "--lookahead-alpha": args.lookahead_alpha}
+    given = " ".join(f"{flag} {value}" for flag, value in lookahead.items() if value is not None)
+    if given and all(c.optimizer != "ranger" for c in configs.values()):
+        raise ValueError(f"no arm's optimizer uses {given}")
     spec = ModelSpec(
         kind=args.model,
         input_features=manifest.feature_width,
@@ -176,6 +189,19 @@ def cmd_train(args) -> int:
         doc.update(records[None])
     _write_run_config(args.out, doc)
     return EXIT_OK
+
+
+def case_workers(cases) -> int:
+    """Threads evaluate scores ``cases`` on: one per CPU this process may
+    run on, at most one per case, and 1 when the cases average fewer than
+    PARALLEL_MIN_VOXELS voxels."""
+    if not cases or sum(c.num_voxels for c in cases) < PARALLEL_MIN_VOXELS * len(cases):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(len(cases), cpus)
 
 
 def cmd_evaluate(args) -> int:
@@ -199,14 +225,24 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     def eval_one(case):
-        # A function scope frees each case's probability maps before the next.
-        ens = ensemble_mean_softmax([m.forward(case.features) for m in models])
-        labels = np.argmax(ens.voxels, axis=1)
+        labels = ensemble_labels(models, case.features)
         pred_map = LabelMap(labels, manifest.num_classes, case.labels.spatial_shape)
         return evaluate_case(postprocess_et(pred_map), case.labels, manifest.spacing_mm,
                              case_id=case.case_id)
 
-    per_case = [eval_one(c) for c in cases]
+    # Results come back in case order whatever the worker count, so the
+    # first failing case raises first and the output bytes do not change.
+    # One worker scores the cases in this thread: a one-thread pool made
+    # evaluate on 44 cases of 576 voxels about 10% slower.
+    workers = case_workers(cases)
+    if workers == 1:
+        per_case = list(map(eval_one, cases))
+    else:
+        # Imported here, so that the other commands never load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_case = list(pool.map(eval_one, cases))
     stats = aggregate(per_case)
     write_case_csv(per_case, os.path.join(args.out, "metrics.csv"))
     write_aggregate_csv(stats, os.path.join(args.out, "aggregate.csv"))
@@ -268,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default=None)
     p.add_argument("--lr", type=float, default=None,
                    help="initial learning rate (per-optimizer default otherwise)")
-    p.add_argument("--lookahead-k", type=int, default=TrainConfig.lookahead_k)
-    p.add_argument("--lookahead-alpha", type=float, default=TrainConfig.lookahead_alpha)
+    p.add_argument("--lookahead-k", type=int, default=None,
+                   help=f"Lookahead sync period (ranger only; default {LOOKAHEAD_K})")
+    p.add_argument("--lookahead-alpha", type=float, default=None,
+                   help=f"Lookahead slow step (ranger only; default {LOOKAHEAD_ALPHA:g})")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--distance-matrix", default=None,

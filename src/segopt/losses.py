@@ -178,16 +178,18 @@ def brats_distance_matrix() -> DistanceMatrix:
 
 def load_distance_matrix(path) -> DistanceMatrix:
     """Load a matrix from JSON: {"background_index": 0, "matrix": [[...]]}.
-    Background is class 0, so the required "background_index" must be 0."""
+    Background is class 0, so the required "background_index" must be the
+    JSON integer 0 (not a bool, float or string)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
         matrix = payload["matrix"]
-        background = int(payload["background_index"])
+        background = payload["background_index"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distance-matrix file {path}: {exc}") from exc
-    if background != BACKGROUND:
-        raise ValueError(f"{path}: background_index must be {BACKGROUND}, got {background}")
+    if type(background) is not int or background != BACKGROUND:
+        raise ValueError(
+            f"{path}: background_index must be the integer {BACKGROUND}, got {background!r}")
     return DistanceMatrix(m=np.asarray(matrix, dtype=np.float64))
 
 

@@ -170,20 +170,35 @@ def hd95(a, b, spatial_shape, spacing=None) -> float | None:
     if empty_a or empty_b:
         return None
 
+    surf_a = boundary_mask(ga)
+    surf_b = boundary_mask(gb)
+    d_ab = float(np.percentile(_surface_distances(surf_a, surf_b, spacing), 95))
+    d_ba = float(np.percentile(_surface_distances(surf_b, surf_a, spacing), 95))
+    return max(d_ab, d_ba)
+
+
+def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.ndarray:
+    """Distance in mm from each ``src`` voxel, in C order, to the nearest
+    ``dst`` voxel: ``distance_transform_edt(~dst, sampling=spacing)[src]``.
+
+    Only the feature transform (each voxel's nearest zero of ``~dst``) runs
+    on the whole grid.  The distances are then taken at the source voxels
+    alone, with the transform's own arithmetic (float64 offsets scaled per
+    axis, squared, summed over the axes, square-rooted), so they are
+    bit-identical to the full transform's without its grid-sized
+    temporaries.
+    """
     # Imported here, not at module level: importing scipy.ndimage takes
     # 0.3-0.4 s and 27 MB of RSS, which every command would pay at start-up
     # although only evaluation needs it.
     from scipy import ndimage
 
-    surf_a = boundary_mask(ga)
-    surf_b = boundary_mask(gb)
-    # distance_transform_edt gives each voxel its exact Euclidean distance
-    # to the nearest zero, so feed it the complement of the other surface.
-    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
-    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
-    d_ab = float(np.percentile(dist_to_b[surf_a], 95))
-    d_ba = float(np.percentile(dist_to_a[surf_b], 95))
-    return max(d_ab, d_ba)
+    nearest = ndimage.distance_transform_edt(~dst, sampling=spacing, return_distances=False,
+                                             return_indices=True)
+    offsets = (nearest[:, src] - np.nonzero(src)).astype(np.float64)
+    offsets *= np.asarray(spacing)[:, None]
+    np.multiply(offsets, offsets, out=offsets)
+    return np.sqrt(np.add.reduce(offsets, axis=0))
 
 
 def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,

@@ -64,6 +64,7 @@ __all__ = [
     "TrainedModel",
     "TrainingDiverged",
     "batch_gradient",
+    "ensemble_labels",
     "train",
     "save_model",
     "load_model",
@@ -197,6 +198,33 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     return softmax_inplace(z, axis=0), hidden
 
 
+def ensemble_labels(models, features) -> np.ndarray:
+    """Per-voxel argmax [V] of the members' mean softmax on one case.
+
+    Class-major from end to end: each member's [L, V] probabilities are
+    summed in place, in member order, and divided once by the member
+    count, the arithmetic ``metrics.ensemble_mean_softmax`` does, so the
+    labels equal the argmax of its rows.  The features are checked once
+    and the mean once; a member whose logits overflow makes the mean
+    non-finite, which raises ValueError.
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("ensemble needs at least one model")
+    first = models[0].spec
+    x = models[0]._features(features)
+    total, _ = _forward(first, models[0].params, x)
+    for i, model in enumerate(models[1:], start=1):
+        spec = model.spec
+        if (spec.input_features, spec.num_classes) != (first.input_features, first.num_classes):
+            raise ValueError(f"ensemble member {i} differs from member 0 in its feature "
+                             f"width or class count")
+        total += _forward(spec, model.params, x)[0]
+    total /= len(models)
+    require_finite(total, "ensemble probabilities")
+    return np.argmax(total, axis=0)
+
+
 def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
             loss_kind: str, m: DistanceMatrix | None):
     """Forward, loss and backward over B same-size cases in one pass.
@@ -272,8 +300,8 @@ class TrainConfig:
     beta: float | None = None
     optimizer: str = "sgd"
     lr: float | None = None
-    lookahead_k: int = LOOKAHEAD_K
-    lookahead_alpha: float = LOOKAHEAD_ALPHA
+    lookahead_k: int | None = None
+    lookahead_alpha: float | None = None
     epochs: int = 1000
     batch_size: int = 2
     seed: int = 0
@@ -290,6 +318,10 @@ class TrainConfig:
             )
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
+        if self.lookahead_k is None:
+            self.lookahead_k = LOOKAHEAD_K
+        if self.lookahead_alpha is None:
+            self.lookahead_alpha = LOOKAHEAD_ALPHA
         # Checked whatever the optimizer, so a bad value fails before training.
         _check_lookahead(self.lookahead_k, self.lookahead_alpha)
         if self.beta is None:

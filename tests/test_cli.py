@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from segopt import gradcheck
-from segopt.cli import build_parser, main
+from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
 from segopt.model import Model, ModelSpec, TrainConfig, TrainedModel, save_model
-from segopt.synthdata import SynthConfig
+from segopt.optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K
+from segopt.synthdata import FEATURE_WIDTH, SynthConfig, load
 
 
 def read_json(path):
@@ -194,13 +195,21 @@ class TestTrain:
         ["--hidden", "64"],
         ["--preset", "baseline", "--beta", "5"],
         ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_2_MATRIX"],
+        ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_FLOAT_MATRIX"],
+        ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_STRING_MATRIX"],
+        ["--preset", "baseline", "--lookahead-k", "3", "--lookahead-alpha", "0.9"],
+        ["--preset", "dro", "--lookahead-alpha", "0.9"],
     ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background",
             "baseline-unused-matrix", "ensemble-3x3-matrix", "linear-hidden",
-            "baseline-unused-beta", "gwdl-background-two"])
+            "baseline-unused-beta", "gwdl-background-two", "gwdl-background-float",
+            "gwdl-background-string", "baseline-unused-lookahead",
+            "dro-unused-lookahead-alpha"])
     def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
         files = {}
         for name, background, size in (("MATRIX", None, 4), ("VALID_MATRIX", 0, 4),
-                                       ("MATRIX_3X3", 0, 3), ("BACKGROUND_2_MATRIX", 2, 4)):
+                                       ("MATRIX_3X3", 0, 3), ("BACKGROUND_2_MATRIX", 2, 4),
+                                       ("BACKGROUND_FLOAT_MATRIX", 0.7, 4),
+                                       ("BACKGROUND_STRING_MATRIX", "0", 4)):
             doc = {"matrix": (1.0 - np.eye(size)).tolist()}
             if background is not None:
                 doc["background_index"] = background
@@ -217,10 +226,26 @@ class TestTrain:
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])
         defaults = TrainConfig()
-        for name in ("lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed"):
+        for name in ("epochs", "batch_size", "seed"):
             assert getattr(args, name) == getattr(defaults, name), name
-        assert args.beta is None
+        # Flags that only some arms use default to None; TrainConfig resolves them.
+        assert (args.beta, args.lookahead_k, args.lookahead_alpha) == (None, None, None)
         assert defaults.beta == DEFAULT_BETA
+        assert (defaults.lookahead_k, defaults.lookahead_alpha) == (LOOKAHEAD_K, LOOKAHEAD_ALPHA)
+
+    @pytest.mark.parametrize("extra, want", [
+        ([], {"lookahead_k": 6, "lookahead_alpha": 0.5}),
+        (["--lookahead-k", "3", "--lookahead-alpha", "0.9"],
+         {"lookahead_k": 3, "lookahead_alpha": 0.9}),
+    ], ids=["defaults", "flags"])
+    def test_ranger_run_records_resolved_lookahead(self, dataset, tmp_path, extra, want):
+        out = str(tmp_path / "run")
+        assert main(["train", "--dataset", dataset, "--out", out, "--preset", "ensemble",
+                     "--epochs", "1", *extra]) == 0
+        arms = read_json(os.path.join(out, "run_config.json"))["arms"]
+        for tag, arm in arms.items():
+            assert {key: arm[key] for key in want} == want, tag
+        assert isinstance(arms["ranger"]["lookahead_k"], int)
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         args = ["train", "--dataset", dataset, "--epochs", "5",
@@ -295,6 +320,102 @@ class TestEvaluate:
         code = self.run([str(tmp_path / "ghost.json")], dataset,
                         str(tmp_path / "eval"))
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def volume_dataset(tmp_path_factory):
+    """Five noisy 32x32x8 cases: 8,192 voxels each, the smallest mean case
+    size that evaluate scores on several threads."""
+    out = str(tmp_path_factory.mktemp("data") / "volume")
+    assert main(["synth", "--out", out, "--grid", "32x32x8", "--subgroups", "common:4,rare:1",
+                 "--sigma", "0.3", "--no-et-frac", "0.2", "--seed", "6"]) == 0
+    return out
+
+
+class TestEvaluateWorkers:
+    """evaluate scores cases on one thread per usable CPU; its output bytes
+    do not depend on how many there are."""
+
+    def use_cpus(self, monkeypatch, count):
+        """Give the process ``count`` CPUs; returns the list of pool sizes built."""
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        return pools
+
+    def members(self, trained_run, tmp_path):
+        """The trained model between two differently seeded random ones."""
+        paths = []
+        for seed in (3, 4):
+            spec = ModelSpec(kind="linear", input_features=FEATURE_WIDTH, num_classes=4,
+                             seed=seed)
+            model = Model.init(spec)
+            paths.append(str(tmp_path / f"random{seed}.json"))
+            save_model(TrainedModel(spec=spec, params=20.0 * model.params), paths[-1])
+        return [paths[0], os.path.join(trained_run, "model.json"), paths[1]]
+
+    def evaluate(self, monkeypatch, capsys, cpus, models, dataset, out):
+        pools = self.use_cpus(monkeypatch, cpus)
+        code = main(["evaluate", *models, "--dataset", dataset, "--out", out])
+        return code, capsys.readouterr(), pools
+
+    def test_output_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys,
+                                                          trained_run, volume_dataset,
+                                                          tmp_path):
+        models = self.members(trained_run, tmp_path)
+        outputs = {}
+        for cpus, want_pools in ((1, []), (8, [5])):
+            out = str(tmp_path / f"cpus{cpus}")
+            code, captured, pools = self.evaluate(monkeypatch, capsys, cpus, models,
+                                                  volume_dataset, out)
+            assert code == 0
+            assert pools == want_pools
+            outputs[cpus] = (tree_bytes(out), captured.out)
+        assert outputs[1] == outputs[8]
+        assert set(outputs[1][0]) == {"metrics.csv", "aggregate.csv", "aggregate.txt"}
+
+    # The overflow warnings come from worker threads, outside any errstate.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_overflowing_model_is_config_error(self, monkeypatch, capsys, trained_run,
+                                               volume_dataset, tmp_path, cpus):
+        spec = ModelSpec(kind="linear", input_features=FEATURE_WIDTH, num_classes=4, seed=0)
+        # Class 0's logit overflows to inf, so its softmax column is NaN.
+        params = np.zeros(spec.param_count())
+        params[:FEATURE_WIDTH] = 1e308
+        params[4 * FEATURE_WIDTH] = 1e308
+        huge = str(tmp_path / "huge.json")
+        save_model(TrainedModel(spec=spec, params=params), huge)
+        models = [os.path.join(trained_run, "model.json"), huge]
+        code, captured, pools = self.evaluate(monkeypatch, capsys, cpus, models,
+                                              volume_dataset, str(tmp_path / "eval"))
+        assert pools == ([] if cpus == 1 else [5])
+        assert code == 2
+        assert "non-finite" in captured.err
+
+    def test_small_cases_score_on_one_worker(self, monkeypatch, tmp_path):
+        data = str(tmp_path / "small")
+        assert main(["synth", "--out", data, "--grid", "24x24", "--subgroups", "common:3"]) == 0
+        cases = load(os.path.join(data, "manifest.json"))
+        assert {case.num_voxels for case in cases} == {576}
+        self.use_cpus(monkeypatch, 8)
+        assert case_workers(cases) == 1
+
+    def test_worker_count_is_capped_by_cases_and_cpus(self, monkeypatch, volume_dataset):
+        cases = load(os.path.join(volume_dataset, "manifest.json"))
+        assert min(case.num_voxels for case in cases) == PARALLEL_MIN_VOXELS == 8192
+        for cpus, want in ((1, 1), (2, 2), (8, len(cases))):
+            self.use_cpus(monkeypatch, cpus)
+            assert case_workers(cases) == want, cpus
 
 
 class TestGradcheck:

@@ -82,6 +82,14 @@ class TestDistanceMatrix:
         loaded = load_distance_matrix(path)
         assert (loaded.m == ref.m).all()
 
+    @pytest.mark.parametrize("background", [0.0, 0.7, "0", False, None])
+    def test_json_background_index_must_be_the_integer_zero(self, tmp_path, background):
+        path = tmp_path / "m.json"
+        doc = {"background_index": background, "matrix": brats_distance_matrix().m.tolist()}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="must be the integer 0"):
+            load_distance_matrix(path)
+
     def test_json_missing_key(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"matrix": [[0.0]]}))

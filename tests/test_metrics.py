@@ -19,6 +19,7 @@ from segopt.metrics import (
     write_aggregate_csv,
     write_case_csv,
 )
+from segopt.metrics import _surface_distances
 
 from conftest import bounded_probs, dyadic_probs, label_map, oracle_hd95
 
@@ -195,6 +196,21 @@ class TestHd95:
         m = np.ones(9, dtype=bool)
         with pytest.raises(ValueError, match="positive"):
             hd95(m, m, (3, 3), (1.0, 0.0))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_surface_distances_equal_the_full_transform_bit_for_bit(self, rng, ndim):
+        from scipy import ndimage
+
+        for _ in range(100):
+            shape = tuple(int(s) for s in rng.integers(3, 13, size=ndim))
+            src = rng.uniform(size=shape) < rng.uniform(0.05, 0.6)
+            dst = rng.uniform(size=shape) < rng.uniform(0.02, 0.6)
+            dst.flat[int(rng.integers(dst.size))] = True
+            spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=ndim))
+            want = ndimage.distance_transform_edt(~dst, sampling=spacing)[src]
+            got = _surface_distances(src, dst, spacing)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEvaluateCase:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from segopt.losses import LabelMap, brats_distance_matrix, composite_loss
+from segopt.metrics import ensemble_mean_softmax
 from segopt.model import (
     Model,
     ModelSpec,
@@ -11,6 +12,7 @@ from segopt.model import (
     TrainedModel,
     TrainingDiverged,
     _unpack,
+    ensemble_labels,
     load_model,
     save_model,
     train,
@@ -111,6 +113,49 @@ class TestForward:
         w1, b1, w2, b2 = _unpack(spec, model.params)
         assert (b1 == 0).all() and (b2 == 0).all()
         assert np.abs(w1).max() <= 0.1 and np.abs(w2).max() <= 0.1
+
+
+class TestEnsembleLabels:
+    """ensemble_labels is the argmax of the mean softmax of Model.forward."""
+
+    SPEC = dict(input_features=3, num_classes=4)
+
+    def members(self, count):
+        kinds = [("linear", None), ("mlp", 5)]
+        out = []
+        for i in range(count):
+            kind, hidden = kinds[i % 2]
+            model = Model.init(ModelSpec(kind=kind, hidden_width=hidden, seed=20 + i, **self.SPEC))
+            # Large weights, so the members disagree and the labels vary.
+            out.append(Model(model.spec, 40.0 * model.params))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 3, 4])
+    def test_labels_equal_argmax_of_the_mean_softmax(self, rng, count):
+        models = self.members(count)
+        feats = rng.normal(size=(300, 3))
+        mean = ensemble_mean_softmax([m.forward(feats) for m in models])
+        want = np.argmax(mean.voxels, axis=1)
+        got = ensemble_labels(models, feats)
+        assert got.dtype == want.dtype
+        assert (got == want).all()
+        assert len(set(got.tolist())) > 1
+
+    def test_overflowing_member_is_value_error(self, rng):
+        models = self.members(2)
+        huge = Model(models[1].spec, np.full(models[1].spec.param_count(), 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                ensemble_labels([models[0], huge], rng.normal(size=(10, 3)))
+
+    def test_mismatched_member_is_value_error(self, rng):
+        other = Model.init(ModelSpec(kind="linear", input_features=3, num_classes=2, seed=0))
+        with pytest.raises(ValueError, match="member 1"):
+            ensemble_labels([self.members(1)[0], other], rng.normal(size=(10, 3)))
+
+    def test_empty_ensemble_is_value_error(self, rng):
+        with pytest.raises(ValueError, match="at least one"):
+            ensemble_labels([], rng.normal(size=(10, 3)))
 
 
 class TestBackward:

@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 success, 2 usage or configuration
 error, 3 numerical failure (training divergence, failed gradient check).
 
-Every command writes a resolved-config JSON into its output directory so
-a run can be replayed bit-exactly from the flags recorded there.
+synth, train and evaluate write run_config.json into their output
+directory so a run can be replayed bit-exactly from what is recorded there:
+synth and evaluate record their parsed flags, train the resolved settings
+of each arm it trains.  gradcheck writes no files.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ PRESETS = {
     "dro": {"loss": "dice_ce", "population": "dro", "optimizer": "sgd"},
 }
 
+# The train flags that are TrainConfig fields of the same name: passed from
+# the flags, and recorded per arm at the config's resolved value.
+SHARED_SETTINGS = ("beta", "lr", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed")
+
 
 def parse_grid(text: str) -> tuple:
     parts = text.split("x")
@@ -75,8 +81,11 @@ def parse_subgroups(text: str) -> dict:
     return out
 
 
-def _write_run_config(out_dir: str, doc: dict) -> None:
-    with open(os.path.join(out_dir, "run_config.json"), "w") as fh:
+def _write_run_config(args, doc: dict | None = None) -> None:
+    """Write ``doc``, by default the parsed flags, as run_config.json in args.out."""
+    if doc is None:
+        doc = {key: value for key, value in vars(args).items() if key != "func"}
+    with open(os.path.join(args.out, "run_config.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -94,15 +103,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     manifest = generate(config, args.out)
-    _write_run_config(args.out, {
-        "command": "synth",
-        "out": args.out,
-        "grid": args.grid,
-        "subgroups": args.subgroups,
-        "sigma": args.sigma,
-        "no_et_frac": args.no_et_frac,
-        "seed": args.seed,
-    })
+    _write_run_config(args)
     print(f"wrote {len(manifest.cases)} cases to {args.out}")
     return EXIT_OK
 
@@ -112,14 +113,8 @@ def _train_config(args, arm: dict, matrix) -> TrainConfig:
         loss=arm["loss"],
         distance_matrix=matrix,
         sampler_mode="dro" if arm["population"] == "dro" else "erm_shuffle",
-        beta=args.beta,
         optimizer=arm["optimizer"],
-        lr=args.lr,
-        lookahead_k=args.lookahead_k,
-        lookahead_alpha=args.lookahead_alpha,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
+        **{key: getattr(args, key) for key in SHARED_SETTINGS},
     )
 
 
@@ -134,17 +129,11 @@ def _train_one(args, arm: dict, spec: ModelSpec, config: TrainConfig, cases,
     print(f"trained {tag or 'model'}: {config.epochs} epochs, final mean loss {final:.6f}")
     return {
         **arm,
-        "lr": config.lr,
-        "beta": config.beta,
-        "model_kind": args.model,
+        **{key: getattr(config, key) for key in SHARED_SETTINGS},
+        "model_kind": spec.kind,
         "hidden_width": spec.hidden_width,
         "distance_matrix": ((args.distance_matrix or "builtin")
                             if config.distance_matrix is not None else None),
-        "lookahead_k": config.lookahead_k,
-        "lookahead_alpha": config.lookahead_alpha,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
         "model_file": os.path.basename(model_path),
     }
 
@@ -187,7 +176,7 @@ def cmd_train(args) -> int:
         doc["arms"] = records
     else:
         doc.update(records[None])
-    _write_run_config(args.out, doc)
+    _write_run_config(args, doc)
     return EXIT_OK
 
 
@@ -211,16 +200,8 @@ def cmd_evaluate(args) -> int:
     models = []
     for path in args.models:
         trained = load_model(path)
-        if trained.spec.input_features != manifest.feature_width:
-            raise ValueError(
-                f"model {path} expects {trained.spec.input_features} features, "
-                f"dataset provides {manifest.feature_width}"
-            )
-        if trained.spec.num_classes != manifest.num_classes:
-            raise ValueError(
-                f"model {path} has {trained.spec.num_classes} classes, "
-                f"dataset declares {manifest.num_classes}"
-            )
+        trained.spec.check_fit(manifest.feature_width, manifest.num_classes,
+                               f"model {path}", "the dataset")
         models.append(trained.model())
     os.makedirs(args.out, exist_ok=True)
 
@@ -249,12 +230,7 @@ def cmd_evaluate(args) -> int:
     table = format_aggregate_table(stats)
     with open(os.path.join(args.out, "aggregate.txt"), "w") as fh:
         fh.write(table)
-    _write_run_config(args.out, {
-        "command": "evaluate",
-        "models": list(args.models),
-        "dataset": args.dataset,
-        "out": args.out,
-    })
+    _write_run_config(args)
     print(table, end="")
     return EXIT_OK
 

@@ -24,6 +24,12 @@ __all__ = ["HardnessWeightedSampler", "DEFAULT_BETA"]
 DEFAULT_BETA = 100.0
 
 
+def _check_beta(beta: float) -> None:
+    """The hardness-weighting strength must be positive and finite."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 class HardnessWeightedSampler:
     """Gibbs sampler over per-sample loss estimates.
 
@@ -36,8 +42,7 @@ class HardnessWeightedSampler:
                  seed: int = 0):
         if n < 1:
             raise ValueError(f"need at least one sample, got n={n}")
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        _check_beta(beta)
         if not np.isfinite(init_loss):
             raise ValueError("initial loss estimate must be finite")
         self.n = int(n)

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dro import DEFAULT_BETA, HardnessWeightedSampler
+from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind, _check_shapes
 from .numerics import Rng, as_f64, require_finite, softmax_inplace
 # Not called in this module, but kept as its attributes: the benchmark's
@@ -49,13 +49,12 @@ from .numerics import Rng, as_f64, require_finite, softmax_inplace
 from .losses import composite_loss  # noqa: F401
 from .numerics import softmax  # noqa: F401
 from .optim import (DEFAULT_LR, LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS, PolySchedule,
-                    _check_lookahead, make_optimizer)
+                    _check_lookahead, _check_lr, make_optimizer)
 from .synthdata import Case
 
 __all__ = [
     "MODEL_KINDS",
     "SAMPLER_MODES",
-    "DIVERGENCE_LIMIT",
     "PARAM_LIMIT",
     "ModelSpec",
     "Model",
@@ -73,14 +72,13 @@ __all__ = [
 
 MODEL_KINDS = ("linear", "mlp")
 SAMPLER_MODES = ("erm_shuffle", "dro")
-DIVERGENCE_LIMIT = 1e6
-# Runaway steps show up as exploding weights long before any loss here can
-# overflow (they are all bounded), so the loop also polices magnitude.
+# Every loss here is bounded for finite probabilities, so runaway steps
+# show up as exploding weights, and the loop polices their magnitude.
 PARAM_LIMIT = 1e8
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a per-case loss goes non-finite or past the guard limit."""
+    """Raised when a per-case loss goes non-finite or the parameters pass PARAM_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,13 @@ class ModelSpec:
                 raise ValueError("mlp needs hidden_width >= 1")
         elif self.hidden_width is not None:
             raise ValueError("hidden_width only applies to the mlp kind")
+
+    def check_fit(self, features: int, classes: int, model: str, data: str) -> None:
+        """Raise unless ``data``, named in the message after ``model``, has
+        this spec's feature width and class count."""
+        if (features, classes) != (self.input_features, self.num_classes):
+            raise ValueError(f"{model} expects {self.input_features} features and "
+                             f"{self.num_classes} classes, {data} has {features} and {classes}")
 
     def param_count(self) -> int:
         f, l = self.input_features, self.num_classes
@@ -215,11 +220,9 @@ def ensemble_labels(models, features) -> np.ndarray:
     x = models[0]._features(features)
     total, _ = _forward(first, models[0].params, x)
     for i, model in enumerate(models[1:], start=1):
-        spec = model.spec
-        if (spec.input_features, spec.num_classes) != (first.input_features, first.num_classes):
-            raise ValueError(f"ensemble member {i} differs from member 0 in its feature "
-                             f"width or class count")
-        total += _forward(spec, model.params, x)[0]
+        model.spec.check_fit(first.input_features, first.num_classes,
+                             f"ensemble member {i}", "member 0")
+        total += _forward(model.spec, model.params, x)[0]
     total /= len(models)
     require_finite(total, "ensemble probabilities")
     return np.argmax(total, axis=0)
@@ -318,6 +321,7 @@ class TrainConfig:
             )
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
+        _check_lr(self.lr)
         if self.lookahead_k is None:
             self.lookahead_k = LOOKAHEAD_K
         if self.lookahead_alpha is None:
@@ -326,8 +330,7 @@ class TrainConfig:
         _check_lookahead(self.lookahead_k, self.lookahead_alpha)
         if self.beta is None:
             self.beta = DEFAULT_BETA
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _check_beta(self.beta)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -372,20 +375,13 @@ def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
     _check_matrix(spec, config.distance_matrix)
     for case in dataset:
         shape = np.shape(case.features)
-        if len(shape) != 2 or shape[1] != spec.input_features:
-            raise ValueError(
-                f"case {case.case_id!r} has features of shape {shape}, "
-                f"model expects [V, {spec.input_features}]"
-            )
+        if len(shape) != 2:
+            raise ValueError(f"case {case.case_id!r} has features of shape {shape}, not [V, F]")
+        spec.check_fit(shape[1], case.labels.num_classes, "model", f"case {case.case_id!r}")
         if shape[0] != case.labels.num_voxels:
             raise ValueError(
                 f"case {case.case_id!r}: {shape[0]} feature rows vs "
                 f"{case.labels.num_voxels} labels"
-            )
-        if case.labels.num_classes != spec.num_classes:
-            raise ValueError(
-                f"case {case.case_id!r} declares {case.labels.num_classes} classes, "
-                f"model expects {spec.num_classes}"
             )
         require_finite(case.features, f"features of case {case.case_id!r}")
 
@@ -431,7 +427,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
             values, grad = batch_gradient(model.spec, params, dataset, batch,
                                           config.loss, config.distance_matrix)
             for idx, value in zip(batch, values.tolist()):
-                if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
+                if not math.isfinite(value):
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch}: "
                         f"loss {value!r} on case {dataset[int(idx)].case_id!r}"
@@ -441,7 +437,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
                     sampler.update_loss(int(idx), value)
             params = optimizer.step(params, grad, lr=lr)
             peak = float(np.abs(params).max())
-            if not np.isfinite(params).all() or peak > PARAM_LIMIT:
+            if not peak <= PARAM_LIMIT:  # also true for NaN and inf
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}: "
                     f"parameter magnitude {peak:.3e}"

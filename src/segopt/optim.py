@@ -52,6 +52,12 @@ LOOKAHEAD_K = 6
 LOOKAHEAD_ALPHA = 0.5
 
 
+def _check_lr(lr: float) -> None:
+    """A learning rate must be positive and finite."""
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+
+
 @dataclass(frozen=True)
 class PolySchedule:
     """Polynomial decay evaluated once per epoch: lr0 * (1 - t/t_max)^exponent."""
@@ -61,8 +67,7 @@ class PolySchedule:
     exponent: float = 0.9
 
     def __post_init__(self):
-        if not self.initial_lr > 0:
-            raise ValueError(f"initial learning rate must be positive, got {self.initial_lr}")
+        _check_lr(self.initial_lr)
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
@@ -76,8 +81,7 @@ class _OptimizerBase:
     """Common bookkeeping: lazy buffer allocation, step counting, lr default."""
 
     def __init__(self, lr: float):
-        if not lr > 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        _check_lr(lr)
         self.lr = float(lr)
         self.step_count = 0
 

@@ -108,8 +108,8 @@ class SynthConfig:
                 raise ValueError(f"subgroup {name!r} has negative case count {count}")
         if sum(self.subgroup_cases.values()) < 1:
             raise ValueError("total case count must be >= 1")
-        if not self.sigma >= 0:
-            raise ValueError(f"noise level must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"noise level must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.no_et_fraction <= 1.0:
             raise ValueError(f"no-ET fraction must lie in [0, 1], got {self.no_et_fraction}")
         if self.spacing_mm is None:
@@ -241,10 +241,13 @@ def generate(config: SynthConfig, out_dir) -> DatasetManifest:
             case_id = f"{name}_{idx:03d}"
             labels = _case_labels(config.grid, rng, with_et=not no_et[idx])
             noise = rng.normal((labels.size, FEATURE_WIDTH), scale=config.sigma)
-            features = templates[labels] + noise
+            # Noise finite in float64 can still overflow the float32 file.
+            with np.errstate(over="ignore"):
+                features = (templates[labels] + noise).astype("<f4")
+            require_finite(features, f"float32 features of case {case_id!r}")
             feat_name = f"{case_id}_features.f32"
             lab_name = f"{case_id}_labels.u8"
-            features.astype("<f4").tofile(os.path.join(out_dir, feat_name))
+            features.tofile(os.path.join(out_dir, feat_name))
             labels.astype(np.uint8).tofile(os.path.join(out_dir, lab_name))
             manifest.cases.append(CaseEntry(case_id, name, feat_name, lab_name, config.grid))
     with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:

@@ -5,6 +5,7 @@ code and the files the command leaves behind.  A noiseless dataset and
 one trained run are shared module-wide to keep the suite fast.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -40,6 +41,15 @@ def tree_bytes(root, skip=("run_config.json",)):
             full = os.path.join(dirpath, name)
             out[os.path.relpath(full, root)] = file_bytes(full)
     return out
+
+
+def parsed_flags(argv):
+    """Each destination of argv's subcommand, and "command", at its parsed value."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[argv[0]]._actions if a.default != argparse.SUPPRESS}
+    args = parser.parse_args(argv)
+    return {dest: getattr(args, dest) for dest in dests | {"command"}}
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +98,20 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "d"),
                      "--subgroups", "common"])
         assert code == 2
+
+    def test_run_config_records_every_flag(self, tmp_path):
+        argv = ["synth", "--out", str(tmp_path / "d"), "--grid", "6x6",
+                "--subgroups", "common:2", "--sigma", "0.1", "--no-et-frac", "0.5"]
+        assert main(argv) == 0
+        assert read_json(str(tmp_path / "d" / "run_config.json")) == parsed_flags(argv)
+
+    @pytest.mark.parametrize("sigma", ["inf", "1e39"])
+    def test_unstorable_noise_is_config_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--grid", "6x6",
+                     "--subgroups", "common:2", "--sigma", sigma]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["--grid", "8x8", "--subgroups", "common:3", "--sigma", "0.2",
@@ -199,11 +223,13 @@ class TestTrain:
         ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_STRING_MATRIX"],
         ["--preset", "baseline", "--lookahead-k", "3", "--lookahead-alpha", "0.9"],
         ["--preset", "dro", "--lookahead-alpha", "0.9"],
+        ["--preset", "ensemble", "--beta", "inf"],
+        ["--preset", "ensemble", "--lr", "inf"],
     ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background",
             "baseline-unused-matrix", "ensemble-3x3-matrix", "linear-hidden",
             "baseline-unused-beta", "gwdl-background-two", "gwdl-background-float",
             "gwdl-background-string", "baseline-unused-lookahead",
-            "dro-unused-lookahead-alpha"])
+            "dro-unused-lookahead-alpha", "ensemble-beta-inf", "ensemble-lr-inf"])
     def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
         files = {}
         for name, background, size in (("MATRIX", None, 4), ("VALID_MATRIX", 0, 4),
@@ -246,6 +272,25 @@ class TestTrain:
         for tag, arm in arms.items():
             assert {key: arm[key] for key in want} == want, tag
         assert isinstance(arms["ranger"]["lookahead_k"], int)
+
+    @pytest.mark.parametrize("extra, given", [
+        ([], {}),
+        (["--lr", "0.02", "--beta", "30", "--lookahead-k", "3", "--lookahead-alpha", "0.9"],
+         {"lr": 0.02, "beta": 30.0, "lookahead_k": 3, "lookahead_alpha": 0.9}),
+    ], ids=["defaults", "flags"])
+    def test_every_arm_records_its_resolved_shared_settings(self, dataset, tmp_path,
+                                                             extra, given):
+        out = str(tmp_path / "run")
+        assert main(["train", "--dataset", dataset, "--out", out, "--preset", "ensemble",
+                     "--epochs", "1", "--batch-size", "3", "--seed", "5", *extra]) == 0
+        arms = read_json(os.path.join(out, "run_config.json"))["arms"]
+        for tag, arm in arms.items():
+            config = TrainConfig(optimizer=arm["optimizer"], epochs=1, batch_size=3, seed=5,
+                                 **given)
+            want = {key: getattr(config, key) for key in (
+                "beta", "lr", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed")}
+            assert {key: arm[key] for key in want} == want, tag
+            assert arm["model_kind"] == "linear", tag
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         args = ["train", "--dataset", dataset, "--epochs", "5",
@@ -297,6 +342,12 @@ class TestEvaluate:
         assert self.run([os.path.join(trained_run, "model.json")], dataset, out) == 0
         doc = read_json(os.path.join(out, "run_config.json"))
         assert set(doc) == {"command", "models", "dataset", "out"}
+
+    def test_run_config_records_every_flag(self, trained_run, dataset, tmp_path):
+        model = os.path.join(trained_run, "model.json")
+        argv = ["evaluate", model, model, "--dataset", dataset, "--out", str(tmp_path / "eval")]
+        assert main(argv) == 0
+        assert read_json(str(tmp_path / "eval" / "run_config.json")) == parsed_flags(argv)
 
     @pytest.mark.parametrize("flag", ["--tta", "--jobs=2", "--seed=0"])
     def test_removed_flags_are_usage_errors(self, dataset, tmp_path, flag):

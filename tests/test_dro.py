@@ -26,6 +26,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="beta must be positive"):
             HardnessWeightedSampler(n=4, beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            HardnessWeightedSampler(n=4, beta=beta)
+
     def test_non_finite_init_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             HardnessWeightedSampler(n=4, init_loss=np.inf)

@@ -70,6 +70,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="spec needs"):
             Model(LINEAR, np.zeros(3))
 
+    @pytest.mark.parametrize("features, classes", [(4, 4), (3, 2), (5, 2)],
+                             ids=["width", "classes", "both"])
+    def test_fit_check_names_both_sides(self, features, classes):
+        spec = ModelSpec(kind="linear", input_features=3, num_classes=4)
+        with pytest.raises(ValueError) as exc:
+            spec.check_fit(features, classes, "model m", "the dataset")
+        assert str(exc.value) == (f"model m expects 3 features and 4 classes, "
+                                  f"the dataset has {features} and {classes}")
+
 
 class TestForward:
     def test_zero_params_give_uniform(self, rng):
@@ -226,6 +235,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("beta", [0.0, np.inf, np.nan])
+    def test_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            TrainConfig(beta=beta)
+
+    @pytest.mark.parametrize("lr", [0.0, np.inf, np.nan])
+    def test_bad_lr(self, lr):
+        with pytest.raises(ValueError, match="positive"):
+            TrainConfig(lr=lr)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_params(self):
@@ -300,6 +319,12 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train(Model.init(LINEAR), [], TrainConfig(loss="ce"))
+
+    def test_class_count_mismatch_names_case(self, rng):
+        bad = Case("odd", rng.normal(size=(4, 2)),
+                   LabelMap(np.zeros(4, dtype=np.int64), 3, (4,)), "toy")
+        with pytest.raises(ValueError, match="case 'odd' has 2 and 3"):
+            train(Model.init(LINEAR), [bad], TrainConfig(loss="ce"))
 
     def test_feature_width_mismatch_names_case(self, rng):
         bad = Case("odd", rng.normal(size=(4, 3)),

@@ -49,6 +49,11 @@ class TestPolySchedule:
         with pytest.raises(ValueError, match="positive"):
             PolySchedule(initial_lr=0.0, t_max=10)
 
+    @pytest.mark.parametrize("lr", [np.inf, np.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="positive"):
+            PolySchedule(initial_lr=lr, t_max=10)
+
 
 class TestSgdNesterov:
     def test_zero_gradient_no_move(self):
@@ -67,6 +72,11 @@ class TestSgdNesterov:
         opt = SgdNesterov(lr=0.01, momentum=0.99)
         x = run_quadratic(opt, steps=500)
         assert abs(x[0]) < 1e-3
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="positive"):
+            SgdNesterov(lr=lr)
 
     def test_length_mismatch(self):
         opt = SgdNesterov(lr=0.1)
@@ -190,6 +200,10 @@ class TestRanger:
     def test_zero_lr_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             ranger(lr=0.0)
+
+    def test_non_finite_lr_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ranger(lr=np.inf)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):

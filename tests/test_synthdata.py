@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="noise level"):
             small_config(sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(ValueError, match="noise level"):
+            small_config(sigma=sigma)
+
     def test_fraction_range(self):
         with pytest.raises(ValueError, match="no-ET fraction"):
             small_config(no_et_fraction=1.5)
@@ -114,6 +119,12 @@ class TestGenerate:
             assert (et <= tc).all()
             assert (tc <= wt).all()
             assert wt.any()  # tumor always present
+
+    def test_noise_past_float32_range_writes_no_manifest(self, tmp_path):
+        # 1e39 is finite in float64 but overflows the float32 features file.
+        with pytest.raises(ValueError, match="common_000"):
+            generate(small_config(sigma=1e39), tmp_path)
+        assert not (tmp_path / MANIFEST_NAME).exists()
 
     def test_no_et_fraction_one_removes_every_et(self, tmp_path):
         generate(small_config(no_et_fraction=1.0), tmp_path)

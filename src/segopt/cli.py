@@ -53,8 +53,11 @@ PRESETS = {
 }
 
 # The train flags that are TrainConfig fields of the same name: passed from
-# the flags, and recorded per arm at the config's resolved value.
+# the flags when given, and recorded per arm at the config's resolved value.
 SHARED_SETTINGS = ("beta", "lr", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed")
+
+# Hidden width of the mlp when --hidden is not given.
+DEFAULT_HIDDEN = 16
 
 
 def parse_grid(text: str) -> tuple:
@@ -114,7 +117,8 @@ def _train_config(args, arm: dict, matrix) -> TrainConfig:
         distance_matrix=matrix,
         sampler_mode="dro" if arm["population"] == "dro" else "erm_shuffle",
         optimizer=arm["optimizer"],
-        **{key: getattr(args, key) for key in SHARED_SETTINGS},
+        **{key: getattr(args, key) for key in SHARED_SETTINGS
+           if getattr(args, key) is not None},
     )
 
 
@@ -163,7 +167,8 @@ def cmd_train(args) -> int:
         kind=args.model,
         input_features=manifest.feature_width,
         num_classes=manifest.num_classes,
-        hidden_width=16 if args.hidden is None and args.model == "mlp" else args.hidden,
+        hidden_width=(DEFAULT_HIDDEN if args.hidden is None and args.model == "mlp"
+                      else args.hidden),
         seed=args.seed + 2,  # keep init, shuffle and sampler streams apart
     )
     for config in configs.values():
@@ -271,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="manifest path or dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--model", choices=MODEL_KINDS, default="linear")
-    p.add_argument("--hidden", type=int, default=None, help="hidden width (mlp only; default 16)")
+    p.add_argument("--hidden", type=int, default=None,
+                   help=f"hidden width (mlp only; default {DEFAULT_HIDDEN})")
     p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.add_argument("--population", choices=("erm", "dro"), default=None,
                    help="erm: uniform shuffling; dro: hardness-weighted sampling")

@@ -17,17 +17,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from .losses import MAX_LOSS
 from .numerics import Rng, softmax
 
 __all__ = ["HardnessWeightedSampler", "DEFAULT_BETA"]
 
 DEFAULT_BETA = 100.0
 
+# The loss estimate of a sample not yet visited.  Meant to be optimistic, so
+# that unvisited samples get explored early, but a visited sample whose loss
+# is above it outweighs every unvisited one.
+INIT_LOSS = 1.0
+
 
 def _check_beta(beta: float) -> None:
-    """The hardness-weighting strength must be positive and finite."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    """The hardness-weighting strength must be positive, and small enough
+    that the Gibbs weight exponent, beta times a loss, stays finite."""
+    if not 0.0 < beta * MAX_LOSS < np.inf:
+        raise ValueError(f"beta must be positive and beta times the largest loss "
+                         f"({MAX_LOSS:.2f}) finite, got {beta}")
 
 
 class HardnessWeightedSampler:
@@ -38,18 +46,13 @@ class HardnessWeightedSampler:
     approximation that keeps the overhead negligible.
     """
 
-    def __init__(self, n: int, beta: float = DEFAULT_BETA, init_loss: float = 1.0,
-                 seed: int = 0):
+    def __init__(self, n: int, beta: float = DEFAULT_BETA, seed: int = 0):
         if n < 1:
             raise ValueError(f"need at least one sample, got n={n}")
         _check_beta(beta)
-        if not np.isfinite(init_loss):
-            raise ValueError("initial loss estimate must be finite")
         self.n = int(n)
         self.beta = float(beta)
-        # Optimistic initialization: unvisited samples keep maximal weight
-        # so every sample gets explored early.
-        self.loss_estimates = np.full(self.n, float(init_loss))
+        self.loss_estimates = np.full(self.n, INIT_LOSS)
         self.initialized = np.zeros(self.n, dtype=bool)
         self.rng = Rng(seed)
 

@@ -37,7 +37,7 @@ FD_STEP = 1e-6
 PROB_TOL = 1e-5
 PARAM_TOL = 1e-4
 
-# Central differences at step h carry ~eps*|f|/(2h) = 1e-10 of absolute
+# Central differences at step h = FD_STEP carry ~eps*|f|/(2h) = 1e-10 of absolute
 # roundoff noise, so ratios against entries smaller than this floor measure
 # noise, not gradient error.  Flooring the denominator compares such
 # entries absolutely (to tol * floor) instead.
@@ -65,10 +65,10 @@ def max_rel_error(analytic: np.ndarray, differenced: np.ndarray) -> float:
 
 
 def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
-                     m: DistanceMatrix | None, h: float = FD_STEP) -> np.ndarray:
+                     m: DistanceMatrix | None) -> np.ndarray:
     """Central differences over every probability entry, in one batch.
 
-    Case 2k of the batch steps entry k = (v, l) up by h and case 2k+1
+    Case 2k of the batch steps entry k = (v, l) up by FD_STEP and case 2k+1
     steps it down; the loss kernel evaluates all 2*V*L maps in one call.
     """
     probs = np.asarray(probs, dtype=np.float64)
@@ -78,26 +78,26 @@ def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
     k = np.arange(V * L)
     v, l = np.divmod(k, L)
     stack = np.repeat(probs.T[:, None, :], 2 * V * L, axis=1)
-    stack[l, 2 * k, v] += h
-    stack[l, 2 * k + 1, v] -= h
+    stack[l, 2 * k, v] += FD_STEP
+    stack[l, 2 * k + 1, v] -= FD_STEP
     values, _ = _batch_terms(kind, stack, np.broadcast_to(gt.labels, (2 * V * L, V)), m,
                              want_gradient=False)
-    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(V, L)
+    return ((values[0::2] - values[1::2]) / (2.0 * FD_STEP)).reshape(V, L)
 
 
 def fd_param_gradient(model: Model, features: np.ndarray, gt: LabelMap, kind: str,
-                      m: DistanceMatrix | None, h: float = FD_STEP) -> np.ndarray:
+                      m: DistanceMatrix | None) -> np.ndarray:
     out = np.zeros_like(model.params)
     for i in range(model.params.size):
         plus = model.params.copy()
         minus = model.params.copy()
-        plus[i] += h
-        minus[i] -= h
+        plus[i] += FD_STEP
+        minus[i] -= FD_STEP
         f_plus = composite_loss(
             kind, Model(model.spec, plus).forward(features), gt, m).value
         f_minus = composite_loss(
             kind, Model(model.spec, minus).forward(features), gt, m).value
-        out[i] = (f_plus - f_minus) / (2.0 * h)
+        out[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     return out
 
 

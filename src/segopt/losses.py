@@ -25,6 +25,7 @@ sets like the BraTS tumor regions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .numerics import require_finite
 __all__ = [
     "SMOOTH_EPS",
     "CE_CLAMP",
+    "MAX_LOSS",
     "LOSS_KINDS",
     "ProbMap",
     "LabelMap",
@@ -52,6 +54,10 @@ SMOOTH_EPS = 1e-5
 
 # Probability floor inside the cross-entropy log.
 CE_CLAMP = 1e-12
+
+# No loss kind exceeds this for finite probabilities: the Dice and GWDL parts
+# are at most 1, and the clamped cross-entropy is at most -ln CE_CLAMP.
+MAX_LOSS = 1.0 - math.log(CE_CLAMP)
 
 LOSS_KINDS = ("ce", "dice", "gwdl", "dice_ce", "gwdl_ce")
 
@@ -183,14 +189,14 @@ def load_distance_matrix(path) -> DistanceMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        matrix = payload["matrix"]
+        matrix = np.asarray(payload["matrix"], dtype=np.float64)
         background = payload["background_index"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distance-matrix file {path}: {exc}") from exc
     if type(background) is not int or background != BACKGROUND:
         raise ValueError(
             f"{path}: background_index must be the integer {BACKGROUND}, got {background!r}")
-    return DistanceMatrix(m=np.asarray(matrix, dtype=np.float64))
+    return DistanceMatrix(m=matrix)
 
 
 @dataclass

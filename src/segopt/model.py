@@ -295,16 +295,17 @@ def _stack(members):
 @dataclass
 class TrainConfig:
     """Every training setting, with its default.  ``distance_matrix`` is
-    None unless ``loss`` is a gwdl kind; other kinds drop a given matrix."""
+    None unless ``loss`` is a gwdl kind; other kinds drop a given matrix.
+    ``lr`` None means the optimizer's default learning rate."""
 
     loss: str = "dice_ce"
     distance_matrix: DistanceMatrix | None = None
     sampler_mode: str = "erm_shuffle"
-    beta: float | None = None
+    beta: float = DEFAULT_BETA
     optimizer: str = "sgd"
     lr: float | None = None
-    lookahead_k: int | None = None
-    lookahead_alpha: float | None = None
+    lookahead_k: int = LOOKAHEAD_K
+    lookahead_alpha: float = LOOKAHEAD_ALPHA
     epochs: int = 1000
     batch_size: int = 2
     seed: int = 0
@@ -322,14 +323,8 @@ class TrainConfig:
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
         _check_lr(self.lr)
-        if self.lookahead_k is None:
-            self.lookahead_k = LOOKAHEAD_K
-        if self.lookahead_alpha is None:
-            self.lookahead_alpha = LOOKAHEAD_ALPHA
         # Checked whatever the optimizer, so a bad value fails before training.
         _check_lookahead(self.lookahead_k, self.lookahead_alpha)
-        if self.beta is None:
-            self.beta = DEFAULT_BETA
         _check_beta(self.beta)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
@@ -485,14 +480,17 @@ def load_model(path) -> TrainedModel:
         raise FileNotFoundError(f"model file not found: {path}")
     with open(path) as fh:
         doc = json.load(fh)
-    for key in ("spec", "param_file", "param_count"):
-        if key not in doc:
-            raise ValueError(f"model file {path} is missing field {key!r}")
-    spec = _spec_from_dict(doc["spec"])
-    param_path = os.path.join(os.path.dirname(path) or ".", doc["param_file"])
+    try:
+        for key in ("spec", "param_file", "param_count"):
+            if key not in doc:
+                raise ValueError(f"model file {path} is missing field {key!r}")
+        spec = _spec_from_dict(doc["spec"])
+        param_path = os.path.join(os.path.dirname(path) or ".", doc["param_file"])
+        count = int(doc["param_count"])
+    except TypeError as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from exc
     if not os.path.exists(param_path):
         raise FileNotFoundError(f"parameter file not found: {param_path}")
-    count = int(doc["param_count"])
     expected_bytes = count * 8
     actual = os.path.getsize(param_path)
     if actual != expected_bytes:

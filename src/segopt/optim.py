@@ -60,11 +60,10 @@ def _check_lr(lr: float) -> None:
 
 @dataclass(frozen=True)
 class PolySchedule:
-    """Polynomial decay evaluated once per epoch: lr0 * (1 - t/t_max)^exponent."""
+    """Polynomial decay evaluated once per epoch: lr0 * (1 - t/t_max)^0.9."""
 
     initial_lr: float
     t_max: int
-    exponent: float = 0.9
 
     def __post_init__(self):
         _check_lr(self.initial_lr)
@@ -74,7 +73,7 @@ class PolySchedule:
     def at(self, t: int) -> float:
         if not 0 <= t <= self.t_max:
             raise ValueError(f"epoch {t} outside [0, {self.t_max}]")
-        return self.initial_lr * (1.0 - t / self.t_max) ** self.exponent
+        return self.initial_lr * (1.0 - t / self.t_max) ** 0.9
 
 
 class _OptimizerBase:
@@ -117,10 +116,10 @@ class SgdNesterov(_OptimizerBase):
 class Adam(_OptimizerBase):
     """Adam with bias-corrected first and second moments."""
 
-    def __init__(self, lr: float = DEFAULT_LR["adam"], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = DEFAULT_LR["adam"]):
         super().__init__(lr)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self._m = None
         self._v = None
 
@@ -143,10 +142,10 @@ class Adam(_OptimizerBase):
 class RAdam(Adam):
     """Rectified Adam: variance-rectified adaptive steps once rho_t > 4."""
 
-    def __init__(self, lr: float = DEFAULT_LR["radam"], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(lr, beta1, beta2, eps)
-        self.rho_inf = 2.0 / (1.0 - self.beta2) - 1.0
+    rho_inf = 2.0 / (1.0 - Adam.beta2) - 1.0
+
+    def __init__(self, lr: float = DEFAULT_LR["radam"]):
+        super().__init__(lr)
 
     def rho_t(self, t: int) -> float:
         """Length of the approximated simple moving average after t steps."""

@@ -48,9 +48,9 @@ MANIFEST_NAME = "manifest.json"
 NUM_CLASSES = 4
 FEATURE_WIDTH = 4  # one channel per class template
 
-# Default contrast for subgroups beyond the first; small enough to be
+# Template contrast of every subgroup after the first; small enough to be
 # measurably harder under noise, large enough to stay learnable.
-DEFAULT_MINOR_CONTRAST = 0.6
+MINOR_CONTRAST = 0.6
 
 
 @dataclass
@@ -91,7 +91,6 @@ class SynthConfig:
     no_et_fraction: float = 0.0
     seed: int = 0
     spacing_mm: tuple[float, ...] | None = None
-    subgroup_contrast: dict | None = None  # name -> contrast; defaults applied
 
     def __post_init__(self):
         self.grid = tuple(int(g) for g in self.grid)
@@ -121,19 +120,10 @@ class SynthConfig:
             raise ValueError(f"spacing must be positive, got {self.spacing_mm}")
 
     def contrasts(self) -> dict:
-        """Per-subgroup template contrast; first subgroup 1.0, later ones
-        shrunken unless overridden."""
-        out = {}
-        for i, name in enumerate(self.subgroup_cases):
-            out[name] = 1.0 if i == 0 else DEFAULT_MINOR_CONTRAST
-        if self.subgroup_contrast:
-            for name, value in self.subgroup_contrast.items():
-                if name not in out:
-                    raise ValueError(f"contrast given for unknown subgroup {name!r}")
-                if not value > 0:
-                    raise ValueError(f"contrast for {name!r} must be positive, got {value}")
-                out[name] = float(value)
-        return out
+        """Per-subgroup template contrast: 1.0 for the first subgroup,
+        MINOR_CONTRAST for the later ones."""
+        return {name: 1.0 if i == 0 else MINOR_CONTRAST
+                for i, name in enumerate(self.subgroup_cases)}
 
 
 @dataclass
@@ -220,9 +210,34 @@ def generate(config: SynthConfig, out_dir) -> DatasetManifest:
 
     Deterministic: the same config (seed included) produces byte-identical
     files.  The no-ET fraction is applied per subgroup by rounding, with
-    the affected cases chosen by the seeded RNG.
+    the affected cases chosen by the seeded RNG.  On failure the files
+    written so far are removed, and so are the directories this call made.
     """
+    created = []  # innermost first
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
+    written = []
+    try:
+        return _write_dataset(config, out_dir, written)
+    except BaseException:
+        for path in written:
+            if os.path.exists(path):
+                os.remove(path)
+        for path in created:
+            os.rmdir(path)
+        raise
+
+
+def _write_dataset(config: SynthConfig, out_dir, written: list) -> DatasetManifest:
+    """generate()'s work; each file's path joins ``written`` before the file is."""
+
+    def target(name):
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
+
     rng = Rng(config.seed)
     contrasts = config.contrasts()
     manifest = DatasetManifest(
@@ -247,10 +262,10 @@ def generate(config: SynthConfig, out_dir) -> DatasetManifest:
             require_finite(features, f"float32 features of case {case_id!r}")
             feat_name = f"{case_id}_features.f32"
             lab_name = f"{case_id}_labels.u8"
-            features.tofile(os.path.join(out_dir, feat_name))
-            labels.astype(np.uint8).tofile(os.path.join(out_dir, lab_name))
+            features.tofile(target(feat_name))
+            labels.astype(np.uint8).tofile(target(lab_name))
             manifest.cases.append(CaseEntry(case_id, name, feat_name, lab_name, config.grid))
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
+    with open(target(MANIFEST_NAME), "w") as fh:
         fh.write(manifest.to_json())
     return manifest
 
@@ -279,23 +294,26 @@ def read_manifest(manifest_path) -> DatasetManifest:
         raise ValueError(
             f"unsupported manifest version {doc['version']!r}, expected {MANIFEST_VERSION}"
         )
-    manifest = DatasetManifest(
-        version=int(doc["version"]),
-        num_classes=int(doc["num_classes"]),
-        feature_width=int(doc["feature_width"]),
-        spacing_mm=tuple(float(s) for s in doc["spacing_mm"]),
-        root=os.path.dirname(manifest_path),
-    )
-    for entry in doc["cases"]:
-        _require_keys(entry, ("id", "subgroup", "features", "labels", "grid"),
-                      f"case entry in {manifest_path}")
-        manifest.cases.append(CaseEntry(
-            case_id=str(entry["id"]),
-            subgroup=str(entry["subgroup"]),
-            feature_file=str(entry["features"]),
-            label_file=str(entry["labels"]),
-            grid=tuple(int(g) for g in entry["grid"]),
-        ))
+    try:
+        manifest = DatasetManifest(
+            version=int(doc["version"]),
+            num_classes=int(doc["num_classes"]),
+            feature_width=int(doc["feature_width"]),
+            spacing_mm=tuple(float(s) for s in doc["spacing_mm"]),
+            root=os.path.dirname(manifest_path),
+        )
+        for entry in doc["cases"]:
+            _require_keys(entry, ("id", "subgroup", "features", "labels", "grid"),
+                          f"case entry in {manifest_path}")
+            manifest.cases.append(CaseEntry(
+                case_id=str(entry["id"]),
+                subgroup=str(entry["subgroup"]),
+                feature_file=str(entry["features"]),
+                label_file=str(entry["labels"]),
+                grid=tuple(int(g) for g in entry["grid"]),
+            ))
+    except TypeError as exc:
+        raise ValueError(f"malformed manifest file {manifest_path}: {exc}") from exc
     return manifest
 
 

@@ -111,7 +111,7 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--grid", "6x6",
                      "--subgroups", "common:2", "--sigma", sigma]) == 2
         assert "error:" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["--grid", "8x8", "--subgroups", "common:3", "--sigma", "0.2",
@@ -225,11 +225,13 @@ class TestTrain:
         ["--preset", "dro", "--lookahead-alpha", "0.9"],
         ["--preset", "ensemble", "--beta", "inf"],
         ["--preset", "ensemble", "--lr", "inf"],
+        ["--preset", "ensemble", "--beta", "1e308"],
     ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background",
             "baseline-unused-matrix", "ensemble-3x3-matrix", "linear-hidden",
             "baseline-unused-beta", "gwdl-background-two", "gwdl-background-float",
             "gwdl-background-string", "baseline-unused-lookahead",
-            "dro-unused-lookahead-alpha", "ensemble-beta-inf", "ensemble-lr-inf"])
+            "dro-unused-lookahead-alpha", "ensemble-beta-inf", "ensemble-lr-inf",
+            "ensemble-beta-1e308"])
     def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
         files = {}
         for name, background, size in (("MATRIX", None, 4), ("VALID_MATRIX", 0, 4),
@@ -505,3 +507,36 @@ def test_unknown_command_raises_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# A JSON input whose field has the wrong type: which file, and how it is edited.
+MALFORMED = {
+    "model-not-an-object": ("model", lambda doc: 5),
+    "model-param-count-null": ("model", lambda doc: {**doc, "param_count": None}),
+    "model-param-file-number": ("model", lambda doc: {**doc, "param_file": 5}),
+    "manifest-case-number": ("manifest", lambda doc: {**doc, "cases": [5]}),
+    "manifest-spacing-number": ("manifest", lambda doc: {**doc, "spacing_mm": 5}),
+    "matrix-object": ("matrix", lambda doc: {**doc, "matrix": {}}),
+}
+
+
+@pytest.mark.parametrize("kind, edit", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_file_is_config_error(dataset, tmp_path, capsys, kind, edit):
+    spec = ModelSpec(kind="linear", input_features=FEATURE_WIDTH, num_classes=4)
+    paths = {name: tmp_path / f"{name}.json" for name in ("model", "manifest", "matrix")}
+    save_model(TrainedModel(spec, Model.init(spec).params), paths["model"])
+    paths["manifest"].write_bytes(file_bytes(os.path.join(dataset, "manifest.json")))
+    paths["matrix"].write_text(json.dumps({"background_index": 0,
+                                           "matrix": (1.0 - np.eye(4)).tolist()}))
+    paths[kind].write_text(json.dumps(edit(read_json(paths[kind]))))
+    out = str(tmp_path / "out")
+    if kind == "matrix":
+        argv = ["train", "--dataset", dataset, "--out", out, "--epochs", "1",
+                "--preset", "gwdl", "--distance-matrix", str(paths["matrix"])]
+    else:
+        manifest = paths["manifest"] if kind == "manifest" else dataset
+        argv = ["evaluate", str(paths["model"]), "--dataset", str(manifest), "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed")
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ from segopt.dro import DEFAULT_BETA, HardnessWeightedSampler
 
 class TestConstruction:
     def test_equal_losses_give_uniform(self):
-        s = HardnessWeightedSampler(n=4, beta=100.0, init_loss=1.0)
+        s = HardnessWeightedSampler(n=4, beta=100.0)
         assert_allclose(s.probabilities(), np.full(4, 0.25), atol=1e-15)
 
     def test_single_sample(self):
@@ -30,10 +30,6 @@ class TestConstruction:
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             HardnessWeightedSampler(n=4, beta=beta)
-
-    def test_non_finite_init_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            HardnessWeightedSampler(n=4, init_loss=np.inf)
 
     def test_default_beta(self):
         assert HardnessWeightedSampler(n=2).beta == DEFAULT_BETA == 100.0

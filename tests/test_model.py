@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -235,10 +237,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
 
-    @pytest.mark.parametrize("beta", [0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("beta", [0.0, np.inf, np.nan, 1e308])
     def test_bad_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             TrainConfig(beta=beta)
+
+    def test_large_finite_beta_accepted(self):
+        assert TrainConfig(beta=1e306).beta == 1e306
+
+    def test_defaults_are_declared_on_fields(self):
+        config = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            if f.name != "lr":
+                assert getattr(config, f.name) == f.default, f.name
 
     @pytest.mark.parametrize("lr", [0.0, np.inf, np.nan])
     def test_bad_lr(self, lr):

@@ -68,14 +68,6 @@ class TestConfig:
         assert c["common"] == 1.0
         assert c["rare"] == 0.6
 
-    def test_contrast_override(self):
-        c = small_config(subgroup_contrast={"rare": 0.8}).contrasts()
-        assert c["rare"] == 0.8
-
-    def test_contrast_for_unknown_subgroup(self):
-        with pytest.raises(ValueError, match="unknown subgroup"):
-            small_config(subgroup_contrast={"ghost": 0.5}).contrasts()
-
 
 class TestTemplates:
     def test_full_contrast_is_one_channel_per_class(self):
@@ -125,6 +117,18 @@ class TestGenerate:
         with pytest.raises(ValueError, match="common_000"):
             generate(small_config(sigma=1e39), tmp_path)
         assert not (tmp_path / MANIFEST_NAME).exists()
+
+    def test_failure_after_written_cases_removes_them(self, tmp_path):
+        # At sigma 1e38 and seed 0 the first case fits float32 and rare_001 does not.
+        with pytest.raises(ValueError, match="rare_001"):
+            generate(small_config(sigma=1e38, seed=0), tmp_path / "a" / "d")
+        assert not (tmp_path / "a").exists()
+
+    def test_failure_keeps_what_the_directory_held(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept")
+        with pytest.raises(ValueError, match="rare_001"):
+            generate(small_config(sigma=1e38, seed=0), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
     def test_no_et_fraction_one_removes_every_et(self, tmp_path):
         generate(small_config(no_et_fraction=1.0), tmp_path)

@@ -143,9 +143,8 @@ def _train_one(args, arm: dict, spec: ModelSpec, config: TrainConfig, cases,
 
 
 def cmd_train(args) -> int:
-    manifest_path = _dataset_path(args.dataset)
-    manifest = read_manifest(manifest_path)
-    cases = load(manifest_path)
+    manifest = read_manifest(_dataset_path(args.dataset))
+    cases = load(manifest)
     # Every arm is configured, and so checked, before the first one trains.
     tags = tuple(PRESETS) if args.preset == "ensemble" else (None,)
     # Explicit --loss/--population/--optimizer flags override the preset's.
@@ -199,9 +198,8 @@ def case_workers(cases) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest_path = _dataset_path(args.dataset)
-    manifest = read_manifest(manifest_path)
-    cases = load(manifest_path)
+    manifest = read_manifest(_dataset_path(args.dataset))
+    cases = load(manifest)
     models = []
     for path in args.models:
         trained = load_model(path)

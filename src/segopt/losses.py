@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +108,7 @@ class LabelMap:
                 f"found range [{lab.min()}, {lab.max()}]"
             )
         self.spatial_shape = tuple(int(s) for s in self.spatial_shape)
-        if int(np.prod(self.spatial_shape)) != lab.size:
+        if math.prod(self.spatial_shape) != lab.size:
             raise ValueError(
                 f"spatial shape {self.spatial_shape} does not cover {lab.size} voxels"
             )
@@ -272,7 +273,44 @@ def _check_kind(kind: str, m: DistanceMatrix | None) -> DistanceMatrix | None:
     return m
 
 
-def _batch_terms(kind, p, labels, m, want_gradient):
+class _Tables:
+    """The arrays _batch_terms reads that depend only on the matrix, the
+    class count and the batch shape, each built on first use.  Training
+    builds one per run and passes it to every step; a call given none
+    builds its own."""
+
+    def __init__(self, m, num_classes):
+        self.m = m
+        self.num_classes = num_classes
+        self._offsets = {}
+
+    def offsets(self, B, V):
+        """The flat index of each voxel of a [B, V] batch, and L times each case's index."""
+        out = self._offsets.get((B, V))
+        if out is None:
+            out = self._offsets[B, V] = (np.arange(B * V).reshape(B, V),
+                                         self.num_classes * np.arange(B)[:, None])
+        return out
+
+    @cached_property
+    def own_class(self):
+        """[L, 1, L] mask selecting, per class, the Dice gradient of its own voxels."""
+        return np.eye(self.num_classes, dtype=bool)[:, None, :]
+
+    @cached_property
+    def gwdl_gradient(self):
+        """GWDL's dA and dB tables, [l, 1, k] like m[k, l].
+
+        dW/dp_l = m[gt, l], so the gradient depends on the case and the
+        voxel's class only: dN picks up -dW on foreground voxels, dS picks
+        up +dW everywhere; A = 2N + eps and B = 2N + S + eps.
+        """
+        dw = self.m.m.T[:, None, :]
+        dn = np.where(np.arange(self.num_classes) != BACKGROUND, -dw, 0.0)
+        return 2.0 * dn, 2.0 * dn + dw
+
+
+def _batch_terms(kind, p, labels, m, want_gradient, tables=None, counts=None):
     """Per-case values of one loss kind over B cases of V voxels each.
 
     The layout is class-major: ``p[l, b, v]`` is the predicted
@@ -283,7 +321,10 @@ def _batch_terms(kind, p, labels, m, want_gradient):
     requested the gradient of each case's value with respect to its own
     probabilities, shape [L, B, V].  Rows need not sum to 1 (finite
     differencing steps off the simplex).  Nothing is checked: the kind,
-    matrix, shapes and label range are the caller's contract.
+    matrix, shapes and label range are the caller's contract, and so are
+    ``tables``, a _Tables for this matrix and L (built here when None),
+    and ``counts``, the [L, B] int64 voxel count of each class in each
+    case (the Dice kinds bincount it from ``labels`` when None).
 
     Two index arrays replace one-hot masks: ``true_idx`` points at each
     voxel's ground-truth entry in the flattened block (gather the true
@@ -293,15 +334,20 @@ def _batch_terms(kind, p, labels, m, want_gradient):
     back over the voxels.
     """
     L, B, V = p.shape
-    true_idx = labels * (B * V) + np.arange(B * V).reshape(B, V)
-    case_class = labels + L * np.arange(B)[:, None]
+    if tables is None:
+        tables = _Tables(m, L)
+    voxel_offsets, class_offsets = tables.offsets(B, V)
+    true_idx = labels * (B * V)
+    true_idx += voxel_offsets
     flat = p.reshape(L, B * V)
     true_p = flat.take(true_idx)
     base = None
+    # case_class is built where it is passed, not kept, so it is freed
+    # before the cross-entropy terms, where a step's memory peaks.
     if kind in ("dice", "dice_ce"):
-        base = _dice_terms(flat, true_p, case_class, want_gradient)
+        base = _dice_terms(flat, true_p, labels + class_offsets, want_gradient, tables, counts)
     elif kind in ("gwdl", "gwdl_ce"):
-        base = _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient)
+        base = _gwdl_terms(flat, labels, true_idx, labels + class_offsets, want_gradient, tables)
     if kind not in ("ce", "dice_ce", "gwdl_ce"):
         return base
     values, true_grad = _ce_terms(true_p, want_gradient)
@@ -320,7 +366,7 @@ def _spread(table, case_class):
     return table.reshape(L, B * K).take(case_class, axis=1)
 
 
-def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
+def _gwdl_terms(flat, labels, true_idx, case_class, want_gradient, tables):
     """Generalized Wasserstein Dice loss per case.
 
     Let W_i be the per-voxel earth-mover error and F the set of foreground
@@ -331,11 +377,11 @@ def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
     with N = sum_{i in F} (1 - W_i) and S = sum_i W_i over all voxels.  The
     quotient is a Wasserstein-weighted Dice overlap that equals 1 for a
     perfect prediction, so the loss bottoms out at 0 there; the smoothing
-    keeps the all-background case finite.
+    keeps the all-background case finite.  The distance matrix m is
+    ``tables.m``.
     """
-    L = flat.shape[0]
     # Per-voxel earth-mover error: W = (m @ p)[gt], column by column.
-    w = (m.m @ flat).take(true_idx)
+    w = (tables.m.m @ flat).take(true_idx)
     fg = labels != BACKGROUND
     n = np.where(fg, 1.0 - w, 0.0).sum(axis=-1)
     s = w.sum(axis=-1)
@@ -345,19 +391,14 @@ def _gwdl_terms(flat, labels, true_idx, case_class, m, want_gradient):
 
     grad = None
     if want_gradient:
-        # dW/dp_l = m[gt, l], so the gradient depends on the case and the
-        # voxel's class only: dN picks up -dW on foreground voxels, dS
-        # picks up +dW everywhere, the quotient rule does the rest.
-        dw = m.m.T[:, None, :]  # [l, 1, k] = m[k, l]
-        dn = np.where(np.arange(L) != BACKGROUND, -dw, 0.0)
-        da = 2.0 * dn
-        db = 2.0 * dn + dw
+        # The quotient rule over the per-(class, true class) tables dA, dB.
+        da, db = tables.gwdl_gradient
         a, b = a[:, None], b[:, None]
         grad = _spread((a * db - da * b) / (b * b), case_class)
     return values, grad
 
 
-def _dice_terms(flat, true_p, case_class, want_gradient):
+def _dice_terms(flat, true_p, case_class, want_gradient, tables, counts):
     """Soft multi-class Dice loss per case, averaged over foreground classes.
 
     Per foreground class l the overlap quotient is
@@ -374,8 +415,9 @@ def _dice_terms(flat, true_p, case_class, want_gradient):
     keys = case_class.reshape(-1)
     inter = np.bincount(keys, weights=true_p.reshape(-1), minlength=B * L)
     inter = inter.reshape(B, L).T
-    count = np.bincount(keys, minlength=B * L).reshape(B, L).T
-    sums = flat.reshape(L, B, V).sum(axis=-1) + count
+    if counts is None:
+        counts = np.bincount(keys, minlength=B * L).reshape(B, L).T
+    sums = flat.reshape(L, B, V).sum(axis=-1) + counts
     num = 2.0 * inter + SMOOTH_EPS
     den = sums + SMOOTH_EPS
     quotient = num / den
@@ -389,7 +431,7 @@ def _dice_terms(flat, true_p, case_class, want_gradient):
         sq = den * den
         on = -((2.0 * den - num) / sq) / n_fg
         off = -(-num / sq) / n_fg
-        table = np.where(np.eye(L, dtype=bool)[:, None, :], on[..., None], off[..., None])
+        table = np.where(tables.own_class, on[..., None], off[..., None])
         table[BACKGROUND] = 0.0
         grad = _spread(table, case_class)
     return values, grad
@@ -405,8 +447,12 @@ def _ce_terms(true_p, want_gradient):
 
     grad = None
     if want_gradient:
-        # below the clamp the loss is locally constant
-        grad = np.where(true_p > CE_CLAMP, -1.0 / (V * clamped), 0.0)
+        # -1 / (V * p), computed in the buffer of the clamped copy: with the
+        # MLP on large cases this is a training step's peak of memory.
+        # Below the clamp the loss is locally constant.
+        grad = np.multiply(clamped, V, out=clamped)
+        np.divide(-1.0, grad, out=grad)
+        grad[~(true_p > CE_CLAMP)] = 0.0
     return values, grad
 
 

@@ -23,8 +23,14 @@ train() validates the dataset and parameters once, then runs one kernel
 call per optimizer step: the batch's cases are grouped by voxel count,
 each group is concatenated into one class-major block, and a single
 forward, loss and backward pass gives every case's loss value and the
-batch's mean parameter gradient.  Model.forward() and Model.backward()
-are the same kernel on one case.  The loop wires in a loss kind, an
+batch's mean parameter gradient.  What does not change during a run is
+built once per run (_Run): the loss's index offsets and gradient
+constants and each case's voxel count per class.  The optimizer then
+steps without re-checking its inputs, since train() checks the
+parameters after every step.  batch_gradient() builds the
+same tables per call, with the same float operations in the same order,
+so its bytes are train()'s.  Model.forward() and Model.backward() are
+the same kernel on one case.  The loop wires in a loss kind, an
 epoch-level learning rate schedule, an optimizer, and either plain
 shuffling (ERM) or the hardness-weighted sampler (DRO).  Reweighting in
 DRO mode lives entirely in the sampling distribution; batch gradients
@@ -41,7 +47,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
-from .losses import DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind, _check_shapes
+from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
+                     _check_shapes, _Tables)
 from .numerics import Rng, as_f64, require_finite, softmax_inplace
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
@@ -229,21 +236,25 @@ def ensemble_labels(models, features) -> np.ndarray:
 
 
 def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-            loss_kind: str, m: DistanceMatrix | None):
+            loss_kind: str, m: DistanceMatrix | None, tables: _Tables | None = None,
+            counts: np.ndarray | None = None):
     """Forward, loss and backward over B same-size cases in one pass.
 
     x holds the cases' feature rows back to back, [B*V, F], and labels
     their [B, V] label maps.  Returns the per-case loss values [B] and the
     parameter gradient of the summed loss.  The loss arguments are trusted:
-    the callers check them.
+    the callers check them.  ``tables`` and ``counts`` go to
+    losses._batch_terms, which builds what is None.
     """
     num_cases, num_voxels = labels.shape
     probs, hidden = _forward(spec, params, x)
     values, prob_grad = _batch_terms(
-        loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, m, want_gradient=True)
-    # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)).
-    g = prob_grad.reshape(probs.shape)
-    dz = g - np.einsum("ln,ln->n", g, probs)
+        loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, m, want_gradient=True,
+        tables=tables, counts=counts)
+    # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)),
+    # in the loss gradient's own buffer.
+    dz = prob_grad.reshape(probs.shape)
+    dz -= np.einsum("ln,ln->n", dz, probs)
     dz *= probs
     if spec.kind == "linear":
         grad = np.concatenate([(dz @ x).reshape(-1), dz.sum(axis=1)])
@@ -267,21 +278,58 @@ def batch_gradient(spec: ModelSpec, params: np.ndarray, cases, batch,
     through the kernel as one block, so mixed 2-D/3-D datasets work.
     Values come back in batch order.  Nothing is validated here: train()
     checks the dataset, parameters and loss arguments once, on entry.
+    The loss's index and gradient tables are built on every call; train()
+    builds them once per run (see _Run) and gets the same bytes.
     """
-    groups: dict[int, list[int]] = {}
-    for pos, idx in enumerate(batch):
-        groups.setdefault(cases[int(idx)].num_voxels, []).append(pos)
-    values = np.empty(len(batch))
-    grad = None
-    for positions in groups.values():
-        # The group's stacked inputs live only for the duration of the call.
-        group_values, group_grad = _kernel(
-            spec, params, *_stack([cases[int(batch[pos])] for pos in positions]),
-            loss_kind, m)
-        values[positions] = group_values
-        grad = group_grad if grad is None else grad + group_grad
-    grad /= len(batch)
-    return values, grad
+    return _Run(spec, cases, loss_kind, m).gradient(params, batch)
+
+
+@dataclass
+class _Run:
+    """One training run's dataset and loss, and what its steps read.
+
+    _Run.build(), called once per run by train(), fills in the tables that
+    are constant for the run: the loss's losses._Tables (index offsets per
+    batch shape, the Dice class mask, the GWDL gradient constants), each
+    case's voxel count per class as an [L, cases] int64 array (Dice kinds).
+    Left at their defaults, as batch_gradient() leaves them, the loss
+    builds its tables per call.
+    """
+
+    spec: ModelSpec
+    cases: list
+    loss_kind: str
+    m: DistanceMatrix | None
+    tables: _Tables | None = None
+    counts: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, spec: ModelSpec, cases, loss_kind: str, m: DistanceMatrix | None) -> "_Run":
+        counts = None
+        if loss_kind in ("dice", "dice_ce"):
+            counts = np.stack([np.bincount(case.labels.labels, minlength=spec.num_classes)
+                               for case in cases], axis=1)
+        return cls(spec, cases, loss_kind, m, tables=_Tables(m, spec.num_classes),
+                   counts=counts)
+
+    def gradient(self, params: np.ndarray, batch):
+        """batch_gradient() of ``batch``, an index sequence into the cases."""
+        groups: dict[int, list[int]] = {}
+        for pos, idx in enumerate(batch):
+            groups.setdefault(self.cases[int(idx)].num_voxels, []).append(pos)
+        values = np.empty(len(batch))
+        grad = None
+        for positions in groups.values():
+            members = [int(batch[pos]) for pos in positions]
+            # The group's stacked inputs live only for the duration of the call.
+            group_values, group_grad = _kernel(
+                self.spec, params, *_stack([self.cases[idx] for idx in members]),
+                self.loss_kind, self.m, self.tables,
+                None if self.counts is None else self.counts[:, members])
+            values[positions] = group_values
+            grad = group_grad if grad is None else grad + group_grad
+        grad /= len(batch)
+        return values, grad
 
 
 def _stack(members):
@@ -289,7 +337,7 @@ def _stack(members):
     if len(members) == 1:
         return members[0].features, members[0].labels.labels[None, :]
     return (np.concatenate([case.features for case in members]),
-            np.stack([case.labels.labels for case in members]))
+            np.concatenate([case.labels.labels for case in members]).reshape(len(members), -1))
 
 
 @dataclass
@@ -390,6 +438,11 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     batch on the mean of the per-case gradients, at the epoch's scheduled
     learning rate.  Each batch's per-case losses reach the divergence
     guard and the sampler in batch order.
+
+    The inputs are checked once, on entry, and the loss tables that are
+    constant for the dataset are built once per run (see _Run); each step
+    then calls the optimizer's unchecked _step, because the parameters are
+    checked for finiteness and magnitude after every step.
     """
     dataset = list(dataset)
     _check_inputs(model, dataset, config)
@@ -409,6 +462,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     if config.epochs == 0:
         return TrainedModel(model.spec, params, log, sampler)
 
+    run = _Run.build(model.spec, dataset, config.loss, config.distance_matrix)
     schedule = PolySchedule(initial_lr=config.lr, t_max=config.epochs)
     for epoch in range(config.epochs):
         lr = schedule.at(epoch)
@@ -419,8 +473,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            values, grad = batch_gradient(model.spec, params, dataset, batch,
-                                          config.loss, config.distance_matrix)
+            values, grad = run.gradient(params, batch)
             for idx, value in zip(batch, values.tolist()):
                 if not math.isfinite(value):
                     raise TrainingDiverged(
@@ -430,7 +483,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
                 epoch_losses.append(value)
                 if sampler is not None:
                     sampler.update_loss(int(idx), value)
-            params = optimizer.step(params, grad, lr=lr)
+            params = optimizer._step(params, grad, lr)
             peak = float(np.abs(params).max())
             if not peak <= PARAM_LIMIT:  # also true for NaN and inf
                 raise TrainingDiverged(

@@ -94,8 +94,14 @@ class _OptimizerBase:
         params = as_f64(params, "params")
         grad = as_f64(grad, "grad")
         self._check(params, grad)
+        return self._step(params, grad, self.lr if lr is None else float(lr))
+
+    def _step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """step() without its checks, for model.train: its params are
+        checked on entry and after every step, and its gradients are
+        float64 vectors of their shape."""
         self.step_count += 1
-        return self._update(params, grad, self.lr if lr is None else float(lr))
+        return self._update(params, grad, lr)
 
 
 class SgdNesterov(_OptimizerBase):
@@ -200,7 +206,15 @@ class Lookahead:
         return self.inner.step_count
 
     def step(self, params, grad, lr: float | None = None) -> np.ndarray:
-        fast = self.inner.step(params, grad, lr)  # validates params and grad
+        return self._sync(params, self.inner.step(params, grad, lr))  # validates both
+
+    def _step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """step() without the inner optimizer's checks; see _OptimizerBase._step."""
+        return self._sync(params, self.inner._step(params, grad, lr))
+
+    def _sync(self, params, fast: np.ndarray) -> np.ndarray:
+        """Count one fast step from ``params`` to ``fast``; every k-th moves
+        the slow weights and restarts the fast ones from them."""
         if self.slow_weights is None:
             self.slow_weights = np.array(params, dtype=np.float64)
         self.inner_counter += 1

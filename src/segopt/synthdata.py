@@ -20,7 +20,10 @@ features as little-endian float32, labels as uint8.
 from __future__ import annotations
 
 import json
+import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,8 +213,17 @@ def generate(config: SynthConfig, out_dir) -> DatasetManifest:
 
     Deterministic: the same config (seed included) produces byte-identical
     files.  The no-ET fraction is applied per subgroup by rounding, with
-    the affected cases chosen by the seeded RNG.  On failure the files
-    written so far are removed, and so are the directories this call made.
+    the affected cases chosen by the seeded RNG.
+
+    The files are written into a temporary directory inside out_dir and
+    moved into place only once the last case is written, so a run refused
+    while writing leaves a dataset already there whole.  The old manifest
+    is removed before the first case file is moved and the new one is
+    moved last, so a move cut short leaves no manifest and load() refuses
+    the directory instead of reading a mix of old and new cases.  On
+    failure the temporary directory is removed, and so are the directories
+    this call made, with everything in them; a process killed outright
+    leaves its ``.synth-*`` directory behind.
     """
     created = []  # innermost first
     path = os.path.abspath(out_dir)
@@ -219,25 +231,29 @@ def generate(config: SynthConfig, out_dir) -> DatasetManifest:
         created.append(path)
         path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    staging = tempfile.mkdtemp(prefix=".synth-", dir=out_dir)
     try:
-        return _write_dataset(config, out_dir, written)
+        manifest = _write_dataset(config, staging)
+        names = [name for entry in manifest.cases
+                 for name in (entry.feature_file, entry.label_file)]
+        manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+        if os.path.lexists(manifest_path):
+            os.remove(manifest_path)
+        for name in (*names, MANIFEST_NAME):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        os.rmdir(staging)
     except BaseException:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
-        for path in created:
+        # created[0], when there, is out_dir itself: all of it is this call's.
+        shutil.rmtree(created[0] if created else staging)
+        for path in created[1:]:
             os.rmdir(path)
         raise
+    manifest.root = str(out_dir)
+    return manifest
 
 
-def _write_dataset(config: SynthConfig, out_dir, written: list) -> DatasetManifest:
-    """generate()'s work; each file's path joins ``written`` before the file is."""
-
-    def target(name):
-        written.append(os.path.join(out_dir, name))
-        return written[-1]
-
+def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
+    """generate()'s work: every file of the dataset, written into out_dir."""
     rng = Rng(config.seed)
     contrasts = config.contrasts()
     manifest = DatasetManifest(
@@ -245,7 +261,6 @@ def _write_dataset(config: SynthConfig, out_dir, written: list) -> DatasetManife
         num_classes=NUM_CLASSES,
         feature_width=FEATURE_WIDTH,
         spacing_mm=config.spacing_mm,
-        root=str(out_dir),
     )
     for name, count in config.subgroup_cases.items():
         templates = templates_for(contrasts[name])
@@ -262,10 +277,10 @@ def _write_dataset(config: SynthConfig, out_dir, written: list) -> DatasetManife
             require_finite(features, f"float32 features of case {case_id!r}")
             feat_name = f"{case_id}_features.f32"
             lab_name = f"{case_id}_labels.u8"
-            features.tofile(target(feat_name))
-            labels.astype(np.uint8).tofile(target(lab_name))
+            features.tofile(os.path.join(out_dir, feat_name))
+            labels.astype(np.uint8).tofile(os.path.join(out_dir, lab_name))
             manifest.cases.append(CaseEntry(case_id, name, feat_name, lab_name, config.grid))
-    with open(target(MANIFEST_NAME), "w") as fh:
+    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
         fh.write(manifest.to_json())
     return manifest
 
@@ -317,34 +332,48 @@ def read_manifest(manifest_path) -> DatasetManifest:
     return manifest
 
 
+def _open_case_file(path):
+    try:
+        # Unbuffered: the whole file comes back from one read, with no buffer copy.
+        return open(path, "rb", buffering=0)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"case file not found: {path}") from None
+
+
+def _check_size(path, fh, expected: int) -> None:
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != expected:
+        raise ValueError(f"size mismatch in {path}: {actual} bytes, expected {expected}")
+
+
 def load(manifest_path) -> list:
-    """Read a dataset back as a list of cases, validating sizes on the way."""
-    manifest = read_manifest(manifest_path)
+    """Read a dataset back as a list of cases, validating sizes on the way.
+
+    ``manifest_path`` is a manifest file, or the DatasetManifest that
+    read_manifest returned for it, so a caller that needs the manifest
+    too parses it once.  Each case file is opened once, its size checked
+    on the open file before anything is read, and then read in one call.
+    """
+    if isinstance(manifest_path, DatasetManifest):
+        manifest = manifest_path
+    else:
+        manifest = read_manifest(manifest_path)
     root = manifest.root
     num_classes = manifest.num_classes
     feature_width = manifest.feature_width
     cases = []
     for entry in manifest.cases:
         grid = entry.grid
-        n_vox = int(np.prod(grid))
+        n_vox = math.prod(grid)
         feat_path = os.path.join(root, entry.feature_file)
         lab_path = os.path.join(root, entry.label_file)
-        for path in (feat_path, lab_path):
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"case file not found: {path}")
-        expected = n_vox * feature_width * 4
-        actual = os.path.getsize(feat_path)
-        if actual != expected:
-            raise ValueError(
-                f"size mismatch in {feat_path}: {actual} bytes, expected {expected}"
-            )
-        if os.path.getsize(lab_path) != n_vox:
-            raise ValueError(
-                f"size mismatch in {lab_path}: {os.path.getsize(lab_path)} bytes, "
-                f"expected {n_vox}"
-            )
-        features = np.fromfile(feat_path, dtype="<f4").astype(np.float64)
-        labels = np.fromfile(lab_path, dtype=np.uint8).astype(np.int64)
+        with _open_case_file(feat_path) as feat_fh, _open_case_file(lab_path) as lab_fh:
+            _check_size(feat_path, feat_fh, n_vox * feature_width * 4)
+            _check_size(lab_path, lab_fh, n_vox)
+            feat_bytes = feat_fh.read()
+            lab_bytes = lab_fh.read()
+        features = np.frombuffer(feat_bytes, dtype="<f4").astype(np.float64)
+        labels = np.frombuffer(lab_bytes, dtype=np.uint8).astype(np.int64)
         cases.append(Case(
             case_id=entry.case_id,
             features=features.reshape(n_vox, feature_width),

@@ -122,6 +122,18 @@ class TestSynth:
         # run_config records the output path, everything else must match
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_refused_rerun_keeps_the_existing_dataset(self, tmp_path, capsys):
+        out = str(tmp_path / "d")
+        argv = ["synth", "--out", out, "--grid", "10x10", "--subgroups", "common:3,rare:2",
+                "--seed", "0"]
+        assert main(argv) == 0
+        before = tree_bytes(out, skip=())
+        # At sigma 1e38 and seed 0 the first cases fit float32 and rare_001 does not.
+        assert main(argv + ["--sigma", "1e38"]) == 2
+        assert "rare_001" in capsys.readouterr().err
+        assert tree_bytes(out, skip=()) == before
+        assert len(load(os.path.join(out, "manifest.json"))) == 5
+
     def test_flag_defaults_are_synth_config_defaults(self):
         args = build_parser().parse_args(["synth", "--out", "o"])
         defaults = SynthConfig(grid=(2, 2), subgroup_cases={"common": 1})
@@ -303,6 +315,35 @@ class TestTrain:
         for name in ("model.json", "model.params.bin", "training_log.csv"):
             assert file_bytes(os.path.join(a, name)) == \
                 file_bytes(os.path.join(b, name)), name
+
+
+def count_manifest_reads(monkeypatch):
+    """Count read_manifest calls, wherever the program looks it up."""
+    from segopt import cli, synthdata
+
+    calls = []
+    original = synthdata.read_manifest
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, synthdata):
+        monkeypatch.setattr(module, "read_manifest", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_manifest_is_read_once(command, dataset, trained_run, tmp_path, monkeypatch):
+    calls = count_manifest_reads(monkeypatch)
+    out = str(tmp_path / command)
+    if command == "train":
+        argv = ["train", "--dataset", dataset, "--out", out, "--epochs", "1"]
+    else:
+        argv = ["evaluate", os.path.join(trained_run, "model.json"), "--dataset", dataset,
+                "--out", out]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 class TestEvaluate:

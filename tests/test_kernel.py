@@ -5,7 +5,9 @@ of the batch.  Its per-case values and mean gradient must equal what
 per-case Model.backward gives, for every loss kind and both model kinds,
 on batches that mix grids and repeat an index; train() must accept
 mixed grids at any batch size, reject bad input on entry, and name the
-first diverging case in batch order.
+first diverging case in batch order.  The tables train() builds once per
+run, and its unchecked optimizer step, must give the bytes of the per-call
+path and of the public step().
 """
 
 import os
@@ -17,7 +19,7 @@ import pytest
 
 import segopt
 from segopt.losses import LOSS_KINDS, LabelMap, brats_distance_matrix
-from segopt.model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged,
+from segopt.model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _Run,
                           batch_gradient, train)
 from segopt.numerics import Rng
 from segopt.optim import DEFAULT_LR, OPTIMIZER_KINDS, PolySchedule, make_optimizer
@@ -76,6 +78,63 @@ def test_batched_gradient_matches_finite_differences_of_batch_mean(model_kind, r
     differenced = np.mean([fd_model_gradient(model, cases[i].features, cases[i].labels,
                                              "gwdl_ce", m) for i in batch], axis=0)
     assert rel_err(grad, differenced) <= 1e-4
+
+
+def uniform_dataset(rng, n_cases=7):
+    return [grid_case(rng, f"u{i}", GRIDS[0]) for i in range(n_cases)]
+
+
+# name -> (dataset, batch); None is the last batch of a 7-case ERM epoch at
+# batch size 2, which holds one case.
+LEAN_BATCHES = {
+    "uniform": ("uniform", [3, 1]),
+    "mixed-grid": ("mixed", [1, 0, 2, 5]),
+    "dro-repeat": ("uniform", [4, 2, 4]),
+    "partial": ("uniform", None),
+}
+
+
+@pytest.mark.parametrize("batch_name", LEAN_BATCHES)
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name, rng):
+    # train() steps through _Run.build's tables; batch_gradient builds
+    # them per call.
+    m = brats_distance_matrix() if "gwdl" in kind else None
+    data, batch = LEAN_BATCHES[batch_name]
+    cases = uniform_dataset(rng) if data == "uniform" else mixed_dataset(rng)
+    if batch is None:
+        batch = Rng(0).permutation(len(cases))[6:8].tolist()
+        assert len(batch) == 1
+    model = perturbed_model(rng, model_kind)
+    run = _Run.build(model.spec, cases, kind, m)
+    lean_values, lean_grad = run.gradient(model.params, np.array(batch))
+    values, grad = batch_gradient(model.spec, model.params, cases, batch, kind, m)
+    assert values.shape == (len(batch),)
+    assert lean_values.tobytes() == values.tobytes()
+    assert lean_grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_train_gives_the_public_step_bytes(model_kind, kind, rng):
+    # Two ERM epochs of 7 cases at batch size 2 are 8 ranger steps, past
+    # one Lookahead sync; train() must equal batch_gradient and step().
+    m = brats_distance_matrix() if "gwdl" in kind else None
+    dataset = uniform_dataset(rng)
+    model = perturbed_model(rng, model_kind)
+    config = TrainConfig(loss=kind, distance_matrix=m, optimizer="ranger", epochs=2, seed=5)
+    optimizer = make_optimizer("ranger", config.lr)
+    schedule = PolySchedule(initial_lr=config.lr, t_max=config.epochs)
+    shuffle = Rng(config.seed)
+    params = model.params.copy()
+    for epoch in range(config.epochs):
+        order = shuffle.permutation(len(dataset))
+        for start in range(0, len(dataset), config.batch_size):
+            _, grad = batch_gradient(model.spec, params, dataset,
+                                     list(order[start:start + config.batch_size]), kind, m)
+            params = optimizer.step(params, grad, lr=schedule.at(epoch))
+    assert train(model, dataset, config).params.tobytes() == params.tobytes()
 
 
 def reference_epoch(model, dataset, config):

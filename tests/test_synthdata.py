@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import segopt.synthdata as synthdata
 from segopt.metrics import REGIONS, dice_score, region_mask
 from segopt.synthdata import (
     FEATURE_WIDTH,
@@ -90,6 +92,20 @@ class TestTemplates:
                         < np.linalg.norm(full[a] - full[b]))
 
 
+def fail_fourth_move(monkeypatch):
+    """Make generate()'s fourth os.replace raise, as a full disk would."""
+    original = synthdata.os.replace
+    moves = []
+
+    def replace(src, dst):
+        if len(moves) == 3:
+            raise OSError("disk gone")
+        moves.append(dst)
+        original(src, dst)
+
+    monkeypatch.setattr(synthdata.os, "replace", replace)
+
+
 class TestGenerate:
     def test_noiseless_cases_decode_perfectly(self, tmp_path):
         generate(small_config(sigma=0.0), tmp_path)
@@ -129,6 +145,23 @@ class TestGenerate:
         with pytest.raises(ValueError, match="rare_001"):
             generate(small_config(sigma=1e38, seed=0), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+    def test_move_cut_short_leaves_no_manifest(self, tmp_path, monkeypatch):
+        generate(small_config(), tmp_path)
+        fail_fourth_move(monkeypatch)
+        with pytest.raises(OSError, match="disk gone"):
+            generate(small_config(seed=6), tmp_path)
+        # Three new case files sit beside old ones, under no manifest.
+        assert not (tmp_path / MANIFEST_NAME).exists()
+        assert not list(tmp_path.glob(".synth-*"))
+        with pytest.raises(FileNotFoundError, match="manifest not found"):
+            load(tmp_path / MANIFEST_NAME)
+
+    def test_move_cut_short_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        fail_fourth_move(monkeypatch)
+        with pytest.raises(OSError, match="disk gone"):
+            generate(small_config(), tmp_path / "a" / "d")
+        assert not (tmp_path / "a").exists()
 
     def test_no_et_fraction_one_removes_every_et(self, tmp_path):
         generate(small_config(no_et_fraction=1.0), tmp_path)
@@ -213,14 +246,24 @@ class TestLoad:
         generate(small_config(), tmp_path)
         victim = next(tmp_path.glob("*_features.f32"))
         victim.write_bytes(victim.read_bytes()[:-4])
-        with pytest.raises(ValueError, match="size mismatch"):
+        with pytest.raises(ValueError, match=f"size mismatch in {re.escape(str(victim))}: "
+                                             "1596 bytes, expected 1600$"):
+            load(tmp_path / MANIFEST_NAME)
+
+    def test_long_label_file_names_path(self, tmp_path):
+        generate(small_config(), tmp_path)
+        victim = next(tmp_path.glob("*_labels.u8"))
+        victim.write_bytes(victim.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"size mismatch in {re.escape(str(victim))}: "
+                                             "101 bytes, expected 100$"):
             load(tmp_path / MANIFEST_NAME)
 
     def test_missing_file_names_path(self, tmp_path):
         generate(small_config(), tmp_path)
         victim = next(tmp_path.glob("*_labels.u8"))
         victim.unlink()
-        with pytest.raises(FileNotFoundError, match=victim.name):
+        with pytest.raises(FileNotFoundError,
+                           match=f"case file not found: {re.escape(str(victim))}$"):
             load(tmp_path / MANIFEST_NAME)
 
     def test_missing_manifest(self, tmp_path):

@@ -2,13 +2,14 @@
 
 Two levels are checked for every loss kind: the probability-space
 gradient reported by the loss itself, and the parameter-space gradient
-produced by backpropagation through the model.  Both use central
-differences with step 1e-6 on random instances.  The analytic side of
-both is the batched kernel that training runs, called on one case.
+produced by backpropagation through the model.  Both are compared
+with central differences at step 1e-6 on random instances, which step
+each coordinate up and down in a case of its own and run all the cases
+through the loss core in one batch.
 
-Instances keep probabilities bounded away from 0 so the differencing
-step never crosses the cross-entropy clamp, where the loss is
-deliberately non-smooth.
+Instances keep probabilities bounded away from 0 and the MLP's hidden
+pre-activations out of one step's reach of 0, so no step crosses the
+cross-entropy clamp or the ReLU kink, where the loss is non-smooth.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, _batch_terms, _check_kind,
-                     _check_shapes, brats_distance_matrix, composite_loss)
-from .model import Model, ModelSpec
+                     _check_shapes, _Tables, brats_distance_matrix, composite_loss)
+from .model import Model, ModelSpec, _forward, _unpack
 from .numerics import Rng
 
 __all__ = [
@@ -64,13 +65,18 @@ def max_rel_error(analytic: np.ndarray, differenced: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
+def _pair_differences(kind: str, stack: np.ndarray, gt: LabelMap,
+                      m: DistanceMatrix | None) -> np.ndarray:
+    """Central differences from one loss call on an [L, 2K, V] block labeled
+    ``gt``: case 2k steps coordinate k up by FD_STEP and case 2k+1 down."""
+    values, _ = _batch_terms(kind, stack, np.broadcast_to(gt.labels, stack.shape[1:]),
+                             _Tables(m, len(stack)), want_gradient=False)
+    return (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
+
+
 def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
                      m: DistanceMatrix | None) -> np.ndarray:
-    """Central differences over every probability entry, in one batch.
-
-    Case 2k of the batch steps entry k = (v, l) up by FD_STEP and case 2k+1
-    steps it down; the loss kernel evaluates all 2*V*L maps in one call.
-    """
+    """Central differences over every probability entry k = (v, l), in one batch."""
     probs = np.asarray(probs, dtype=np.float64)
     m = _check_kind(kind, m)
     _check_shapes(probs.shape, gt, m)
@@ -80,25 +86,33 @@ def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
     stack = np.repeat(probs.T[:, None, :], 2 * V * L, axis=1)
     stack[l, 2 * k, v] += FD_STEP
     stack[l, 2 * k + 1, v] -= FD_STEP
-    values, _ = _batch_terms(kind, stack, np.broadcast_to(gt.labels, (2 * V * L, V)), m,
-                             want_gradient=False)
-    return ((values[0::2] - values[1::2]) / (2.0 * FD_STEP)).reshape(V, L)
+    return _pair_differences(kind, stack, gt, m).reshape(V, L)
 
 
 def fd_param_gradient(model: Model, features: np.ndarray, gt: LabelMap, kind: str,
                       m: DistanceMatrix | None) -> np.ndarray:
-    out = np.zeros_like(model.params)
-    for i in range(model.params.size):
-        plus = model.params.copy()
-        minus = model.params.copy()
-        plus[i] += FD_STEP
-        minus[i] -= FD_STEP
-        f_plus = composite_loss(
-            kind, Model(model.spec, plus).forward(features), gt, m).value
-        f_minus = composite_loss(
-            kind, Model(model.spec, minus).forward(features), gt, m).value
-        out[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
-    return out
+    """Central differences over every parameter, in one batch of the
+    forward passes of the stepped parameter vectors."""
+    m = _check_kind(kind, m)
+    x = model._features(features)
+    _check_shapes((x.shape[0], model.spec.num_classes), gt, m)
+    P = model.params.size
+    i = np.arange(P)
+    stepped = np.repeat(model.params[None, :], 2 * P, axis=0)
+    stepped[2 * i, i] += FD_STEP
+    stepped[2 * i + 1, i] -= FD_STEP
+    stack = np.stack([_forward(model.spec, params, x)[0] for params in stepped], axis=1)
+    return _pair_differences(kind, stack, gt, m)
+
+
+def _near_kink(model: Model, features: np.ndarray) -> bool:
+    """Whether one parameter step can move an MLP hidden pre-activation
+    across 0: a weight step moves it by FD_STEP * |x| at most, a bias step by FD_STEP."""
+    if model.spec.kind != "mlp":
+        return False
+    w1, b1, _, _ = _unpack(model.spec, model.params)
+    reach = FD_STEP * max(1.0, float(np.abs(features).max()))
+    return bool(np.any(np.abs(w1 @ features.T + b1[:, None]) <= reach))
 
 
 def _random_instance(rng: Rng, num_classes: int = 4):
@@ -134,6 +148,10 @@ def run_gradcheck(kinds=None, *, trials: int, seed: int) -> list:
                     if trial % 2 == 0
                     else ModelSpec("mlp", 3, 4, hidden_width=5, seed=seed + trial))
             model = Model.init(spec)
+            # Differences across the kink would fail a correct gradient.
+            # Redrawing from the same stream keeps every other instance's draws.
+            while _near_kink(model, features):
+                features = rng.normal(features.shape)
             _, param_grad = model.backward(features, gt, kind, m)
             fd_p = fd_param_gradient(model, features, gt, kind, m)
             worst_param = max(worst_param, max_rel_error(param_grad, fd_p))

@@ -9,9 +9,9 @@ composing with the softmax Jacobian is the model's job, which keeps the
 loss math independent of the classifier head.
 
 _batch_terms() is the one batched core behind it: B same-size cases in
-class-major layout [L, B, V], values reduced per case along V.  Training
-and the finite-difference harness call it directly on whole batches,
-after their own checks.
+class-major layout [L, B, V], values reduced per case along V.  Every
+caller checks its own inputs and hands it a _Tables: training one per
+run, every other caller one per call.
 
 The centerpiece is the generalized Wasserstein Dice loss: a Dice-style
 overlap loss whose per-voxel error is the earth-mover distance between the
@@ -84,7 +84,7 @@ class ProbMap:
         rowsums = v @ np.ones(v.shape[1])
         if np.any(np.abs(rowsums - 1.0) > 1e-9):
             worst = int(np.argmax(np.abs(rowsums - 1.0)))
-            raise ValueError(f"row {worst} sums to {rowsums[worst]!r}, not 1")
+            raise ValueError(f"row {worst} sums to {rowsums[worst]}, not 1")
         self.voxels = v
 
 
@@ -142,22 +142,21 @@ class DistanceMatrix:
         require_finite(m, "distance matrix")
         if np.any(m < 0.0) or np.any(m > 1.0):
             i, j = np.unravel_index(int(np.argmax((m < 0) | (m > 1))), m.shape)
-            raise ValueError(f"entry ({i},{j})={m[i, j]!r} outside [0, 1]")
+            raise ValueError(f"entry ({i},{j})={m[i, j]} outside [0, 1]")
         diag = np.diagonal(m)
         if np.any(diag != 0.0):
             i = int(np.argmax(diag != 0.0))
-            raise ValueError(f"nonzero diagonal at ({i},{i})={m[i, i]!r}")
+            raise ValueError(f"nonzero diagonal at ({i},{i})={m[i, i]}")
         asym = m != m.T
         if np.any(asym):
             i, j = np.unravel_index(int(np.argmax(asym)), m.shape)
-            raise ValueError(f"asymmetric at ({i},{j}): {m[i, j]!r} != {m[j, i]!r}")
-        off = np.ones(L, dtype=bool)
-        off[b] = False
-        if np.any(m[b, off] != 1.0) or np.any(m[off, b] != 1.0):
-            j = int(np.argmax(m[b] != 1.0)) if np.any(m[b, off] != 1.0) else b
+            raise ValueError(f"asymmetric at ({i},{j}): {m[i, j]} != {m[j, i]}")
+        wrong = m[b] != 1.0  # m is symmetric, so its background row stands for the column
+        wrong[b] = False
+        if np.any(wrong):
+            j = int(np.argmax(wrong))
             raise ValueError(
-                f"background row/column must be 1 off-diagonal, entry ({b},{j})={m[b, j]!r}"
-            )
+                f"background row/column must be 1 off-diagonal, entry ({b},{j})={m[b, j]}")
 
     @property
     def num_classes(self) -> int:
@@ -275,9 +274,7 @@ def _check_kind(kind: str, m: DistanceMatrix | None) -> DistanceMatrix | None:
 
 class _Tables:
     """The arrays _batch_terms reads that depend only on the matrix, the
-    class count and the batch shape, each built on first use.  Training
-    builds one per run and passes it to every step; a call given none
-    builds its own."""
+    class count and the batch shape, each built on first use."""
 
     def __init__(self, m, num_classes):
         self.m = m
@@ -310,7 +307,7 @@ class _Tables:
         return 2.0 * dn, 2.0 * dn + dw
 
 
-def _batch_terms(kind, p, labels, m, want_gradient, tables=None, counts=None):
+def _batch_terms(kind, p, labels, tables, want_gradient, counts=None):
     """Per-case values of one loss kind over B cases of V voxels each.
 
     The layout is class-major: ``p[l, b, v]`` is the predicted
@@ -321,10 +318,10 @@ def _batch_terms(kind, p, labels, m, want_gradient, tables=None, counts=None):
     requested the gradient of each case's value with respect to its own
     probabilities, shape [L, B, V].  Rows need not sum to 1 (finite
     differencing steps off the simplex).  Nothing is checked: the kind,
-    matrix, shapes and label range are the caller's contract, and so are
-    ``tables``, a _Tables for this matrix and L (built here when None),
-    and ``counts``, the [L, B] int64 voxel count of each class in each
-    case (the Dice kinds bincount it from ``labels`` when None).
+    shapes and label range are the caller's contract, and so is
+    ``tables``, a _Tables for the kind's matrix (None unless gwdl) and L.
+    ``counts`` is the [L, B] int64 voxel count of each class in each
+    case; when None, the Dice kinds count it from ``labels``.
 
     Two index arrays replace one-hot masks: ``true_idx`` points at each
     voxel's ground-truth entry in the flattened block (gather the true
@@ -334,8 +331,6 @@ def _batch_terms(kind, p, labels, m, want_gradient, tables=None, counts=None):
     back over the voxels.
     """
     L, B, V = p.shape
-    if tables is None:
-        tables = _Tables(m, L)
     voxel_offsets, class_offsets = tables.offsets(B, V)
     true_idx = labels * (B * V)
     true_idx += voxel_offsets
@@ -473,7 +468,7 @@ def composite_loss(
     p = _pred_array(pred)
     _check_shapes(p.shape, gt, m)
     values, grad = _batch_terms(kind, np.ascontiguousarray(p.T)[:, None, :],
-                                gt.labels[None, :], m, want_gradient)
+                                gt.labels[None, :], _Tables(m, p.shape[1]), want_gradient)
     if grad is not None:
         grad = np.ascontiguousarray(grad[:, 0, :].T)
     return LossValue(value=float(values[0]), gradient=grad)

@@ -27,10 +27,9 @@ batch's mean parameter gradient.  What does not change during a run is
 built once per run (_Run): the loss's index offsets and gradient
 constants and each case's voxel count per class.  The optimizer then
 steps without re-checking its inputs, since train() checks the
-parameters after every step.  batch_gradient() builds the
-same tables per call, with the same float operations in the same order,
-so its bytes are train()'s.  Model.forward() and Model.backward() are
-the same kernel on one case.  The loop wires in a loss kind, an
+parameters after every step.  batch_gradient() is a one-step _Run, so
+its bytes are train()'s.  Model.forward() and Model.backward() are the
+same kernel on one case.  The loop wires in a loss kind, an
 epoch-level learning rate schedule, an optimizer, and either plain
 shuffling (ERM) or the hardness-weighted sampler (DRO).  Reweighting in
 DRO mode lives entirely in the sampling distribution; batch gradients
@@ -175,7 +174,8 @@ class Model:
         x = self._features(features)
         m = _check_kind(loss_kind, m)
         _check_shapes((x.shape[0], self.spec.num_classes), gt, m)
-        values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss_kind, m)
+        values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss_kind,
+                               _Tables(m, self.spec.num_classes))
         return float(values[0]), grad
 
 
@@ -236,21 +236,19 @@ def ensemble_labels(models, features) -> np.ndarray:
 
 
 def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-            loss_kind: str, m: DistanceMatrix | None, tables: _Tables | None = None,
-            counts: np.ndarray | None = None):
+            loss_kind: str, tables: _Tables, counts: np.ndarray | None = None):
     """Forward, loss and backward over B same-size cases in one pass.
 
     x holds the cases' feature rows back to back, [B*V, F], and labels
     their [B, V] label maps.  Returns the per-case loss values [B] and the
-    parameter gradient of the summed loss.  The loss arguments are trusted:
-    the callers check them.  ``tables`` and ``counts`` go to
-    losses._batch_terms, which builds what is None.
+    parameter gradient of the summed loss.  The loss arguments, ``tables``
+    and ``counts`` included, are the callers' contract with losses._batch_terms.
     """
     num_cases, num_voxels = labels.shape
     probs, hidden = _forward(spec, params, x)
     values, prob_grad = _batch_terms(
-        loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, m, want_gradient=True,
-        tables=tables, counts=counts)
+        loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, tables,
+        want_gradient=True, counts=counts)
     # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)),
     # in the loss gradient's own buffer.
     dz = prob_grad.reshape(probs.shape)
@@ -278,39 +276,25 @@ def batch_gradient(spec: ModelSpec, params: np.ndarray, cases, batch,
     through the kernel as one block, so mixed 2-D/3-D datasets work.
     Values come back in batch order.  Nothing is validated here: train()
     checks the dataset, parameters and loss arguments once, on entry.
-    The loss's index and gradient tables are built on every call; train()
-    builds them once per run (see _Run) and gets the same bytes.
     """
     return _Run(spec, cases, loss_kind, m).gradient(params, batch)
 
 
-@dataclass
 class _Run:
-    """One training run's dataset and loss, and what its steps read.
+    """One training run's dataset and loss, and what its steps read, built
+    once: the loss's losses._Tables (index offsets per batch shape, the
+    Dice class mask, the GWDL gradient constants) and, for the Dice kinds,
+    each case's voxel count per class as an [L, cases] int64 array."""
 
-    _Run.build(), called once per run by train(), fills in the tables that
-    are constant for the run: the loss's losses._Tables (index offsets per
-    batch shape, the Dice class mask, the GWDL gradient constants), each
-    case's voxel count per class as an [L, cases] int64 array (Dice kinds).
-    Left at their defaults, as batch_gradient() leaves them, the loss
-    builds its tables per call.
-    """
-
-    spec: ModelSpec
-    cases: list
-    loss_kind: str
-    m: DistanceMatrix | None
-    tables: _Tables | None = None
-    counts: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, spec: ModelSpec, cases, loss_kind: str, m: DistanceMatrix | None) -> "_Run":
-        counts = None
+    def __init__(self, spec: ModelSpec, cases, loss_kind: str, m: DistanceMatrix | None):
+        self.spec = spec
+        self.cases = cases
+        self.loss_kind = loss_kind
+        self.tables = _Tables(m, spec.num_classes)
+        self.counts = None
         if loss_kind in ("dice", "dice_ce"):
-            counts = np.stack([np.bincount(case.labels.labels, minlength=spec.num_classes)
-                               for case in cases], axis=1)
-        return cls(spec, cases, loss_kind, m, tables=_Tables(m, spec.num_classes),
-                   counts=counts)
+            self.counts = np.stack([np.bincount(case.labels.labels, minlength=spec.num_classes)
+                                    for case in cases], axis=1)
 
     def gradient(self, params: np.ndarray, batch):
         """batch_gradient() of ``batch``, an index sequence into the cases."""
@@ -324,7 +308,7 @@ class _Run:
             # The group's stacked inputs live only for the duration of the call.
             group_values, group_grad = _kernel(
                 self.spec, params, *_stack([self.cases[idx] for idx in members]),
-                self.loss_kind, self.m, self.tables,
+                self.loss_kind, self.tables,
                 None if self.counts is None else self.counts[:, members])
             values[positions] = group_values
             grad = group_grad if grad is None else grad + group_grad
@@ -462,7 +446,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     if config.epochs == 0:
         return TrainedModel(model.spec, params, log, sampler)
 
-    run = _Run.build(model.spec, dataset, config.loss, config.distance_matrix)
+    run = _Run(model.spec, dataset, config.loss, config.distance_matrix)
     schedule = PolySchedule(initial_lr=config.lr, t_max=config.epochs)
     for epoch in range(config.epochs):
         lr = schedule.at(epoch)

@@ -538,6 +538,15 @@ class TestGradcheck:
         assert main(["gradcheck", "--trials", "3"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [1523, 1939])
+    def test_features_near_the_relu_kink_pass(self, seed, capsys):
+        # An MLP trial of these seeds draws a hidden pre-activation within
+        # one parameter step of 0.
+        assert main(["gradcheck", "--trials", "2", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 5
+        assert all(line.endswith("PASS") for line in lines)
+
     def test_removed_inject_bug_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--trials", "3", "--inject-bug"])

@@ -1,7 +1,11 @@
+import pytest
+
 from segopt import gradcheck
-from segopt.gradcheck import PARAM_TOL, PROB_TOL, run_gradcheck
-from segopt.losses import LOSS_KINDS
-from segopt.model import Model
+from segopt.gradcheck import PARAM_TOL, PROB_TOL, fd_param_gradient, run_gradcheck
+from segopt.losses import LOSS_KINDS, brats_distance_matrix
+from segopt.model import MODEL_KINDS, Model, ModelSpec
+
+from conftest import fd_model_gradient, label_map
 
 
 def test_all_kinds_pass_at_default_tolerances():
@@ -52,3 +56,30 @@ def test_wrong_param_gradient_is_caught(monkeypatch):
     monkeypatch.setattr(Model, "backward", corrupted)
     for r in run_gradcheck(trials=5, seed=0):
         assert r.worst_param_err > PARAM_TOL, r.kind
+
+
+@pytest.mark.parametrize("seed", [1523, 1939])
+def test_features_near_the_relu_kink_are_redrawn(seed):
+    # Trial 1 (an MLP) of these seeds draws features that put a hidden
+    # pre-activation within one FD_STEP parameter step of the ReLU kink;
+    # differenced across it, every kind failed PARAM_TOL.
+    for r in run_gradcheck(trials=2, seed=seed):
+        assert r.passed, (r.kind, r.worst_param_err)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_batched_param_differences_equal_the_per_parameter_loop(model_kind, kind, rng):
+    # One loss call over all 2P stepped forward passes must give the bytes
+    # of 2P separate forward and composite_loss calls.
+    m = brats_distance_matrix() if "gwdl" in kind else None
+    for trial in range(5):
+        n_vox = int(rng.integers(2, 33))
+        gt = label_map(rng.integers(0, 4, size=n_vox))
+        features = rng.normal(size=(n_vox, 3))
+        spec = ModelSpec(model_kind, 3, 4, hidden_width=5 if model_kind == "mlp" else None,
+                         seed=trial)
+        params = Model.init(spec).params
+        model = Model(spec, params + 0.3 * rng.normal(size=params.shape))
+        batched = fd_param_gradient(model, features, gt, kind, m)
+        assert batched.tobytes() == fd_model_gradient(model, features, gt, kind, m).tobytes()

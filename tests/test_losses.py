@@ -62,9 +62,23 @@ class TestDistanceMatrix:
             DistanceMatrix(m=m)
 
     def test_background_row_must_be_one(self):
+        for j in (1, 2):
+            m = 1.0 - np.eye(3)
+            m[0, j] = m[j, 0] = 0.5
+            with pytest.raises(ValueError, match=rf"background row/column must be 1 "
+                                                 rf"off-diagonal, entry \(0,{j}\)=0\.5$"):
+                DistanceMatrix(m=m)
+
+    @pytest.mark.parametrize("entry, match", [
+        ((1, 2, 1.5), r"entry \(1,2\)=1\.5 outside"),
+        ((2, 2, 0.25), r"diagonal at \(2,2\)=0\.25$"),
+        ((1, 2, 0.75), r"asymmetric at \(1,2\): 0\.75 != 1\.0$"),
+    ], ids=["range", "diagonal", "asymmetric"])
+    def test_messages_print_plain_floats(self, entry, match):
+        i, j, value = entry
         m = 1.0 - np.eye(3)
-        m[0, 1] = m[1, 0] = 0.5
-        with pytest.raises(ValueError, match="background"):
+        m[i, j] = value
+        with pytest.raises(ValueError, match=match):
             DistanceMatrix(m=m)
 
     def test_non_square(self):
@@ -303,7 +317,7 @@ def test_gradient_matches_finite_differences(kind, rng):
 class TestProbMap:
     def test_rows_must_sum_to_one(self):
         bad = np.array([[0.5, 0.4]])
-        with pytest.raises(ValueError, match="row 0 sums"):
+        with pytest.raises(ValueError, match=r"row 0 sums to 0\.9, not 1$"):
             ProbMap(bad)
 
     def test_entries_must_be_probabilities(self):

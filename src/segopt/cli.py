@@ -12,7 +12,6 @@ of each arm it trains.  gradcheck writes no files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,6 +25,7 @@ from .metrics import (aggregate, evaluate_case, format_aggregate_table, postproc
 from .metrics import ensemble_mean_softmax  # noqa: F401
 from .model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _check_matrix,
                     ensemble_labels, load_model, save_model, train, write_training_log)
+from .numerics import write_json
 from .optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
 
@@ -88,9 +88,7 @@ def _write_run_config(args, doc: dict | None = None) -> None:
     """Write ``doc``, by default the parsed flags, as run_config.json in args.out."""
     if doc is None:
         doc = {key: value for key, value in vars(args).items() if key != "func"}
-    with open(os.path.join(args.out, "run_config.json"), "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "run_config.json"), doc)
 
 
 def _dataset_path(path: str) -> str:

@@ -24,14 +24,13 @@ sets like the BraTS tumor regions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import require_finite
+from .numerics import parsing, read_json, require_finite
 
 __all__ = [
     "SMOOTH_EPS",
@@ -185,18 +184,15 @@ def brats_distance_matrix() -> DistanceMatrix:
 def load_distance_matrix(path) -> DistanceMatrix:
     """Load a matrix from JSON: {"background_index": 0, "matrix": [[...]]}.
     Background is class 0, so the required "background_index" must be the
-    JSON integer 0 (not a bool, float or string)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        matrix = np.asarray(payload["matrix"], dtype=np.float64)
-        background = payload["background_index"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed distance-matrix file {path}: {exc}") from exc
-    if type(background) is not int or background != BACKGROUND:
-        raise ValueError(
-            f"{path}: background_index must be the integer {BACKGROUND}, got {background!r}")
-    return DistanceMatrix(m=matrix)
+    JSON integer 0 (not a bool, float or string).  Every defect, the
+    matrix's own checks included, is reported with the file's path."""
+    doc = read_json(path, "distance-matrix file", ("matrix", "background_index"))
+    with parsing("distance-matrix file", path):
+        background = doc["background_index"]
+        if type(background) is not int or background != BACKGROUND:
+            raise ValueError(
+                f"background_index must be the integer {BACKGROUND}, got {background!r}")
+        return DistanceMatrix(m=np.asarray(doc["matrix"], dtype=np.float64))
 
 
 @dataclass

@@ -15,12 +15,13 @@ interpolation.  Both masks empty gives 0; exactly one empty is undefined
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .losses import LabelMap, ProbMap
+from .numerics import write_csv
 from .synthdata import NUM_CLASSES
 
 __all__ = [
@@ -159,8 +160,8 @@ def hd95(a, b, spatial_shape, spacing=None) -> float | None:
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != len(spatial_shape):
         raise ValueError(f"spacing {spacing} does not match grid rank {len(spatial_shape)}")
-    if any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    if any(not 0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
 
     ga = a.reshape(spatial_shape)
     gb = b.reshape(spatial_shape)
@@ -293,31 +294,18 @@ def _fmt(value) -> str:
 
 def write_case_csv(metrics, path) -> None:
     """Per-case rows: case_id, region, dice, hd95, hd95_defined."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "region", "dice", "hd95", "hd95_defined"])
-        for m in metrics:
-            for region in REGION_NAMES:
-                hd = m.hd95[region]
-                writer.writerow([
-                    m.case_id,
-                    region,
-                    _fmt(m.dice[region]),
-                    _fmt(hd),
-                    "true" if hd is not None else "false",
-                ])
+    write_csv(path, ["case_id", "region", "dice", "hd95", "hd95_defined"],
+              ([m.case_id, region, _fmt(m.dice[region]), _fmt(m.hd95[region]),
+                "true" if m.hd95[region] is not None else "false"]
+               for m in metrics for region in REGION_NAMES))
 
 
 def write_aggregate_csv(agg: AggregateStats, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "metric", "mean", "std", "median", "iqr",
-                         "n_used", "n_excluded"])
-        for region in REGION_NAMES:
-            for metric in ("dice", "hd95"):
-                s = agg.get(region, metric)
-                writer.writerow([region, metric, _fmt(s.mean), _fmt(s.std),
-                                 _fmt(s.median), _fmt(s.iqr), s.n_used, s.n_excluded])
+    stats = [(region, metric, agg.get(region, metric))
+             for region in REGION_NAMES for metric in ("dice", "hd95")]
+    write_csv(path, ["region", "metric", "mean", "std", "median", "iqr", "n_used", "n_excluded"],
+              ([region, metric, _fmt(s.mean), _fmt(s.std), _fmt(s.median), _fmt(s.iqr),
+                s.n_used, s.n_excluded] for region, metric, s in stats))
 
 
 def format_aggregate_table(agg: AggregateStats) -> str:

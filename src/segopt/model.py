@@ -38,7 +38,6 @@ stay unweighted means.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -48,7 +47,8 @@ import numpy as np
 from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
                      _check_shapes, _Tables)
-from .numerics import Rng, as_f64, require_finite, softmax_inplace
+from .numerics import (Rng, as_f64, parsing, read_array, read_json, require_finite,
+                       softmax_inplace, write_csv, write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
 # segopt.model.softmax.
@@ -480,23 +480,9 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     return TrainedModel(model.spec, params, log, sampler)
 
 
-def _spec_from_dict(doc: dict) -> ModelSpec:
-    keys = ("kind", "input_features", "num_classes", "hidden_width", "seed")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValueError(f"model spec is missing fields {missing}")
-    hidden = doc["hidden_width"]
-    return ModelSpec(
-        kind=str(doc["kind"]),
-        input_features=int(doc["input_features"]),
-        num_classes=int(doc["num_classes"]),
-        hidden_width=None if hidden is None else int(hidden),
-        seed=int(doc["seed"]),
-    )
-
-
 def save_model(trained: TrainedModel, path) -> None:
-    """JSON descriptor plus a raw little-endian float64 parameter sidecar."""
+    """Write a JSON descriptor plus a raw little-endian float64 parameter
+    sidecar, ``<stem>.params.bin`` beside it; load_model reads them back."""
     path = str(path)
     stem = path[:-5] if path.endswith(".json") else path
     param_file = os.path.basename(stem) + ".params.bin"
@@ -506,49 +492,35 @@ def save_model(trained: TrainedModel, path) -> None:
         "param_count": int(trained.params.size),
     }
     trained.params.astype("<f8").tofile(os.path.join(os.path.dirname(path) or ".", param_file))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model that save_model wrote, naming the file in every error.
+    The descriptor is checked whole before the sidecar is read; the
+    parameters come back as a writable float64 array."""
     path = str(path)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"model file not found: {path}")
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        for key in ("spec", "param_file", "param_count"):
-            if key not in doc:
-                raise ValueError(f"model file {path} is missing field {key!r}")
-        spec = _spec_from_dict(doc["spec"])
+    doc = read_json(path, "model file", ("spec", "param_file", "param_count"))
+    with parsing("model file", path):
+        fields = doc["spec"]
+        hidden = fields["hidden_width"]
+        spec = ModelSpec(
+            kind=str(fields["kind"]),
+            input_features=int(fields["input_features"]),
+            num_classes=int(fields["num_classes"]),
+            hidden_width=None if hidden is None else int(hidden),
+            seed=int(fields["seed"]),
+        )
         param_path = os.path.join(os.path.dirname(path) or ".", doc["param_file"])
         count = int(doc["param_count"])
-    except TypeError as exc:
-        raise ValueError(f"malformed model file {path}: {exc}") from exc
-    if not os.path.exists(param_path):
-        raise FileNotFoundError(f"parameter file not found: {param_path}")
-    expected_bytes = count * 8
-    actual = os.path.getsize(param_path)
-    if actual != expected_bytes:
-        raise ValueError(
-            f"size mismatch in {param_path}: {actual} bytes, expected {expected_bytes}"
-        )
-    params = np.fromfile(param_path, dtype="<f8")
-    if count != spec.param_count():
-        raise ValueError(
-            f"param_count {count} does not match spec ({spec.param_count()})"
-        )
-    require_finite(params, "params")
+        if count != spec.param_count():
+            raise ValueError(f"param_count {count} does not match spec ({spec.param_count()})")
+    params = read_array(param_path, "<f8", count, "parameter file").copy()  # writable
+    require_finite(params, param_path)
     return TrainedModel(spec=spec, params=params)
 
 
 def write_training_log(trained: TrainedModel, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "lr", "sampler_entropy"])
-        for rec in trained.training_log:
-            writer.writerow([rec.epoch, repr(rec.loss), repr(rec.lr),
-                             repr(rec.sampler_entropy)])
+    write_csv(path, ["epoch", "loss", "lr", "sampler_entropy"],
+              ([rec.epoch, repr(rec.loss), repr(rec.lr), repr(rec.sampler_entropy)]
+               for rec in trained.training_log))

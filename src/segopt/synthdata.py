@@ -14,12 +14,12 @@ distributionally robust training demo exploits.  With zero noise the
 labels are exactly recoverable by nearest-template classification.
 
 On disk a dataset is a JSON manifest plus two raw flat files per case:
-features as little-endian float32, labels as uint8.
+features as little-endian float32, labels as uint8, all read and written
+through numerics' file layer, so a bad file is reported with its path.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LabelMap
-from .numerics import Rng, require_finite
+from .numerics import Rng, parsing, read_array, read_json, require_finite, write_json
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -119,8 +119,8 @@ class SynthConfig:
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
         if len(self.spacing_mm) != len(self.grid):
             raise ValueError("spacing must have one entry per grid axis")
-        if any(s <= 0 for s in self.spacing_mm):
-            raise ValueError(f"spacing must be positive, got {self.spacing_mm}")
+        if any(not 0 < s < math.inf for s in self.spacing_mm):
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing_mm}")
 
     def contrasts(self) -> dict:
         """Per-subgroup template contrast: 1.0 for the first subgroup,
@@ -147,8 +147,9 @@ class DatasetManifest:
     cases: list = field(default_factory=list)
     root: str = ""  # directory the file names are relative to
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The manifest file's JSON document."""
+        return {
             "version": self.version,
             "num_classes": self.num_classes,
             "feature_width": self.feature_width,
@@ -164,7 +165,6 @@ class DatasetManifest:
                 for c in self.cases
             ],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def templates_for(contrast: float) -> np.ndarray:
@@ -280,70 +280,44 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
             features.tofile(os.path.join(out_dir, feat_name))
             labels.astype(np.uint8).tofile(os.path.join(out_dir, lab_name))
             manifest.cases.append(CaseEntry(case_id, name, feat_name, lab_name, config.grid))
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
-        fh.write(manifest.to_json())
+    write_json(os.path.join(out_dir, MANIFEST_NAME), manifest.to_doc())
     return manifest
-
-
-def _require_keys(doc: dict, keys, where: str) -> None:
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValueError(f"{where} is missing required fields {missing}")
 
 
 def read_manifest(manifest_path) -> DatasetManifest:
-    """Parse and validate a manifest file without touching the case files."""
+    """Parse and validate a manifest file without touching the case files:
+    at least one case, class count, feature width and grid extents >= 1,
+    spacing finite and positive (its length is not checked against each
+    case's grid rank)."""
     manifest_path = str(manifest_path)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"manifest {manifest_path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ValueError(f"manifest {manifest_path} is not a JSON object")
-    _require_keys(doc, ("version", "num_classes", "feature_width", "spacing_mm", "cases"),
-                  f"manifest {manifest_path}")
-    if doc["version"] != MANIFEST_VERSION:
-        raise ValueError(
-            f"unsupported manifest version {doc['version']!r}, expected {MANIFEST_VERSION}"
-        )
-    try:
+    doc = read_json(manifest_path, "manifest",
+                    ("version", "num_classes", "feature_width", "spacing_mm", "cases"))
+    with parsing("manifest", manifest_path):
+        if doc["version"] != MANIFEST_VERSION:
+            raise ValueError(
+                f"unsupported manifest version {doc['version']!r}, expected {MANIFEST_VERSION}"
+            )
         manifest = DatasetManifest(
-            version=int(doc["version"]),
+            version=MANIFEST_VERSION,
             num_classes=int(doc["num_classes"]),
             feature_width=int(doc["feature_width"]),
             spacing_mm=tuple(float(s) for s in doc["spacing_mm"]),
+            cases=[CaseEntry(str(e["id"]), str(e["subgroup"]), str(e["features"]),
+                             str(e["labels"]), tuple(int(g) for g in e["grid"]))
+                   for e in doc["cases"]],
             root=os.path.dirname(manifest_path),
         )
-        for entry in doc["cases"]:
-            _require_keys(entry, ("id", "subgroup", "features", "labels", "grid"),
-                          f"case entry in {manifest_path}")
-            manifest.cases.append(CaseEntry(
-                case_id=str(entry["id"]),
-                subgroup=str(entry["subgroup"]),
-                feature_file=str(entry["features"]),
-                label_file=str(entry["labels"]),
-                grid=tuple(int(g) for g in entry["grid"]),
-            ))
-    except TypeError as exc:
-        raise ValueError(f"malformed manifest file {manifest_path}: {exc}") from exc
+        if not manifest.cases:
+            raise ValueError("no cases")
+        if min(manifest.num_classes, manifest.feature_width) < 1:
+            raise ValueError("num_classes and feature_width must be >= 1")
+        if any(not 0 < s < math.inf for s in manifest.spacing_mm):
+            raise ValueError(f"spacing must be finite and positive, got {manifest.spacing_mm}")
+        for entry in manifest.cases:
+            if min(entry.grid, default=0) < 1:
+                raise ValueError(f"case {entry.case_id!r} has grid {entry.grid}, "
+                                 "extents must be >= 1")
     return manifest
-
-
-def _open_case_file(path):
-    try:
-        # Unbuffered: the whole file comes back from one read, with no buffer copy.
-        return open(path, "rb", buffering=0)
-    except FileNotFoundError:
-        raise FileNotFoundError(f"case file not found: {path}") from None
-
-
-def _check_size(path, fh, expected: int) -> None:
-    actual = os.fstat(fh.fileno()).st_size
-    if actual != expected:
-        raise ValueError(f"size mismatch in {path}: {actual} bytes, expected {expected}")
 
 
 def load(manifest_path) -> list:
@@ -351,33 +325,24 @@ def load(manifest_path) -> list:
 
     ``manifest_path`` is a manifest file, or the DatasetManifest that
     read_manifest returned for it, so a caller that needs the manifest
-    too parses it once.  Each case file is opened once, its size checked
-    on the open file before anything is read, and then read in one call.
+    too parses it once.  Each case file is read with one read_array call,
+    the feature file before the label file is opened.
     """
     if isinstance(manifest_path, DatasetManifest):
         manifest = manifest_path
     else:
         manifest = read_manifest(manifest_path)
-    root = manifest.root
-    num_classes = manifest.num_classes
-    feature_width = manifest.feature_width
+    root, width = manifest.root, manifest.feature_width
     cases = []
     for entry in manifest.cases:
-        grid = entry.grid
-        n_vox = math.prod(grid)
-        feat_path = os.path.join(root, entry.feature_file)
-        lab_path = os.path.join(root, entry.label_file)
-        with _open_case_file(feat_path) as feat_fh, _open_case_file(lab_path) as lab_fh:
-            _check_size(feat_path, feat_fh, n_vox * feature_width * 4)
-            _check_size(lab_path, lab_fh, n_vox)
-            feat_bytes = feat_fh.read()
-            lab_bytes = lab_fh.read()
-        features = np.frombuffer(feat_bytes, dtype="<f4").astype(np.float64)
-        labels = np.frombuffer(lab_bytes, dtype=np.uint8).astype(np.int64)
+        n_vox = math.prod(entry.grid)
+        features = read_array(os.path.join(root, entry.feature_file), "<f4", n_vox * width,
+                              "case file")
+        labels = read_array(os.path.join(root, entry.label_file), np.uint8, n_vox, "case file")
         cases.append(Case(
             case_id=entry.case_id,
-            features=features.reshape(n_vox, feature_width),
-            labels=LabelMap(labels, num_classes, grid),
+            features=features.astype(np.float64).reshape(n_vox, width),
+            labels=LabelMap(labels.astype(np.int64), manifest.num_classes, entry.grid),
             subgroup=entry.subgroup,
         ))
     return cases

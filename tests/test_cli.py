@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -559,15 +560,28 @@ def test_unknown_command_raises_usage_exit():
     assert exc.value.code == 2
 
 
-# A JSON input whose field has the wrong type: which file, and how it is edited.
+# A JSON input that is malformed: which file, and how it is edited.  An
+# edit that returns a string replaces the file's text with it.
 MALFORMED = {
     "model-not-an-object": ("model", lambda doc: 5),
+    "model-invalid-json": ("model", lambda doc: "{not json"),
     "model-param-count-null": ("model", lambda doc: {**doc, "param_count": None}),
+    "model-param-count-text": ("model", lambda doc: {**doc, "param_count": "abc"}),
     "model-param-file-number": ("model", lambda doc: {**doc, "param_file": 5}),
+    "model-spec-classes-text": ("model", lambda doc: {**doc, "spec": {**doc["spec"],
+                                                                      "num_classes": "x"}}),
     "manifest-case-number": ("manifest", lambda doc: {**doc, "cases": [5]}),
     "manifest-spacing-number": ("manifest", lambda doc: {**doc, "spacing_mm": 5}),
+    "manifest-classes-text": ("manifest", lambda doc: {**doc, "num_classes": "four"}),
+    "manifest-grid-text": ("manifest", lambda doc: {**doc, "cases": [
+        {**doc["cases"][0], "grid": ["a", 24]}, *doc["cases"][1:]]}),
     "matrix-object": ("matrix", lambda doc: {**doc, "matrix": {}}),
+    "matrix-invalid-json": ("matrix", lambda doc: "{not json"),
+    "matrix-ragged": ("matrix", lambda doc: {**doc, "matrix": [[0, 1], [1]]}),
 }
+
+# How each kind of file is named in the error message.
+FILE_KINDS = {"model": "model file", "manifest": "manifest", "matrix": "distance-matrix file"}
 
 
 @pytest.mark.parametrize("kind, edit", MALFORMED.values(), ids=MALFORMED)
@@ -578,7 +592,8 @@ def test_malformed_input_file_is_config_error(dataset, tmp_path, capsys, kind, e
     paths["manifest"].write_bytes(file_bytes(os.path.join(dataset, "manifest.json")))
     paths["matrix"].write_text(json.dumps({"background_index": 0,
                                            "matrix": (1.0 - np.eye(4)).tolist()}))
-    paths[kind].write_text(json.dumps(edit(read_json(paths[kind]))))
+    edited = edit(read_json(paths[kind]))
+    paths[kind].write_text(edited if isinstance(edited, str) else json.dumps(edited))
     out = str(tmp_path / "out")
     if kind == "matrix":
         argv = ["train", "--dataset", dataset, "--out", out, "--epochs", "1",
@@ -588,5 +603,35 @@ def test_malformed_input_file_is_config_error(dataset, tmp_path, capsys, kind, e
         argv = ["evaluate", str(paths["model"]), "--dataset", str(manifest), "--out", out]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed")
+    assert err.startswith(f"error: malformed {FILE_KINDS[kind]} {paths[kind]}: ")
     assert "Traceback" not in err
+
+
+# A manifest that parses but describes no dataset that can be scored.
+BAD_MANIFESTS = {
+    "negative-grid": lambda doc: {**doc, "cases": [{**case, "grid": [-g for g in case["grid"]]}
+                                                   for case in doc["cases"]]},
+    "nan-spacing": lambda doc: {**doc, "spacing_mm": [float("nan"), 1.0]},
+    "no-cases": lambda doc: {**doc, "cases": []},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("edit", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS)
+def test_bad_manifest_is_refused_before_any_output(dataset, trained_run, tmp_path, capsys,
+                                                   edit, command):
+    data = str(tmp_path / "data")
+    shutil.copytree(dataset, data)
+    manifest = os.path.join(data, "manifest.json")
+    doc = edit(read_json(manifest))
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--dataset", data, "--out", out, "--epochs", "1"]
+    else:
+        argv = ["evaluate", os.path.join(trained_run, "model.json"), "--dataset", data,
+                "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed manifest {manifest}: ")
+    assert not os.path.exists(out)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestDistanceMatrix:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"matrix": [[0.0]]}))
         with pytest.raises(ValueError, match="malformed"):
+            load_distance_matrix(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not valid JSON"),
+        ('{"background_index": 0, "matrix": [[0, 1], [1]]}', "inhomogeneous"),
+        ('{"background_index": 0, "matrix": [[0, 1], [0.5, 0]]}', "asymmetric"),
+    ], ids=["invalid-json", "ragged", "asymmetric"])
+    def test_json_defects_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^malformed distance-matrix file "
+                                             rf"{re.escape(str(path))}: .*{message}"):
             load_distance_matrix(path)
 
 

@@ -197,6 +197,13 @@ class TestHd95:
         with pytest.raises(ValueError, match="positive"):
             hd95(m, m, (3, 3), (1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spacing(self, bad):
+        m = np.zeros(9, dtype=bool)
+        m[4] = True
+        with pytest.raises(ValueError, match="finite and positive"):
+            hd95(m, ~m, (3, 3), (1.0, bad))
+
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_surface_distances_equal_the_full_transform_bit_for_bit(self, rng, ndim):
         from scipy import ndimage

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -386,8 +388,35 @@ class TestSerialization:
 
     def test_missing_descriptor_field(self, tmp_path):
         (tmp_path / "model.json").write_text('{"spec": {}}')
-        with pytest.raises(ValueError, match="missing field"):
+        with pytest.raises(ValueError, match="missing required fields"):
             load_model(tmp_path / "model.json")
+
+    def test_missing_spec_field_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(self.make_trained(), path)
+        doc = json.loads(path.read_text())
+        del doc["spec"]["seed"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^malformed model file {re.escape(str(path))}: "
+                                             "missing field 'seed'$"):
+            load_model(path)
+
+    def test_param_count_checked_before_the_sidecar_is_read(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(self.make_trained(), path)
+        doc = json.loads(path.read_text())
+        doc["param_count"] += 1
+        path.write_text(json.dumps(doc))
+        (tmp_path / "model.params.bin").unlink()
+        with pytest.raises(ValueError, match=rf"^malformed model file {re.escape(str(path))}: "
+                                             "param_count \\d+ does not match spec"):
+            load_model(path)
+
+    def test_loaded_params_are_writable(self, tmp_path):
+        save_model(self.make_trained(), tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.params.dtype == np.float64
+        assert loaded.params.flags.writeable
 
     def test_training_log_csv(self, tmp_path):
         trained = self.make_trained()

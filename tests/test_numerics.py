@@ -1,8 +1,13 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from segopt.numerics import Rng, as_f64, require_finite, softmax
+import segopt
+from segopt.numerics import (Rng, as_f64, parsing, read_array, read_json, require_finite, softmax,
+                             write_csv, write_json)
 
 
 class TestSoftmax:
@@ -77,3 +82,80 @@ class TestValidation:
     def test_require_finite_names_field(self):
         with pytest.raises(ValueError, match="field"):
             require_finite(np.array([np.nan]), "field")
+
+
+class TestFileLayer:
+    def test_read_json_missing_file(self, tmp_path):
+        path = tmp_path / "a.json"
+        with pytest.raises(FileNotFoundError, match=f"^widget not found: {re.escape(str(path))}$"):
+            read_json(path, "widget", ())
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"a": 1}', r"missing required fields \['b', 'c'\]"),
+    ], ids=["invalid", "array", "missing-fields"])
+    def test_read_json_malformed_names_file(self, tmp_path, text, message):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^malformed widget {re.escape(str(path))}: {message}"):
+            read_json(path, "widget", ("a", "b", "c"))
+
+    def test_parsing_names_file(self):
+        with pytest.raises(ValueError, match="^malformed widget w.json: missing field 'x'$"):
+            with parsing("widget", "w.json"):
+                {}["x"]
+        with pytest.raises(ValueError, match="^malformed widget w.json: invalid literal"):
+            with parsing("widget", "w.json"):
+                int("abc")
+        with pytest.raises(ValueError, match="^malformed widget w.json: .*NoneType"):
+            with parsing("widget", "w.json"):
+                int(None)
+        with pytest.raises(OSError, match="^disk gone$"):
+            with parsing("widget", "w.json"):
+                raise OSError("disk gone")
+
+    def test_json_round_trip_format(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(path, {"b": [2], "a": 1})
+        assert path.read_text() == '{\n  "a": 1,\n  "b": [\n    2\n  ]\n}\n'
+        assert read_json(path, "widget", ("a", "b")) == {"a": 1, "b": [2]}
+
+    def test_write_csv(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["x", "y"], ([i, repr(i / 2)] for i in range(2)))
+        assert path.read_bytes() == b"x,y\r\n0,0.0\r\n1,0.5\r\n"
+
+    def test_read_array_round_trip(self, tmp_path):
+        path = tmp_path / "a.bin"
+        np.arange(5.0).astype("<f8").tofile(path)
+        out = read_array(path, "<f8", 5, "widget")
+        assert out.dtype == np.float64
+        assert (out == np.arange(5.0)).all()
+
+    @pytest.mark.parametrize("count, actual", [(4, 40), (6, 40)])
+    def test_read_array_size_mismatch(self, tmp_path, count, actual):
+        path = tmp_path / "a.bin"
+        np.arange(5.0).astype("<f8").tofile(path)
+        with pytest.raises(ValueError, match=f"^size mismatch in {re.escape(str(path))}: "
+                                             f"{actual} bytes, expected {count * 8}$"):
+            read_array(path, "<f8", count, "widget")
+
+    def test_read_array_missing_file(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with pytest.raises(FileNotFoundError, match=f"^widget not found: {re.escape(str(path))}$"):
+            read_array(path, np.uint8, 1, "widget")
+
+
+# Calls that read or write a file format; only the file layer may make them.
+FILE_FORMAT_CALL = re.compile(r"\b(json\.(load|loads|dump|dumps)|csv\.writer"
+                              r"|np\.(fromfile|frombuffer))\s*\(")
+
+
+def test_only_numerics_reads_and_writes_file_formats():
+    package = pathlib.Path(segopt.__file__).parent
+    offenders = [f"{path.name}:{number}: {line.strip()}"
+                 for path in sorted(package.glob("*.py")) if path.name != "numerics.py"
+                 for number, line in enumerate(path.read_text().splitlines(), 1)
+                 if FILE_FORMAT_CALL.search(line)]
+    assert offenders == []

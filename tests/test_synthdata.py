@@ -65,6 +65,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="one entry per grid axis"):
             small_config(spacing_mm=(1.0,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_spacing_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            small_config(spacing_mm=(1.0, bad))
+
     def test_default_contrasts(self):
         c = small_config().contrasts()
         assert c["common"] == 1.0
@@ -287,3 +292,49 @@ class TestLoad:
         (tmp_path / MANIFEST_NAME).write_text('{"version": 1}')
         with pytest.raises(ValueError, match="missing required fields"):
             read_manifest(tmp_path / MANIFEST_NAME)
+
+    def test_truncated_feature_file_reported_before_missing_label_file(self, tmp_path):
+        generate(small_config(), tmp_path)
+        victim = tmp_path / "common_000_features.f32"
+        victim.write_bytes(victim.read_bytes()[:-4])
+        (tmp_path / "common_000_labels.u8").unlink()
+        with pytest.raises(ValueError, match=f"size mismatch in {re.escape(str(victim))}"):
+            load(tmp_path / MANIFEST_NAME)
+
+    def test_spacing_rank_is_not_checked_against_the_grid(self, tmp_path):
+        generate(small_config(), tmp_path)
+        path = tmp_path / MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        doc["spacing_mm"] = [1.0, 1.0, 2.0]
+        path.write_text(json.dumps(doc))
+        assert read_manifest(path).spacing_mm == (1.0, 1.0, 2.0)
+        assert len(load(path)) == 5
+
+
+# A manifest edit that read_manifest refuses, and the words it refuses with.
+BAD_MANIFESTS = {
+    "zero-extent": (lambda doc: doc["cases"][1].update(grid=[10, 0]), "extents must be >= 1"),
+    "negative-grid": (lambda doc: doc["cases"][0].update(grid=[-10, -10]),
+                      "extents must be >= 1"),
+    "empty-grid": (lambda doc: doc["cases"][0].update(grid=[]), "extents must be >= 1"),
+    "nan-spacing": (lambda doc: doc.update(spacing_mm=[float("nan"), 1.0]), "finite and positive"),
+    "inf-spacing": (lambda doc: doc.update(spacing_mm=[1.0, float("inf")]), "finite and positive"),
+    "zero-spacing": (lambda doc: doc.update(spacing_mm=[0.0, 1.0]), "finite and positive"),
+    "no-cases": (lambda doc: doc.update(cases=[]), "no cases"),
+    "zero-classes": (lambda doc: doc.update(num_classes=0), "num_classes and feature_width"),
+    "zero-width": (lambda doc: doc.update(feature_width=0), "num_classes and feature_width"),
+    "bad-version": (lambda doc: doc.update(version=99), "unsupported manifest version 99"),
+    "missing-case-field": (lambda doc: doc["cases"][2].pop("labels"), "missing field 'labels'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS)
+def test_read_manifest_refuses_and_names_the_file(tmp_path, edit, message):
+    generate(small_config(), tmp_path)
+    path = tmp_path / MANIFEST_NAME
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^malformed manifest {re.escape(str(path))}: "
+                                         rf".*{re.escape(message)}"):
+        read_manifest(path)

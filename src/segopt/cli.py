@@ -196,7 +196,7 @@ def case_workers(cases) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest = read_manifest(_dataset_path(args.dataset))
+    manifest = read_manifest(_dataset_path(args.dataset), check_spacing=True)
     cases = load(manifest)
     models = []
     for path in args.models:

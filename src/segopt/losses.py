@@ -87,9 +87,10 @@ class ProbMap:
         self.voxels = v
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelMap:
-    """Integer-labeled segmentation, flattened row-major from its grid."""
+    """Integer-labeled segmentation, flattened row-major from its grid.
+    Frozen, so its voxel count stays the one a Case was checked against."""
 
     labels: np.ndarray
     num_classes: int
@@ -106,12 +107,11 @@ class LabelMap:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"found range [{lab.min()}, {lab.max()}]"
             )
-        self.spatial_shape = tuple(int(s) for s in self.spatial_shape)
-        if math.prod(self.spatial_shape) != lab.size:
-            raise ValueError(
-                f"spatial shape {self.spatial_shape} does not cover {lab.size} voxels"
-            )
-        self.labels = lab
+        shape = tuple(int(s) for s in self.spatial_shape)
+        if math.prod(shape) != lab.size:
+            raise ValueError(f"spatial shape {shape} does not cover {lab.size} voxels")
+        object.__setattr__(self, "spatial_shape", shape)
+        object.__setattr__(self, "labels", lab)
 
     @property
     def num_voxels(self) -> int:

@@ -19,7 +19,7 @@ hand; no autodiff anywhere.  For a probability column p and upstream
 gradient g the logit gradient is p * (g - (g . p)), which follows from
 dp_j/dz_k = p_j (delta_jk - p_k).
 
-train() validates the dataset and parameters once, then runs one kernel
+train() checks the parameters and the model fit once, then runs one kernel
 call per optimizer step: the batch's cases are grouped by voxel count,
 each group is concatenated into one class-major block, and a single
 forward, loss and backward pass gives every case's loss value and the
@@ -27,8 +27,8 @@ batch's mean parameter gradient.  What does not change during a run is
 built once per run (_Run): the loss's index offsets and gradient
 constants and each case's voxel count per class.  The optimizer then
 steps without re-checking its inputs, since train() checks the
-parameters after every step.  batch_gradient() is a one-step _Run, so
-its bytes are train()'s.  Model.forward() and Model.backward() are the
+parameters after every step.  Each synthdata.Case was checked when made
+and cannot change.  Model.forward() and Model.backward() are the
 same kernel on one case.  The loop wires in a loss kind, an
 epoch-level learning rate schedule, an optimizer, and either plain
 shuffling (ERM) or the hardness-weighted sampler (DRO).  Reweighting in
@@ -68,7 +68,6 @@ __all__ = [
     "EpochRecord",
     "TrainedModel",
     "TrainingDiverged",
-    "batch_gradient",
     "ensemble_labels",
     "train",
     "save_model",
@@ -267,19 +266,6 @@ def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarr
     return values, grad
 
 
-def batch_gradient(spec: ModelSpec, params: np.ndarray, cases, batch,
-                   loss_kind: str, m: DistanceMatrix | None = None):
-    """Per-case loss values and mean parameter gradient of one optimizer step.
-
-    ``batch`` indexes ``cases`` and may repeat an index (DRO draws with
-    replacement).  Cases are grouped by voxel count and each group goes
-    through the kernel as one block, so mixed 2-D/3-D datasets work.
-    Values come back in batch order.  Nothing is validated here: train()
-    checks the dataset, parameters and loss arguments once, on entry.
-    """
-    return _Run(spec, cases, loss_kind, m).gradient(params, batch)
-
-
 class _Run:
     """One training run's dataset and loss, and what its steps read, built
     once: the loss's losses._Tables (index offsets per batch shape, the
@@ -297,7 +283,11 @@ class _Run:
                                     for case in cases], axis=1)
 
     def gradient(self, params: np.ndarray, batch):
-        """batch_gradient() of ``batch``, an index sequence into the cases."""
+        """Per-case loss values, in batch order, and mean parameter gradient
+        of one step on ``batch``, indexes into the cases that may repeat (DRO
+        draws with replacement).  Cases go through the kernel grouped by
+        voxel count, so mixed 2-D/3-D datasets work.  Unchecked: train()
+        checks its inputs on entry."""
         groups: dict[int, list[int]] = {}
         for pos, idx in enumerate(batch):
             groups.setdefault(self.cases[int(idx)].num_voxels, []).append(pos)
@@ -394,23 +384,17 @@ def _check_matrix(spec: ModelSpec, m: DistanceMatrix | None) -> None:
 
 
 def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
-    """Everything the training kernel trusts, checked once on entry."""
+    """What the training kernel trusts and a Case cannot know, checked once
+    on entry: a non-empty dataset, finite parameters, the matrix's class
+    count and each case's fit to the model."""
     spec = model.spec
     if not dataset:
         raise ValueError("training dataset is empty")
     require_finite(model.params, "params")
     _check_matrix(spec, config.distance_matrix)
     for case in dataset:
-        shape = np.shape(case.features)
-        if len(shape) != 2:
-            raise ValueError(f"case {case.case_id!r} has features of shape {shape}, not [V, F]")
-        spec.check_fit(shape[1], case.labels.num_classes, "model", f"case {case.case_id!r}")
-        if shape[0] != case.labels.num_voxels:
-            raise ValueError(
-                f"case {case.case_id!r}: {shape[0]} feature rows vs "
-                f"{case.labels.num_voxels} labels"
-            )
-        require_finite(case.features, f"features of case {case.case_id!r}")
+        spec.check_fit(case.features.shape[1], case.labels.num_classes, "model",
+                       f"case {case.case_id!r}")
 
 
 def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:

@@ -56,21 +56,26 @@ FEATURE_WIDTH = 4  # one channel per class template
 MINOR_CONTRAST = 0.6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Case:
     """One training/evaluation case: per-voxel features plus its label map.
+
+    The one checked case type: 2-D, finite, one feature row per label,
+    checked once, here.  The features are the case's own read-only float64
+    copy, and the case and its LabelMap are frozen, so train() need not
+    check it again.
 
     The subgroup tag is carried through for reporting only; nothing in
     training may condition on it.
     """
 
     case_id: str
-    features: np.ndarray  # [V, F] float64
+    features: np.ndarray  # [V, F] float64, read-only
     labels: LabelMap
     subgroup: str = ""
 
     def __post_init__(self):
-        f = np.ascontiguousarray(self.features, dtype=np.float64)
+        f = np.array(self.features, dtype=np.float64, order="C")
         if f.ndim != 2:
             raise ValueError(f"features must be [V, F], got shape {f.shape}")
         require_finite(f, f"features of case {self.case_id!r}")
@@ -79,7 +84,8 @@ class Case:
                 f"case {self.case_id!r}: {f.shape[0]} feature rows vs "
                 f"{self.labels.num_voxels} labels"
             )
-        self.features = f
+        f.flags.writeable = False
+        object.__setattr__(self, "features", f)
 
     @property
     def num_voxels(self) -> int:
@@ -284,11 +290,11 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
     return manifest
 
 
-def read_manifest(manifest_path) -> DatasetManifest:
+def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest:
     """Parse and validate a manifest file without touching the case files:
     at least one case, class count, feature width and grid extents >= 1,
-    spacing finite and positive (its length is not checked against each
-    case's grid rank)."""
+    spacing finite and positive and, with ``check_spacing`` (evaluate's;
+    train uses none), one spacing entry per axis of every case's grid."""
     manifest_path = str(manifest_path)
     doc = read_json(manifest_path, "manifest",
                     ("version", "num_classes", "feature_width", "spacing_mm", "cases"))
@@ -317,16 +323,20 @@ def read_manifest(manifest_path) -> DatasetManifest:
             if min(entry.grid, default=0) < 1:
                 raise ValueError(f"case {entry.case_id!r} has grid {entry.grid}, "
                                  "extents must be >= 1")
+            if check_spacing and len(entry.grid) != len(manifest.spacing_mm):
+                raise ValueError(f"spacing {manifest.spacing_mm} does not match the grid "
+                                 f"{entry.grid} of case {entry.case_id!r}")
     return manifest
 
 
 def load(manifest_path) -> list:
-    """Read a dataset back as a list of cases, validating sizes on the way.
+    """Read a dataset back as a list of checked cases.
 
     ``manifest_path`` is a manifest file, or the DatasetManifest that
     read_manifest returned for it, so a caller that needs the manifest
     too parses it once.  Each case file is read with one read_array call,
-    the feature file before the label file is opened.
+    the feature file before the label file is opened; a fault in either
+    file's content names that file.
     """
     if isinstance(manifest_path, DatasetManifest):
         manifest = manifest_path
@@ -336,13 +346,13 @@ def load(manifest_path) -> list:
     cases = []
     for entry in manifest.cases:
         n_vox = math.prod(entry.grid)
-        features = read_array(os.path.join(root, entry.feature_file), "<f4", n_vox * width,
-                              "case file")
-        labels = read_array(os.path.join(root, entry.label_file), np.uint8, n_vox, "case file")
-        cases.append(Case(
-            case_id=entry.case_id,
-            features=features.astype(np.float64).reshape(n_vox, width),
-            labels=LabelMap(labels.astype(np.int64), manifest.num_classes, entry.grid),
-            subgroup=entry.subgroup,
-        ))
+        feature_path = os.path.join(root, entry.feature_file)
+        label_path = os.path.join(root, entry.label_file)
+        features = read_array(feature_path, "<f4", n_vox * width, "case file")
+        labels = read_array(label_path, np.uint8, n_vox, "case file")
+        with parsing("case file", label_path):
+            labels = LabelMap(labels, manifest.num_classes, entry.grid)
+        with parsing("case file", feature_path):
+            cases.append(Case(entry.case_id, features.reshape(n_vox, width), labels,
+                              entry.subgroup))
     return cases

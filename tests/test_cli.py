@@ -635,3 +635,64 @@ def test_bad_manifest_is_refused_before_any_output(dataset, trained_run, tmp_pat
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: malformed manifest {manifest}: ")
     assert not os.path.exists(out)
+
+
+# A case file whose size is right but whose content is not: which file of
+# case common_001, its new bytes, and how the error goes on.
+BAD_CASE_FILES = {
+    "label-byte-9": ("labels.u8", lambda data: data[:5] + bytes([9]) + data[6:],
+                     "labels must lie in [0, 4), found range [0, 9]"),
+    "nan-feature": ("features.f32",
+                    lambda data: data[:8] + np.array([np.nan], "<f4").tobytes() + data[12:],
+                    "non-finite values in features of case 'common_001'"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("name, edit, message", BAD_CASE_FILES.values(), ids=BAD_CASE_FILES)
+def test_bad_case_file_content_names_the_file(dataset, trained_run, tmp_path, capsys, command,
+                                               name, edit, message):
+    data = str(tmp_path / "data")
+    shutil.copytree(dataset, data)
+    victim = os.path.join(data, f"common_001_{name}")
+    edited = edit(file_bytes(victim))
+    with open(victim, "wb") as fh:
+        fh.write(edited)
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--dataset", data, "--out", out, "--epochs", "1"]
+    else:
+        argv = ["evaluate", os.path.join(trained_run, "model.json"), "--dataset", data,
+                "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: malformed case file {victim}: {message}\n"
+    assert not os.path.exists(out)
+
+
+def test_spacing_rank_is_checked_by_evaluate_only(dataset, trained_run, tmp_path, capsys):
+    # A manifest that mixes a 3-D case with the 2-D ones: train uses no
+    # spacing, evaluate refuses it before it makes --out.
+    data = str(tmp_path / "data")
+    shutil.copytree(dataset, data)
+    assert main(["synth", "--out", str(tmp_path / "vol"), "--grid", "8x8x6",
+                 "--subgroups", "vol:1"]) == 0
+    volume = read_json(str(tmp_path / "vol" / "manifest.json"))
+    for case in volume["cases"]:
+        for key in ("features", "labels"):
+            shutil.copy(tmp_path / "vol" / case[key], data)
+    manifest = os.path.join(data, "manifest.json")
+    doc = read_json(manifest)
+    first_2d = doc["cases"][0]["id"]
+    doc.update(spacing_mm=volume["spacing_mm"], cases=volume["cases"] + doc["cases"])
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["train", "--dataset", data, "--out", str(tmp_path / "run"),
+                 "--epochs", "1"]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    assert main(["evaluate", os.path.join(trained_run, "model.json"), "--dataset", data,
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed manifest {manifest}: ")
+    assert f"case {first_2d!r}" in err
+    assert not os.path.exists(out)

@@ -4,12 +4,14 @@ One optimizer step runs forward, loss and backward once per grid group
 of the batch.  Its per-case values and mean gradient must equal what
 per-case Model.backward gives, for every loss kind and both model kinds,
 on batches that mix grids and repeat an index; train() must accept
-mixed grids at any batch size, reject bad input on entry, and name the
-first diverging case in batch order.  A _Run whose tables are warm from
-earlier steps must give the bytes of a fresh one, and train()'s unchecked
-optimizer step the bytes of the public step().
+mixed grids at any batch size, and name the first diverging case in
+batch order.  A _Run whose tables are warm from earlier steps must give
+the bytes of a fresh one, and train()'s unchecked optimizer step the
+bytes of the public step().  A Case stays as it was checked, so train()
+checks no case's features again.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,11 +21,10 @@ import pytest
 
 import segopt
 from segopt.losses import LOSS_KINDS, LabelMap, brats_distance_matrix
-from segopt.model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _Run,
-                          batch_gradient, train)
+from segopt.model import MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _Run, train
 from segopt.numerics import Rng
 from segopt.optim import DEFAULT_LR, OPTIMIZER_KINDS, PolySchedule, make_optimizer
-from segopt.synthdata import Case
+from segopt.synthdata import Case, SynthConfig, generate, load
 
 from conftest import fd_model_gradient, rel_err
 
@@ -55,7 +56,7 @@ def test_batched_step_matches_per_case_backward(kind, model_kind, rng):
     cases = mixed_dataset(rng, 3)
     model = perturbed_model(rng, model_kind)
     batch = np.array([1, 0, 2, 1])  # 3-D, 2-D, 2-D, then the 3-D case again
-    values, grad = batch_gradient(model.spec, model.params, cases, batch, kind, m)
+    values, grad = _Run(model.spec, cases, kind, m).gradient(model.params, batch)
 
     per_case = [model.backward(cases[i].features, cases[i].labels, kind, m) for i in batch]
     want_values = np.array([loss for loss, _ in per_case])
@@ -74,7 +75,7 @@ def test_batched_gradient_matches_finite_differences_of_batch_mean(model_kind, r
     cases = mixed_dataset(rng, 3)
     model = perturbed_model(rng, model_kind)
     batch = [0, 1, 1, 2]
-    _, grad = batch_gradient(model.spec, model.params, cases, batch, "gwdl_ce", m)
+    _, grad = _Run(model.spec, cases, "gwdl_ce", m).gradient(model.params, batch)
     differenced = np.mean([fd_model_gradient(model, cases[i].features, cases[i].labels,
                                              "gwdl_ce", m) for i in batch], axis=0)
     assert rel_err(grad, differenced) <= 1e-4
@@ -98,9 +99,9 @@ LEAN_BATCHES = {
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
 def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name, rng):
-    # train() reuses one _Run for every step; batch_gradient makes a fresh
-    # one per call.  The reused _Run first steps through every batch of
-    # its dataset, so its cached offsets cover the named batch's shapes.
+    # train() reuses one _Run for every step; the reference is a fresh
+    # one.  The reused _Run first steps through every batch of its
+    # dataset, so its cached offsets cover the named batch's shapes.
     m = brats_distance_matrix() if "gwdl" in kind else None
     data = LEAN_BATCHES[batch_name][0]
     cases = uniform_dataset(rng) if data == "uniform" else mixed_dataset(rng)
@@ -114,7 +115,7 @@ def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name
         run.gradient(model.params, np.array(batch))
     batch = batches[batch_name]
     warm_values, warm_grad = run.gradient(model.params, np.array(batch))
-    values, grad = batch_gradient(model.spec, model.params, cases, batch, kind, m)
+    values, grad = _Run(model.spec, cases, kind, m).gradient(model.params, batch)
     assert values.shape == (len(batch),)
     assert warm_values.tobytes() == values.tobytes()
     assert warm_grad.tobytes() == grad.tobytes()
@@ -124,7 +125,7 @@ def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
 def test_train_gives_the_public_step_bytes(model_kind, kind, rng):
     # Two ERM epochs of 7 cases at batch size 2 are 8 ranger steps, past
-    # one Lookahead sync; train() must equal batch_gradient and step().
+    # one Lookahead sync; train() must equal a fresh _Run's gradient and step().
     m = brats_distance_matrix() if "gwdl" in kind else None
     dataset = uniform_dataset(rng)
     model = perturbed_model(rng, model_kind)
@@ -136,8 +137,8 @@ def test_train_gives_the_public_step_bytes(model_kind, kind, rng):
     for epoch in range(config.epochs):
         order = shuffle.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch_size):
-            _, grad = batch_gradient(model.spec, params, dataset,
-                                     list(order[start:start + config.batch_size]), kind, m)
+            _, grad = _Run(model.spec, dataset, kind, m).gradient(
+                params, list(order[start:start + config.batch_size]))
             params = optimizer.step(params, grad, lr=schedule.at(epoch))
     assert train(model, dataset, config).params.tobytes() == params.tobytes()
 
@@ -178,13 +179,36 @@ def test_mixed_grid_dataset_trains_with_batch_size_three(model_kind, rng):
     assert np.isfinite([rec.loss for rec in dro.training_log]).all()
 
 
-def test_nan_features_set_after_construction_are_rejected_on_entry(rng):
-    dataset = mixed_dataset(rng)
-    dataset[4].features[2, 1] = np.nan
+def test_a_case_cannot_change_after_it_is_checked(rng, tmp_path):
+    generate(SynthConfig(grid=(8, 8), subgroup_cases={"common": 1}), tmp_path)
+    features = rng.normal(size=(30, 3))
+    made = Case("c0", features, LabelMap(rng.integers(0, 4, size=30), 4, (6, 5)))
+    for case in (made, load(tmp_path / "manifest.json")[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            case.features[2, 1] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.features = np.full(case.features.shape, np.nan)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.labels.labels = case.labels.labels[:6]
+        assert case.features.flags.c_contiguous and case.features.dtype == np.float64
+    features[2, 1] = np.nan  # the caller's array is copied, not frozen
+    assert np.isfinite(made.features).all()
+
+
+def test_train_scans_no_case_for_finiteness(rng, monkeypatch):
+    # Each Case was checked when it was made, so the finiteness checks of
+    # one train() call do not grow with the number of cases.
     model = perturbed_model(rng, "linear")
-    for epochs in (0, 3):
-        with pytest.raises(ValueError, match="non-finite values in features of case 'c4'"):
-            train(model, dataset, TrainConfig(loss="ce", epochs=epochs))
+    checked = []
+    real = segopt.model.require_finite
+    monkeypatch.setattr(segopt.model, "require_finite",
+                        lambda arr, name="array": checked.append(name) or real(arr, name))
+    counts = []
+    for n_cases in (1, 7):
+        checked.clear()
+        train(model, mixed_dataset(rng, n_cases), TrainConfig(loss="ce", epochs=2))
+        counts.append(len(checked))
+    assert counts[0] == counts[1]
 
 
 def test_divergence_names_epoch_and_first_bad_case_in_batch_order():

@@ -54,7 +54,7 @@ def main():
     min_et = 20
     results = []
     for case in cases:
-        preds = [t.model().forward(case.features) for t in models]
+        preds = [t.model.forward(case.features) for t in models]
         ens = ensemble_mean_softmax(preds)
         decoded = LabelMap(np.argmax(ens.voxels, axis=1), 4,
                            case.labels.spatial_shape)

@@ -23,7 +23,7 @@ def subgroup_wt_dice(trained, cases, subgroup):
     for case in cases:
         if case.subgroup != subgroup:
             continue
-        probs = trained.model().forward(case.features)
+        probs = trained.model.forward(case.features)
         decoded = LabelMap(np.argmax(probs.voxels, axis=1), 4,
                            case.labels.spatial_shape)
         vals.append(evaluate_case(decoded, case.labels).dice["WT"])
@@ -33,7 +33,7 @@ def subgroup_wt_dice(trained, cases, subgroup):
 def fit(cases, mode, seed):
     spec = ModelSpec(kind="linear", input_features=4, num_classes=4,
                      seed=seed + 2)
-    config = TrainConfig(loss="dice_ce", sampler_mode=mode, beta=100.0,
+    config = TrainConfig(loss="dice_ce", population=mode, beta=100.0,
                          optimizer="sgd", lr=0.05, epochs=150,
                          batch_size=2, seed=seed)
     return train(Model.init(spec), cases, config)
@@ -51,7 +51,7 @@ def main():
           f"{'uniform common':>15} {'weighted common':>16}")
     gaps = []
     for seed in range(3):
-        erm = fit(cases, "erm_shuffle", seed)
+        erm = fit(cases, "erm", seed)
         dro = fit(cases, "dro", seed)
         e_rare = subgroup_wt_dice(erm, cases, "rare")
         d_rare = subgroup_wt_dice(dro, cases, "rare")

@@ -23,8 +23,9 @@ from .metrics import (aggregate, evaluate_case, format_aggregate_table, postproc
 # Not called in this module, but kept as its attribute: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.cli.ensemble_mean_softmax.
 from .metrics import ensemble_mean_softmax  # noqa: F401
-from .model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _check_matrix,
-                    ensemble_labels, load_model, save_model, train, write_training_log)
+from .model import (MODEL_KINDS, POPULATIONS, Model, ModelSpec, TrainConfig, TrainingDiverged,
+                    _check_matrix, ensemble_labels, load_model, save_model, train,
+                    write_training_log)
 from .numerics import write_json
 from .optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
@@ -109,29 +110,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_config(args, arm: dict, matrix) -> TrainConfig:
-    return TrainConfig(
-        loss=arm["loss"],
-        distance_matrix=matrix,
-        sampler_mode="dro" if arm["population"] == "dro" else "erm_shuffle",
-        optimizer=arm["optimizer"],
-        **{key: getattr(args, key) for key in SHARED_SETTINGS
-           if getattr(args, key) is not None},
-    )
-
-
-def _train_one(args, arm: dict, spec: ModelSpec, config: TrainConfig, cases,
-               tag: str | None) -> dict:
+def _train_one(args, spec: ModelSpec, config: TrainConfig, cases, tag: str | None) -> dict:
     trained = train(Model.init(spec), cases, config)
     suffix = f"_{tag}" if tag else ""
     model_path = os.path.join(args.out, f"model{suffix}.json")
-    save_model(trained, model_path)
+    save_model(trained.model, model_path)
     write_training_log(trained, os.path.join(args.out, f"training_log{suffix}.csv"))
     final = trained.training_log[-1].loss if trained.training_log else float("nan")
     print(f"trained {tag or 'model'}: {config.epochs} epochs, final mean loss {final:.6f}")
     return {
-        **arm,
-        **{key: getattr(config, key) for key in SHARED_SETTINGS},
+        **{key: getattr(config, key) for key in ("loss", "population", "optimizer",
+                                                  *SHARED_SETTINGS)},
         "model_kind": spec.kind,
         "hidden_width": spec.hidden_width,
         "distance_matrix": ((args.distance_matrix or "builtin")
@@ -151,10 +140,12 @@ def cmd_train(args) -> int:
             for tag in tags}
     matrix = (load_distance_matrix(args.distance_matrix)
               if args.distance_matrix else brats_distance_matrix())
-    configs = {tag: _train_config(args, arm, matrix) for tag, arm in arms.items()}
+    shared = {key: getattr(args, key) for key in SHARED_SETTINGS if getattr(args, key) is not None}
+    configs = {tag: TrainConfig(**arm, distance_matrix=matrix, **shared)
+               for tag, arm in arms.items()}
     if args.distance_matrix and all(c.distance_matrix is None for c in configs.values()):
         raise ValueError(f"no arm's loss uses --distance-matrix {args.distance_matrix}")
-    if args.beta is not None and all(c.sampler_mode != "dro" for c in configs.values()):
+    if args.beta is not None and all(c.population != "dro" for c in configs.values()):
         raise ValueError(f"no arm's population uses --beta {args.beta}")
     lookahead = {"--lookahead-k": args.lookahead_k, "--lookahead-alpha": args.lookahead_alpha}
     given = " ".join(f"{flag} {value}" for flag, value in lookahead.items() if value is not None)
@@ -171,8 +162,7 @@ def cmd_train(args) -> int:
     for config in configs.values():
         _check_matrix(spec, config.distance_matrix)
     os.makedirs(args.out, exist_ok=True)
-    records = {tag: _train_one(args, arms[tag], spec, configs[tag], cases, tag)
-               for tag in tags}
+    records = {tag: _train_one(args, spec, config, cases, tag) for tag, config in configs.items()}
     doc = {"command": "train", "dataset": args.dataset, "out": args.out, "preset": args.preset}
     if args.preset == "ensemble":
         doc["arms"] = records
@@ -200,14 +190,14 @@ def cmd_evaluate(args) -> int:
     cases = load(manifest)
     models = []
     for path in args.models:
-        trained = load_model(path)
-        trained.spec.check_fit(manifest.feature_width, manifest.num_classes,
-                               f"model {path}", "the dataset")
-        models.append(trained.model())
+        model = load_model(path)
+        model.spec.check_fit(manifest.feature_width, manifest.num_classes,
+                             f"model {path}", "the dataset")
+        models.append(model)
     os.makedirs(args.out, exist_ok=True)
 
     def eval_one(case):
-        labels = ensemble_labels(models, case.features)
+        labels = ensemble_labels(models, case)
         pred_map = LabelMap(labels, manifest.num_classes, case.labels.spatial_shape)
         return evaluate_case(postprocess_et(pred_map), case.labels, manifest.spacing_mm,
                              case_id=case.case_id)
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=None,
                    help=f"hidden width (mlp only; default {DEFAULT_HIDDEN})")
     p.add_argument("--loss", choices=LOSS_KINDS, default=None)
-    p.add_argument("--population", choices=("erm", "dro"), default=None,
+    p.add_argument("--population", choices=POPULATIONS, default=None,
                    help="erm: uniform shuffling; dro: hardness-weighted sampling")
     p.add_argument("--beta", type=float, default=None,
                    help=f"hardness-weighting strength (dro only; default {DEFAULT_BETA:g})")

@@ -89,15 +89,16 @@ class ProbMap:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Integer-labeled segmentation, flattened row-major from its grid.
-    Frozen, so its voxel count stays the one a Case was checked against."""
+    """Integer-labeled segmentation, flattened row-major from its grid.  Frozen,
+    with its own read-only int64 copy of the labels, so they stay the ones a
+    Case was checked against."""
 
     labels: np.ndarray
     num_classes: int
     spatial_shape: tuple[int, ...]
 
     def __post_init__(self):
-        lab = np.ascontiguousarray(self.labels, dtype=np.int64)
+        lab = np.array(self.labels, dtype=np.int64)
         if lab.ndim != 1:
             raise ValueError("labels must be a flat sequence")
         if self.num_classes < 1:
@@ -110,6 +111,7 @@ class LabelMap:
         shape = tuple(int(s) for s in self.spatial_shape)
         if math.prod(shape) != lab.size:
             raise ValueError(f"spatial shape {shape} does not cover {lab.size} voxels")
+        lab.flags.writeable = False
         object.__setattr__(self, "spatial_shape", shape)
         object.__setattr__(self, "labels", lab)
 
@@ -118,7 +120,7 @@ class LabelMap:
         return self.labels.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric zero-diagonal ground-distance matrix between classes.
 
@@ -126,13 +128,14 @@ class DistanceMatrix:
     BACKGROUND (class 0) sits at the maximal distance 1 from every other
     class, so background mistakes always pay full price while distances
     between foreground classes encode how much they have in common.
+    Frozen, with its own read-only copy of ``m``, as checked.
     """
 
     m: np.ndarray
 
     def __post_init__(self):
         """Check every structural invariant, naming the first offending entry."""
-        m = self.m = np.ascontiguousarray(self.m, dtype=np.float64)
+        m = np.array(self.m, dtype=np.float64, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {m.shape}")
         L, b = m.shape[0], BACKGROUND
@@ -156,6 +159,8 @@ class DistanceMatrix:
             j = int(np.argmax(wrong))
             raise ValueError(
                 f"background row/column must be 1 off-diagonal, entry ({b},{j})={m[b, j]}")
+        m.flags.writeable = False
+        object.__setattr__(self, "m", m)
 
     @property
     def num_classes(self) -> int:
@@ -192,7 +197,7 @@ def load_distance_matrix(path) -> DistanceMatrix:
         if type(background) is not int or background != BACKGROUND:
             raise ValueError(
                 f"background_index must be the integer {BACKGROUND}, got {background!r}")
-        return DistanceMatrix(m=np.asarray(doc["matrix"], dtype=np.float64))
+        return DistanceMatrix(m=doc["matrix"])
 
 
 @dataclass

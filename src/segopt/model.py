@@ -30,10 +30,10 @@ steps without re-checking its inputs, since train() checks the
 parameters after every step.  Each synthdata.Case was checked when made
 and cannot change.  Model.forward() and Model.backward() are the
 same kernel on one case.  The loop wires in a loss kind, an
-epoch-level learning rate schedule, an optimizer, and either plain
-shuffling (ERM) or the hardness-weighted sampler (DRO).  Reweighting in
-DRO mode lives entirely in the sampling distribution; batch gradients
-stay unweighted means.
+epoch-level learning rate schedule, an optimizer, and a population:
+plain shuffling ("erm") or the hardness-weighted sampler ("dro").
+Reweighting for dro lives entirely in the sampling distribution; batch
+gradients stay unweighted means.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .synthdata import Case
 
 __all__ = [
     "MODEL_KINDS",
-    "SAMPLER_MODES",
+    "POPULATIONS",
     "PARAM_LIMIT",
     "ModelSpec",
     "Model",
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("linear", "mlp")
-SAMPLER_MODES = ("erm_shuffle", "dro")
+POPULATIONS = ("erm", "dro")
 # Every loss here is bounded for finite probabilities, so runaway steps
 # show up as exploding weights, and the loop polices their magnitude.
 PARAM_LIMIT = 1e8
@@ -209,25 +209,26 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     return softmax_inplace(z, axis=0), hidden
 
 
-def ensemble_labels(models, features) -> np.ndarray:
-    """Per-voxel argmax [V] of the members' mean softmax on one case.
+def ensemble_labels(models, case: Case) -> np.ndarray:
+    """Per-voxel argmax [V] of the members' mean softmax on one checked case.
 
     Class-major from end to end: each member's [L, V] probabilities are
     summed in place, in member order, and divided once by the member
     count, the arithmetic ``metrics.ensemble_mean_softmax`` does, so the
-    labels equal the argmax of its rows.  The features are checked once
-    and the mean once; a member whose logits overflow makes the mean
-    non-finite, which raises ValueError.
+    labels equal the argmax of its rows.  The Case's checked features are
+    used as they are; each member's fit to the case is checked, and the
+    mean once: a member whose logits overflow makes it non-finite, which
+    raises ValueError.
     """
     models = list(models)
     if not models:
         raise ValueError("ensemble needs at least one model")
-    first = models[0].spec
-    x = models[0]._features(features)
-    total, _ = _forward(first, models[0].params, x)
-    for i, model in enumerate(models[1:], start=1):
-        model.spec.check_fit(first.input_features, first.num_classes,
-                             f"ensemble member {i}", "member 0")
+    x = case.features
+    for i, model in enumerate(models):
+        model.spec.check_fit(x.shape[1], case.labels.num_classes, f"ensemble member {i}",
+                             f"case {case.case_id!r}")
+    total, _ = _forward(models[0].spec, models[0].params, x)
+    for model in models[1:]:
         total += _forward(model.spec, model.params, x)[0]
     total /= len(models)
     require_finite(total, "ensemble probabilities")
@@ -322,7 +323,7 @@ class TrainConfig:
 
     loss: str = "dice_ce"
     distance_matrix: DistanceMatrix | None = None
-    sampler_mode: str = "erm_shuffle"
+    population: str = "erm"
     beta: float = DEFAULT_BETA
     optimizer: str = "sgd"
     lr: float | None = None
@@ -334,9 +335,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.distance_matrix = _check_kind(self.loss, self.distance_matrix)
-        if self.sampler_mode not in SAMPLER_MODES:
+        if self.population not in POPULATIONS:
             raise ValueError(
-                f"unknown sampler mode {self.sampler_mode!r}, expected one of {SAMPLER_MODES}"
+                f"unknown population {self.population!r}, expected one of {POPULATIONS}"
             )
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(
@@ -364,14 +365,12 @@ class EpochRecord:
 
 @dataclass
 class TrainedModel:
-    spec: ModelSpec
-    params: np.ndarray
-    training_log: list = field(default_factory=list)
-    # Final sampler state from a DRO run; None for ERM. Not serialized.
-    sampler: HardnessWeightedSampler | None = None
+    """train()'s fitted Model, one EpochRecord per epoch, and a dro run's
+    final sampler (None for erm); save_model writes the model alone."""
 
-    def model(self) -> Model:
-        return Model(self.spec, self.params)
+    model: Model
+    training_log: list = field(default_factory=list)
+    sampler: HardnessWeightedSampler | None = None
 
 
 def _check_matrix(spec: ModelSpec, m: DistanceMatrix | None) -> None:
@@ -400,10 +399,10 @@ def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
 def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     """Run the training loop; deterministic given the config seed.
 
-    Each epoch draws len(dataset) cases: a fresh permutation in
-    erm_shuffle mode, hardness-weighted draws with replacement in dro
-    mode.  Draws are consumed in batches; the optimizer steps once per
-    batch on the mean of the per-case gradients, at the epoch's scheduled
+    Each epoch draws len(dataset) cases: a fresh permutation for the
+    erm population, hardness-weighted draws with replacement for dro.
+    Draws are consumed in batches; the optimizer steps once per batch on
+    the mean of the per-case gradients, at the epoch's scheduled
     learning rate.  Each batch's per-case losses reach the divergence
     guard and the sampler in batch order.
 
@@ -422,13 +421,13 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     log = []
     sampler = None
     shuffle_rng = None
-    if config.sampler_mode == "dro":
+    if config.population == "dro":
         sampler = HardnessWeightedSampler(n, beta=config.beta, seed=config.seed + 1)
     else:
         shuffle_rng = Rng(config.seed)
 
     if config.epochs == 0:
-        return TrainedModel(model.spec, params, log, sampler)
+        return TrainedModel(Model(model.spec, params), log, sampler)
 
     run = _Run(model.spec, dataset, config.loss, config.distance_matrix)
     schedule = PolySchedule(initial_lr=config.lr, t_max=config.epochs)
@@ -461,25 +460,28 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
         entropy = sampler.entropy() if sampler is not None else math.log(n)
         log.append(EpochRecord(epoch=epoch, loss=float(np.mean(epoch_losses)),
                                lr=lr, sampler_entropy=entropy))
-    return TrainedModel(model.spec, params, log, sampler)
+    return TrainedModel(Model(model.spec, params), log, sampler)
 
 
-def save_model(trained: TrainedModel, path) -> None:
+def save_model(model: Model, path) -> None:
     """Write a JSON descriptor plus a raw little-endian float64 parameter
-    sidecar, ``<stem>.params.bin`` beside it; load_model reads them back."""
+    sidecar, ``<stem>.params.bin`` beside it; load_model reads them back.
+    A Model's params stay writable, so they are checked again here, before
+    any file is made: every file written here loads."""
+    model = Model(model.spec, model.params)
     path = str(path)
     stem = path[:-5] if path.endswith(".json") else path
     param_file = os.path.basename(stem) + ".params.bin"
     doc = {
-        "spec": asdict(trained.spec),
+        "spec": asdict(model.spec),
         "param_file": param_file,
-        "param_count": int(trained.params.size),
+        "param_count": int(model.params.size),
     }
-    trained.params.astype("<f8").tofile(os.path.join(os.path.dirname(path) or ".", param_file))
+    model.params.astype("<f8").tofile(os.path.join(os.path.dirname(path) or ".", param_file))
     write_json(path, doc)
 
 
-def load_model(path) -> TrainedModel:
+def load_model(path) -> Model:
     """Read a model that save_model wrote, naming the file in every error.
     The descriptor is checked whole before the sidecar is read; the
     parameters come back as a writable float64 array."""
@@ -501,7 +503,7 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"param_count {count} does not match spec ({spec.param_count()})")
     params = read_array(param_path, "<f8", count, "parameter file").copy()  # writable
     require_finite(params, param_path)
-    return TrainedModel(spec=spec, params=params)
+    return Model(spec, params)
 
 
 def write_training_log(trained: TrainedModel, path) -> None:

@@ -291,7 +291,7 @@ def test_hardness_weighted_sampling_improves_rare_subgroup_dice(tmp_path):
         for case in cases:
             if case.subgroup != "rare":
                 continue
-            probs = trained.model().forward(case.features)
+            probs = trained.model.forward(case.features)
             pred = LabelMap(np.argmax(probs.voxels, axis=1), 4,
                             case.labels.spatial_shape)
             vals.append(evaluate_case(pred, case.labels).dice["WT"])
@@ -300,7 +300,7 @@ def test_hardness_weighted_sampling_improves_rare_subgroup_dice(tmp_path):
     def fit(mode, seed):
         spec = ModelSpec(kind="linear", input_features=4, num_classes=4,
                          seed=seed + 2)
-        config = TrainConfig(loss="dice_ce", sampler_mode=mode, beta=100.0,
+        config = TrainConfig(loss="dice_ce", population=mode, beta=100.0,
                              optimizer="sgd", lr=0.05, epochs=150,
                              batch_size=2, seed=seed)
         return train(Model.init(spec), cases, config)
@@ -308,7 +308,7 @@ def test_hardness_weighted_sampling_improves_rare_subgroup_dice(tmp_path):
     wins = 0
     baselines, robusts = [], []
     for seed in range(5):
-        erm = rare_wt(fit("erm_shuffle", seed))
+        erm = rare_wt(fit("erm", seed))
         dro = rare_wt(fit("dro", seed))
         baselines.append(erm)
         robusts.append(dro)

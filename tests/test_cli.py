@@ -17,7 +17,7 @@ import pytest
 from segopt import gradcheck
 from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
-from segopt.model import Model, ModelSpec, TrainConfig, TrainedModel, save_model
+from segopt.model import Model, ModelSpec, TrainConfig, save_model
 from segopt.optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K
 from segopt.synthdata import FEATURE_WIDTH, SynthConfig, load
 
@@ -347,6 +347,34 @@ def test_manifest_is_read_once(command, dataset, trained_run, tmp_path, monkeypa
     assert len(calls) == 1
 
 
+def test_evaluate_scans_no_case_again(trained_run, tmp_path, monkeypatch):
+    """A loaded Case is checked once, in load: the finiteness checks made in
+    segopt.numerics and segopt.model, bar the one of each case's ensemble
+    mean, do not grow with the case count."""
+    from segopt import model, numerics
+
+    calls = []
+    original = numerics.require_finite
+
+    def counted(arr, name="array"):
+        if name != "ensemble probabilities":
+            calls.append(name)
+        return original(arr, name)
+
+    monkeypatch.setattr(numerics, "require_finite", counted)
+    monkeypatch.setattr(model, "require_finite", counted)
+    counts = []
+    for cases in (1, 7):
+        data = str(tmp_path / f"data{cases}")
+        assert main(["synth", "--out", data, "--grid", "8x8", "--subgroups",
+                     f"common:{cases}"]) == 0
+        del calls[:]
+        assert main(["evaluate", os.path.join(trained_run, "model.json"), "--dataset", data,
+                     "--out", str(tmp_path / f"eval{cases}")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 class TestEvaluate:
     def run(self, models, dataset, out, extra=()):
         return main(["evaluate", *models, "--dataset", dataset,
@@ -404,7 +432,7 @@ class TestEvaluate:
                                                     capsys):
         spec = ModelSpec(kind="linear", input_features=3, num_classes=4,
                          seed=0)
-        odd = TrainedModel(spec=spec, params=Model.init(spec).params)
+        odd = Model.init(spec)
         path = str(tmp_path / "odd.json")
         save_model(odd, path)
         code = self.run([path], dataset, str(tmp_path / "eval"))
@@ -455,7 +483,7 @@ class TestEvaluateWorkers:
                              seed=seed)
             model = Model.init(spec)
             paths.append(str(tmp_path / f"random{seed}.json"))
-            save_model(TrainedModel(spec=spec, params=20.0 * model.params), paths[-1])
+            save_model(Model(spec, 20.0 * model.params), paths[-1])
         return [paths[0], os.path.join(trained_run, "model.json"), paths[1]]
 
     def evaluate(self, monkeypatch, capsys, cpus, models, dataset, out):
@@ -489,7 +517,7 @@ class TestEvaluateWorkers:
         params[:FEATURE_WIDTH] = 1e308
         params[4 * FEATURE_WIDTH] = 1e308
         huge = str(tmp_path / "huge.json")
-        save_model(TrainedModel(spec=spec, params=params), huge)
+        save_model(Model(spec, params), huge)
         models = [os.path.join(trained_run, "model.json"), huge]
         code, captured, pools = self.evaluate(monkeypatch, capsys, cpus, models,
                                               volume_dataset, str(tmp_path / "eval"))
@@ -588,7 +616,7 @@ FILE_KINDS = {"model": "model file", "manifest": "manifest", "matrix": "distance
 def test_malformed_input_file_is_config_error(dataset, tmp_path, capsys, kind, edit):
     spec = ModelSpec(kind="linear", input_features=FEATURE_WIDTH, num_classes=4)
     paths = {name: tmp_path / f"{name}.json" for name in ("model", "manifest", "matrix")}
-    save_model(TrainedModel(spec, Model.init(spec).params), paths["model"])
+    save_model(Model.init(spec), paths["model"])
     paths["manifest"].write_bytes(file_bytes(os.path.join(dataset, "manifest.json")))
     paths["matrix"].write_text(json.dumps({"background_index": 0,
                                            "matrix": (1.0 - np.eye(4)).tolist()}))

@@ -1,0 +1,34 @@
+"""tools/digest.py: the fixed command set reruns to the same digests."""
+
+import importlib.util
+import os
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SPEC = importlib.util.spec_from_file_location(
+    "digest", os.path.join(os.path.dirname(HERE), "tools", "digest.py"))
+digest = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(digest)
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("digest")
+    return [digest.run(str(root / name), tiny=True) for name in ("a", "b")]
+
+
+def test_rerun_in_another_directory_gives_equal_digests(two_runs):
+    a, b = two_runs
+    assert a == b
+
+
+def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
+    doc = two_runs[0]
+    assert [c["argv"] for c in doc["commands"]] == digest.commands(tiny=True)
+    failed = [(c["argv"], c["exit"]) for c in doc["commands"] if c["exit"] != 0]
+    assert failed == [(argv, 2) for argv in digest.commands(tiny=True)[-2:]]
+    for preset in (*digest.ARMS, "ensemble", "mlp"):
+        assert f"train_{preset}/run_config.json" in doc["files"]
+    for data in ("readme", "no_et", "vol"):
+        assert f"eval_{data}/metrics.csv" in doc["files"]

@@ -140,7 +140,7 @@ def test_train_gives_the_public_step_bytes(model_kind, kind, rng):
             _, grad = _Run(model.spec, dataset, kind, m).gradient(
                 params, list(order[start:start + config.batch_size]))
             params = optimizer.step(params, grad, lr=schedule.at(epoch))
-    assert train(model, dataset, config).params.tobytes() == params.tobytes()
+    assert train(model, dataset, config).model.params.tobytes() == params.tobytes()
 
 
 def reference_epoch(model, dataset, config):
@@ -168,12 +168,12 @@ def test_mixed_grid_dataset_trains_with_batch_size_three(model_kind, rng):
                          batch_size=3, seed=2)
     out = train(model, dataset, config)
     want_params, want_loss = reference_epoch(model, dataset, config)
-    assert np.abs(out.params - want_params).max() <= 1e-12 * np.abs(want_params).max()
+    assert np.abs(out.model.params - want_params).max() <= 1e-12 * np.abs(want_params).max()
     assert abs(out.training_log[0].loss - want_loss) <= 1e-12 * want_loss
 
     # DRO draws with replacement, so batches also repeat cases
     dro = train(model, dataset, TrainConfig(loss="gwdl_ce", distance_matrix=brats_distance_matrix(),
-                                            sampler_mode="dro", optimizer="ranger",
+                                            population="dro", optimizer="ranger",
                                             epochs=8, batch_size=3, seed=2))
     assert len(dro.training_log) == 8
     assert np.isfinite([rec.loss for rec in dro.training_log]).all()

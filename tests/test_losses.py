@@ -82,6 +82,17 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=match):
             DistanceMatrix(m=m)
 
+    def test_matrix_is_its_own_read_only_copy(self):
+        raw = 1.0 - np.eye(4)
+        m = DistanceMatrix(raw)
+        raw[1, 2] = 7.0  # after the checks: must not reach the checked matrix
+        assert m.m[1, 2] == 1.0
+        assert raw.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.m[1, 2] = 7.0
+        with pytest.raises(AttributeError):
+            m.m = raw
+
     def test_non_square(self):
         with pytest.raises(ValueError, match="square"):
             DistanceMatrix(m=np.zeros((2, 3)))
@@ -350,3 +361,12 @@ class TestLabelMap:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             LabelMap(np.array([0, 4]), 4, (2,))
+
+    def test_labels_are_its_own_read_only_copy(self):
+        raw = np.array([0, 1, 2, 3], dtype=np.int64)
+        gt = LabelMap(raw, 4, (4,))
+        with pytest.raises(ValueError, match="read-only"):
+            gt.labels[0] = 9
+        raw[1] = 9  # the caller's array stays writable and is not the map's
+        assert raw.flags.writeable
+        assert gt.labels.tolist() == [0, 1, 2, 3]

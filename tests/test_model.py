@@ -143,13 +143,19 @@ class TestEnsembleLabels:
             out.append(Model(model.spec, 40.0 * model.params))
         return out
 
+    def case(self, features):
+        """A stand-in Case around ``features``; ensemble_labels reads its
+        features, class count and id."""
+        n = len(features)
+        return Case("probe", features, LabelMap(np.zeros(n, dtype=np.int64), 4, (n,)))
+
     @pytest.mark.parametrize("count", [1, 3, 4])
     def test_labels_equal_argmax_of_the_mean_softmax(self, rng, count):
         models = self.members(count)
         feats = rng.normal(size=(300, 3))
         mean = ensemble_mean_softmax([m.forward(feats) for m in models])
         want = np.argmax(mean.voxels, axis=1)
-        got = ensemble_labels(models, feats)
+        got = ensemble_labels(models, self.case(feats))
         assert got.dtype == want.dtype
         assert (got == want).all()
         assert len(set(got.tolist())) > 1
@@ -159,16 +165,16 @@ class TestEnsembleLabels:
         huge = Model(models[1].spec, np.full(models[1].spec.param_count(), 1e300))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                ensemble_labels([models[0], huge], rng.normal(size=(10, 3)))
+                ensemble_labels([models[0], huge], self.case(rng.normal(size=(10, 3))))
 
     def test_mismatched_member_is_value_error(self, rng):
         other = Model.init(ModelSpec(kind="linear", input_features=3, num_classes=2, seed=0))
         with pytest.raises(ValueError, match="member 1"):
-            ensemble_labels([self.members(1)[0], other], rng.normal(size=(10, 3)))
+            ensemble_labels([self.members(1)[0], other], self.case(rng.normal(size=(10, 3))))
 
     def test_empty_ensemble_is_value_error(self, rng):
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_labels([], rng.normal(size=(10, 3)))
+            ensemble_labels([], self.case(rng.normal(size=(10, 3))))
 
 
 class TestBackward:
@@ -228,8 +234,8 @@ class TestTrainConfig:
         assert config.distance_matrix is None
 
     def test_unknown_sampler_mode(self):
-        with pytest.raises(ValueError, match="sampler mode"):
-            TrainConfig(sampler_mode="boosted")
+        with pytest.raises(ValueError, match="population"):
+            TrainConfig(population="boosted")
 
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
@@ -260,10 +266,18 @@ class TestTrainConfig:
 
 
 class TestTrain:
+    def test_returns_the_fitted_model_with_its_log(self):
+        out = train(Model.init(LINEAR), toy_dataset(), TrainConfig(loss="ce", epochs=2))
+        assert [f.name for f in dataclasses.fields(TrainedModel)] == [
+            "model", "training_log", "sampler"]
+        assert isinstance(out.model, Model)
+        assert out.model.spec == LINEAR
+        assert len(out.training_log) == 2 and out.sampler is None
+
     def test_zero_epochs_returns_initial_params(self):
         model = Model.init(LINEAR)
         out = train(model, toy_dataset(), TrainConfig(loss="ce", epochs=0))
-        assert (out.params == model.params).all()
+        assert (out.model.params == model.params).all()
         assert out.training_log == []
 
     def test_separable_toy_converges(self):
@@ -295,9 +309,9 @@ class TestTrain:
         def run():
             return train(Model.init(LINEAR), toy_dataset(),
                          TrainConfig(loss="dice_ce", optimizer="adam",
-                                     sampler_mode="dro", epochs=40, seed=3))
+                                     population="dro", epochs=40, seed=3))
         a, b = run(), run()
-        assert (a.params == b.params).all()
+        assert (a.model.params == b.model.params).all()
         assert a.training_log == b.training_log
 
     def test_dro_sampler_tracks_case_hardness(self):
@@ -307,9 +321,9 @@ class TestTrain:
         fracs = [0.0, 0.05, 0.1, 0.15, 0.25, 0.35, 0.45, 0.55]
         dataset = toy_dataset(seed=4, flip_fractions=fracs)
         config = TrainConfig(loss="ce", optimizer="sgd", lr=0.1,
-                             sampler_mode="dro", beta=5.0, epochs=200, seed=2)
+                             population="dro", beta=5.0, epochs=200, seed=2)
         out = train(Model.init(LINEAR), dataset, config)
-        model = out.model()
+        model = out.model
         losses = [composite_loss("ce", model.forward(c.features), c.labels).value
                   for c in dataset]
         rho = stats.spearmanr(out.sampler.probabilities(), losses).statistic
@@ -317,7 +331,7 @@ class TestTrain:
 
     def test_dro_with_tiny_beta_samples_uniformly(self):
         dataset = toy_dataset()
-        config = TrainConfig(loss="ce", sampler_mode="dro", beta=1e-9,
+        config = TrainConfig(loss="ce", population="dro", beta=1e-9,
                              epochs=5, seed=1)
         out = train(Model.init(LINEAR), dataset, config)
         draws = out.sampler.sample_batch(10_000)
@@ -355,25 +369,25 @@ class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         trained = self.make_trained()
         path = tmp_path / "model.json"
-        save_model(trained, path)
+        save_model(trained.model, path)
         loaded = load_model(path)
-        assert loaded.spec == trained.spec
-        assert (loaded.params == trained.params).all()
+        assert loaded.spec == trained.model.spec
+        assert (loaded.params == trained.model.params).all()
 
     def test_sidecar_layout(self, tmp_path):
         import json
         trained = self.make_trained()
-        save_model(trained, tmp_path / "model.json")
+        save_model(trained.model, tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
         assert set(doc) == {"spec", "param_file", "param_count"}
         assert doc["param_file"] == "model.params.bin"
-        assert doc["param_count"] == trained.params.size
+        assert doc["param_count"] == trained.model.params.size
         raw = np.fromfile(tmp_path / "model.params.bin", dtype="<f8")
-        assert (raw == trained.params).all()
+        assert (raw == trained.model.params).all()
 
     def test_truncated_params_rejected(self, tmp_path):
         trained = self.make_trained()
-        save_model(trained, tmp_path / "model.json")
+        save_model(trained.model, tmp_path / "model.json")
         bin_path = tmp_path / "model.params.bin"
         bin_path.write_bytes(bin_path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="size mismatch"):
@@ -381,7 +395,7 @@ class TestSerialization:
 
     def test_missing_param_file(self, tmp_path):
         trained = self.make_trained()
-        save_model(trained, tmp_path / "model.json")
+        save_model(trained.model, tmp_path / "model.json")
         (tmp_path / "model.params.bin").unlink()
         with pytest.raises(FileNotFoundError, match="parameter file"):
             load_model(tmp_path / "model.json")
@@ -393,7 +407,7 @@ class TestSerialization:
 
     def test_missing_spec_field_names_the_file(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(self.make_trained(), path)
+        save_model(self.make_trained().model, path)
         doc = json.loads(path.read_text())
         del doc["spec"]["seed"]
         path.write_text(json.dumps(doc))
@@ -403,7 +417,7 @@ class TestSerialization:
 
     def test_param_count_checked_before_the_sidecar_is_read(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(self.make_trained(), path)
+        save_model(self.make_trained().model, path)
         doc = json.loads(path.read_text())
         doc["param_count"] += 1
         path.write_text(json.dumps(doc))
@@ -413,10 +427,21 @@ class TestSerialization:
             load_model(path)
 
     def test_loaded_params_are_writable(self, tmp_path):
-        save_model(self.make_trained(), tmp_path / "model.json")
+        save_model(self.make_trained().model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         assert loaded.params.dtype == np.float64
         assert loaded.params.flags.writeable
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda m: m.params.__setitem__(0, np.nan), "non-finite values in params"),
+        (lambda m: setattr(m, "params", np.zeros(3)), "parameter vector has 3 entries"),
+    ], ids=["nan_written_in", "params_rebound"])
+    def test_model_changed_after_its_check_writes_no_file(self, tmp_path, change, error):
+        model = Model.init(LINEAR)
+        change(model)
+        with pytest.raises(ValueError, match=error):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_training_log_csv(self, tmp_path):
         trained = self.make_trained()

@@ -1,0 +1,106 @@
+"""Digest one fixed set of segopt commands, to show which output bytes a change moves.
+
+    python tools/digest.py OUT
+
+The set: ``synth`` of the README dataset (24x24, common:40,rare:4), the
+same with ``--no-et-frac 0.3`` and an 8x8x6 dataset; ``train --preset``
+baseline, ranger, gwdl, dro and ensemble at 7 epochs; a 3-D ``--model mlp
+--loss gwdl --population dro --optimizer ranger --batch-size 3`` run;
+``evaluate`` of the four ensemble members on both 2-D datasets and of
+the MLP on the 3-D one;
+``gradcheck --trials 20`` for seeds 0-9; and two commands the CLI
+refuses.  ``run(out, tiny=True)`` shrinks the 2-D datasets, the epochs
+and the gradcheck trials and seeds, so the whole set runs in a few seconds.
+
+Each command runs in its own process of the segopt beside this script,
+inside OUT with relative paths, so no file records where OUT is, and with
+OPENBLAS_NUM_THREADS=1.  OUT/digests.json maps each file under OUT to its
+sha256 and lists every command's argv, exit code, stdout and stderr, one
+entry per line, so ``diff A/digests.json B/digests.json`` shows what moved.
+
+Compare digests made on the same machine only: the bytes depend on the
+BLAS kernel OpenBLAS picks for the CPU, so no golden digests are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DIGESTS = "digests.json"
+ARMS = ("baseline", "ranger", "gwdl", "dro")
+
+
+def commands(tiny: bool = False) -> list:
+    """The argv of every command in the set, in run order."""
+    grid, subgroups = ("8x8", "common:4,rare:2") if tiny else ("24x24", "common:40,rare:4")
+    epochs = "2" if tiny else "7"
+    trials, seeds = ("2", range(2)) if tiny else ("20", range(10))
+    synth = ["synth", "--grid", grid, "--subgroups", subgroups, "--seed", "0"]
+    out = [
+        [*synth, "--out", "readme"],
+        [*synth, "--out", "no_et", "--no-et-frac", "0.3"],
+        ["synth", "--out", "vol", "--grid", "8x8x6",
+         "--subgroups", "common:3,rare:2", "--seed", "1"],
+    ]
+    for preset in (*ARMS, "ensemble"):
+        out.append(["train", "--dataset", "readme", "--out", f"train_{preset}",
+                    "--preset", preset, "--epochs", epochs])
+    out.append(["train", "--dataset", "vol", "--out", "train_mlp", "--model", "mlp",
+                "--loss", "gwdl", "--population", "dro", "--optimizer", "ranger",
+                "--batch-size", "3", "--epochs", epochs])
+    members = [f"train_ensemble/model_{arm}.json" for arm in ARMS]
+    for data in ("readme", "no_et"):
+        out.append(["evaluate", *members, "--dataset", data, "--out", f"eval_{data}"])
+    out.append(["evaluate", "train_mlp/model.json", "--dataset", "vol", "--out", "eval_vol"])
+    out += [["gradcheck", "--trials", trials, "--seed", str(seed)] for seed in seeds]
+    out += [
+        ["train", "--dataset", "readme", "--out", "refused_beta", "--preset", "baseline",
+         "--beta", "5"],
+        ["evaluate", "missing.json", "--dataset", "readme", "--out", "refused_model"],
+    ]
+    return out
+
+
+def run(out: str, tiny: bool = False) -> dict:
+    """Run the set inside the new directory ``out``; write and return its digests."""
+    os.makedirs(out)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    ran = []
+    for argv in commands(tiny):
+        proc = subprocess.run([sys.executable, "-m", "segopt.cli", *argv], cwd=out, env=env,
+                              capture_output=True, text=True)
+        ran.append({"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
+                    "stderr": proc.stderr})
+    files = {}
+    for dirpath, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()
+    doc = {"files": dict(sorted(files.items())), "commands": ran}
+    with open(os.path.join(out, DIGESTS), "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="new directory to run the command set in")
+    args = parser.parse_args(argv)
+    doc = run(args.out)
+    failed = sum(c["exit"] != 0 for c in doc["commands"])
+    print(f"{len(doc['files'])} files, {len(doc['commands'])} commands "
+          f"({failed} nonzero exits) digested in {os.path.join(args.out, DIGESTS)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

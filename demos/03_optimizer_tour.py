@@ -19,11 +19,11 @@ def grad(x):
 
 
 def run(kind, lr, steps=400):
-    opt = make_optimizer(kind, lr)
+    opt = make_optimizer(kind)
     x = np.array([2.0, 2.0])
     history = [float(np.abs(x).max())]
     for _ in range(steps):
-        x = opt.step(x, grad(x))
+        x = opt.step(x, grad(x), lr)
         history.append(float(np.abs(x).max()))
     return history
 

@@ -78,6 +78,8 @@ def parse_subgroups(text: str) -> dict:
         name, sep, count = chunk.partition(":")
         if not sep or not name:
             raise ValueError(f"subgroups must be name:count[,name:count...], got {text!r}")
+        if name in out:
+            raise ValueError(f"subgroup {name!r} is listed twice in {text!r}")
         try:
             out[name] = int(count)
         except ValueError:

@@ -16,20 +16,17 @@ interpolation.  Both masks empty gives 0; exactly one empty is undefined
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import LabelMap, ProbMap
 from .numerics import write_csv
-from .synthdata import NUM_CLASSES
 
 __all__ = [
-    "RegionSpec",
     "REGIONS",
     "CaseMetrics",
     "MetricStats",
-    "AggregateStats",
     "region_mask",
     "dice_score",
     "boundary_mask",
@@ -44,27 +41,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    name: str
-    label_set: frozenset
-
-    def __post_init__(self):
-        if not self.label_set:
-            raise ValueError(f"region {self.name!r} has an empty label set")
-        bad = [l for l in self.label_set if not 0 < l < NUM_CLASSES]
-        if bad:
-            raise ValueError(f"region {self.name!r} contains invalid labels {sorted(bad)}")
-
-
-# Evaluation order matches the report tables: ET, WT, TC.
-REGIONS = (
-    RegionSpec("ET", frozenset({1})),
-    RegionSpec("WT", frozenset({1, 2, 3})),
-    RegionSpec("TC", frozenset({1, 3})),
-)
-
-REGION_NAMES = tuple(r.name for r in REGIONS)
+# Each region's labels, in the report tables' order: ET, WT, TC.
+REGIONS = {"ET": (1,), "WT": (1, 2, 3), "TC": (1, 3)}
 
 
 @dataclass
@@ -89,14 +67,6 @@ class MetricStats:
     n_excluded: int
 
 
-@dataclass
-class AggregateStats:
-    stats: dict = field(default_factory=dict)  # (region, metric) -> MetricStats
-
-    def get(self, region: str, metric: str) -> MetricStats:
-        return self.stats[(region, metric)]
-
-
 def _flat_mask(mask, name: str) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.dtype != bool:
@@ -106,10 +76,10 @@ def _flat_mask(mask, name: str) -> np.ndarray:
     return mask.reshape(-1)
 
 
-def region_mask(labels, region: RegionSpec) -> np.ndarray:
-    """Binary mask of voxels whose label belongs to the region's label set."""
+def region_mask(labels, name: str) -> np.ndarray:
+    """Binary mask of voxels whose label belongs to region ``name`` of REGIONS."""
     flat = labels.labels if isinstance(labels, LabelMap) else np.asarray(labels).reshape(-1)
-    return np.isin(flat, sorted(region.label_set))
+    return np.isin(flat, REGIONS[name])
 
 
 def dice_score(a, b) -> float:
@@ -215,8 +185,8 @@ def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,
     for region in REGIONS:
         pm = region_mask(pred_labels, region)
         gm = region_mask(gt_labels, region)
-        dice[region.name] = dice_score(pm, gm)
-        hausdorff[region.name] = hd95(pm, gm, pred_labels.spatial_shape, spacing)
+        dice[region] = dice_score(pm, gm)
+        hausdorff[region] = hd95(pm, gm, pred_labels.spatial_shape, spacing)
     return CaseMetrics(case_id=case_id, dice=dice, hd95=hausdorff)
 
 
@@ -235,8 +205,10 @@ def _column_stats(values, n_excluded: int) -> MetricStats:
     )
 
 
-def aggregate(metrics) -> AggregateStats:
-    """Mean/std/median/IQR per region and metric across cases.
+def aggregate(metrics) -> dict:
+    """Mean/std/median/IQR per region and metric across cases, as
+    ``{(region, metric): MetricStats}`` in report order: each region of
+    REGIONS, dice before hd95.
 
     Undefined hd95 entries are excluded from the hd95 statistics; the
     exclusion count is kept in the stats row.
@@ -244,13 +216,13 @@ def aggregate(metrics) -> AggregateStats:
     metrics = list(metrics)
     if not metrics:
         raise ValueError("cannot aggregate an empty metric sequence")
-    out = AggregateStats()
-    for region in REGION_NAMES:
+    out = {}
+    for region in REGIONS:
         dice_vals = [m.dice[region] for m in metrics]
-        out.stats[(region, "dice")] = _column_stats(dice_vals, 0)
+        out[(region, "dice")] = _column_stats(dice_vals, 0)
         hd_vals = [m.hd95[region] for m in metrics if m.hd95[region] is not None]
         n_excluded = len(metrics) - len(hd_vals)
-        out.stats[(region, "hd95")] = _column_stats(hd_vals, n_excluded)
+        out[(region, "hd95")] = _column_stats(hd_vals, n_excluded)
     return out
 
 
@@ -297,30 +269,27 @@ def write_case_csv(metrics, path) -> None:
     write_csv(path, ["case_id", "region", "dice", "hd95", "hd95_defined"],
               ([m.case_id, region, _fmt(m.dice[region]), _fmt(m.hd95[region]),
                 "true" if m.hd95[region] is not None else "false"]
-               for m in metrics for region in REGION_NAMES))
+               for m in metrics for region in REGIONS))
 
 
-def write_aggregate_csv(agg: AggregateStats, path) -> None:
-    stats = [(region, metric, agg.get(region, metric))
-             for region in REGION_NAMES for metric in ("dice", "hd95")]
+def write_aggregate_csv(agg: dict, path) -> None:
+    """One row per entry of aggregate()'s dict, in its order."""
     write_csv(path, ["region", "metric", "mean", "std", "median", "iqr", "n_used", "n_excluded"],
               ([region, metric, _fmt(s.mean), _fmt(s.std), _fmt(s.median), _fmt(s.iqr),
-                s.n_used, s.n_excluded] for region, metric, s in stats))
+                s.n_used, s.n_excluded] for (region, metric), s in agg.items()))
 
 
-def format_aggregate_table(agg: AggregateStats) -> str:
+def format_aggregate_table(agg: dict) -> str:
     """Aligned text table with Mean, Std, Median, IQR columns per metric."""
     headers = ["region", "metric", "Mean", "Std", "Median", "IQR", "n", "excluded"]
     rows = []
-    for region in REGION_NAMES:
-        for metric in ("dice", "hd95"):
-            s = agg.get(region, metric)
-            cells = [region, metric]
-            for v in (s.mean, s.std, s.median, s.iqr):
-                cells.append("-" if v is None else f"{v:.4f}")
-            cells.append(str(s.n_used))
-            cells.append(str(s.n_excluded))
-            rows.append(cells)
+    for (region, metric), s in agg.items():
+        cells = [region, metric]
+        for v in (s.mean, s.std, s.median, s.iqr):
+            cells.append("-" if v is None else f"{v:.4f}")
+        cells.append(str(s.n_used))
+        cells.append(str(s.n_excluded))
+        rows.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     for r in rows:

@@ -47,8 +47,8 @@ import numpy as np
 from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
                      _check_shapes, _Tables)
-from .numerics import (Rng, as_f64, parsing, read_array, read_json, require_finite,
-                       softmax_inplace, write_csv, write_json)
+from .numerics import (Rng, as_f64, check_seed, parsing, read_array, read_json,
+                       require_finite, softmax_inplace, write_array, write_csv, write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
 # segopt.model.softmax.
@@ -106,6 +106,7 @@ class ModelSpec:
                 raise ValueError("mlp needs hidden_width >= 1")
         elif self.hidden_width is not None:
             raise ValueError("hidden_width only applies to the mlp kind")
+        check_seed(self.seed, "model seed")
 
     def check_fit(self, features: int, classes: int, model: str, data: str) -> None:
         """Raise unless ``data``, named in the message after ``model``, has
@@ -319,7 +320,7 @@ def _stack(members):
 class TrainConfig:
     """Every training setting, with its default.  ``distance_matrix`` is
     None unless ``loss`` is a gwdl kind; other kinds drop a given matrix.
-    ``lr`` None means the optimizer's default learning rate."""
+    ``lr`` None resolves to the optimizer kind's DEFAULT_LR, here alone."""
 
     loss: str = "dice_ce"
     distance_matrix: DistanceMatrix | None = None
@@ -353,6 +354,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # train() seeds the shuffle with seed and the dro sampler with seed + 1.
+        check_seed(self.seed)
+        check_seed(self.seed + 1, "seed + 1 (the dro sampler's seed)")
 
 
 @dataclass(frozen=True)
@@ -415,8 +419,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     _check_inputs(model, dataset, config)
     n = len(dataset)
 
-    optimizer = make_optimizer(config.optimizer, config.lr,
-                               config.lookahead_k, config.lookahead_alpha)
+    optimizer = make_optimizer(config.optimizer, config.lookahead_k, config.lookahead_alpha)
     params = model.params.copy()
     log = []
     sampler = None
@@ -477,7 +480,7 @@ def save_model(model: Model, path) -> None:
         "param_file": param_file,
         "param_count": int(model.params.size),
     }
-    model.params.astype("<f8").tofile(os.path.join(os.path.dirname(path) or ".", param_file))
+    write_array(os.path.join(os.path.dirname(path) or ".", param_file), model.params, "<f8")
     write_json(path, doc)
 
 

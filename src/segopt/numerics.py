@@ -4,9 +4,9 @@ Everything downstream works on dense float64 numpy arrays in row-major
 order, and draws randomness from :class:`Rng`, a counter-based generator
 whose streams replay bit-identically across platforms for a fixed seed.
 
-It is also the file layer: read_json, read_array, write_json and
-write_csv handle every JSON, CSV and raw array file, and the readers and
-parsing() (for field conversions) name the file in every error.
+It is also the file layer: read_json, read_array, write_json, write_csv
+and write_array handle every JSON, CSV and raw array file, and the readers
+and parsing() (for field conversions) name the file in every error.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Rng", "softmax", "softmax_inplace", "require_finite", "as_f64",
-           "read_json", "parsing", "read_array", "write_json", "write_csv"]
+__all__ = ["Rng", "check_seed", "softmax", "softmax_inplace", "require_finite", "as_f64",
+           "read_json", "parsing", "read_array", "write_json", "write_csv", "write_array"]
 
 
 def as_f64(values, name: str = "array") -> np.ndarray:
@@ -34,6 +34,15 @@ def require_finite(arr: np.ndarray, name: str = "array") -> None:
         raise ValueError(f"non-finite values in {name}")
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """Return ``seed`` as an int, refusing one outside the 64-bit unsigned
+    range that Rng takes."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 class Rng:
     """Seeded random stream shared by samplers, models, and data generation.
 
@@ -44,11 +53,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.Philox(seed))
+        self._gen = np.random.Generator(np.random.Philox(check_seed(seed)))
 
     def uniform(self, size=None) -> np.ndarray:
         """Draws in [0, 1)."""
@@ -154,3 +159,9 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_array(path, values, dtype) -> None:
+    """Write ``values`` as a raw file of ``dtype`` items in C order, the
+    layout read_array reads back."""
+    np.asarray(values, dtype=dtype).tofile(path)

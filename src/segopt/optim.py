@@ -3,8 +3,9 @@
 Plain-numpy implementations over a flat parameter vector: SGD with
 Nesterov momentum (the baseline), Adam, rectified Adam (RAdam), the
 Lookahead wrapper, and Ranger (Lookahead around RAdam).  Every optimizer
-exposes ``step(params, grad, lr=None)`` returning the updated vector; a
-per-call ``lr`` lets the epoch schedule drive any of them.
+exposes ``step(params, grad, lr)`` returning the updated vector.  No
+optimizer holds a learning rate: the caller passes one to every step, so
+the epoch schedule drives any of them.
 
 RAdam tempers Adam's early steps: while too few gradients have been seen
 for the second-moment estimate to be trustworthy (rho_t <= 4), it takes a
@@ -41,8 +42,7 @@ __all__ = [
     "LOOKAHEAD_ALPHA",
 ]
 
-# Default learning rate per optimizer kind; the single source for the
-# optimizer classes, make_optimizer() and TrainConfig.
+# Default learning rate per optimizer kind, resolved by TrainConfig.
 DEFAULT_LR = {"sgd": 1e-2, "adam": 3e-3, "radam": 3e-3, "ranger": 3e-3}
 
 OPTIMIZER_KINDS = tuple(DEFAULT_LR)
@@ -77,11 +77,9 @@ class PolySchedule:
 
 
 class _OptimizerBase:
-    """Common bookkeeping: lazy buffer allocation, step counting, lr default."""
+    """Common bookkeeping: lazy buffer allocation and step counting."""
 
-    def __init__(self, lr: float):
-        _check_lr(lr)
-        self.lr = float(lr)
+    def __init__(self):
         self.step_count = 0
 
     def _check(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -90,11 +88,13 @@ class _OptimizerBase:
                 f"gradient shape {grad.shape} does not match parameters {params.shape}"
             )
 
-    def step(self, params, grad, lr: float | None = None) -> np.ndarray:
+    def step(self, params, grad, lr: float) -> np.ndarray:
         params = as_f64(params, "params")
         grad = as_f64(grad, "grad")
         self._check(params, grad)
-        return self._step(params, grad, self.lr if lr is None else float(lr))
+        lr = float(lr)
+        _check_lr(lr)
+        return self._step(params, grad, lr)
 
     def _step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         """step() without its checks, for model.train: its params are
@@ -105,11 +105,12 @@ class _OptimizerBase:
 
 
 class SgdNesterov(_OptimizerBase):
-    """SGD with Nesterov momentum (momentum 0.99 by default, nnU-Net style)."""
+    """SGD with Nesterov momentum 0.99, nnU-Net style."""
 
-    def __init__(self, lr: float = DEFAULT_LR["sgd"], momentum: float = 0.99):
-        super().__init__(lr)
-        self.momentum = float(momentum)
+    momentum = 0.99
+
+    def __init__(self):
+        super().__init__()
         self._velocity = None
 
     def _update(self, params, grad, lr):
@@ -124,8 +125,8 @@ class Adam(_OptimizerBase):
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float = DEFAULT_LR["adam"]):
-        super().__init__(lr)
+    def __init__(self):
+        super().__init__()
         self._m = None
         self._v = None
 
@@ -149,9 +150,6 @@ class RAdam(Adam):
     """Rectified Adam: variance-rectified adaptive steps once rho_t > 4."""
 
     rho_inf = 2.0 / (1.0 - Adam.beta2) - 1.0
-
-    def __init__(self, lr: float = DEFAULT_LR["radam"]):
-        super().__init__(lr)
 
     def rho_t(self, t: int) -> float:
         """Length of the approximated simple moving average after t steps."""
@@ -205,7 +203,7 @@ class Lookahead:
     def step_count(self) -> int:
         return self.inner.step_count
 
-    def step(self, params, grad, lr: float | None = None) -> np.ndarray:
+    def step(self, params, grad, lr: float) -> np.ndarray:
         return self._sync(params, self.inner.step(params, grad, lr))  # validates both
 
     def _step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -225,23 +223,16 @@ class Lookahead:
         return fast
 
 
-def ranger(lr: float = DEFAULT_LR["ranger"], k: int = LOOKAHEAD_K,
-           alpha: float = LOOKAHEAD_ALPHA) -> Lookahead:
+def ranger(k: int = LOOKAHEAD_K, alpha: float = LOOKAHEAD_ALPHA) -> Lookahead:
     """Ranger: the Lookahead wrapper around RAdam."""
-    return Lookahead(RAdam(lr=lr), k=k, alpha=alpha)
+    return Lookahead(RAdam(), k=k, alpha=alpha)
 
 
-def make_optimizer(kind: str, lr: float | None = None, lookahead_k: int = LOOKAHEAD_K,
+def make_optimizer(kind: str, lookahead_k: int = LOOKAHEAD_K,
                    lookahead_alpha: float = LOOKAHEAD_ALPHA):
-    """Build an optimizer by CLI name, with per-kind default learning rates."""
+    """Build an optimizer by CLI name; the Lookahead settings apply to ranger only."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")
-    if lr is None:
-        lr = DEFAULT_LR[kind]
-    if kind == "sgd":
-        return SgdNesterov(lr=lr)
-    if kind == "adam":
-        return Adam(lr=lr)
-    if kind == "radam":
-        return RAdam(lr=lr)
-    return ranger(lr=lr, k=lookahead_k, alpha=lookahead_alpha)
+    if kind == "ranger":
+        return ranger(lookahead_k, lookahead_alpha)
+    return {"sgd": SgdNesterov, "adam": Adam, "radam": RAdam}[kind]()

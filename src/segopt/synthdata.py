@@ -16,6 +16,8 @@ labels are exactly recoverable by nearest-template classification.
 On disk a dataset is a JSON manifest plus two raw flat files per case:
 features as little-endian float32, labels as uint8, all read and written
 through numerics' file layer, so a bad file is reported with its path.
+generate() records 1 mm spacing on every axis; a manifest made elsewhere
+may carry any finite positive spacing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LabelMap
-from .numerics import Rng, parsing, read_array, read_json, require_finite, write_json
+from .numerics import (Rng, parsing, read_array, read_json, require_finite, write_array,
+                       write_json)
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -99,7 +102,6 @@ class SynthConfig:
     sigma: float = 0.3
     no_et_fraction: float = 0.0
     seed: int = 0
-    spacing_mm: tuple[float, ...] | None = None
 
     def __post_init__(self):
         self.grid = tuple(int(g) for g in self.grid)
@@ -112,6 +114,9 @@ class SynthConfig:
         for name, count in self.subgroup_cases.items():
             if not name:
                 raise ValueError("subgroup names must be nonempty")
+            # A name is the prefix of its cases' file names, so it must not leave out_dir.
+            if any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+                raise ValueError(f"subgroup name {name!r} contains a path separator")
             if count < 0:
                 raise ValueError(f"subgroup {name!r} has negative case count {count}")
         if sum(self.subgroup_cases.values()) < 1:
@@ -120,13 +125,6 @@ class SynthConfig:
             raise ValueError(f"noise level must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.no_et_fraction <= 1.0:
             raise ValueError(f"no-ET fraction must lie in [0, 1], got {self.no_et_fraction}")
-        if self.spacing_mm is None:
-            self.spacing_mm = (1.0,) * len(self.grid)
-        self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
-        if len(self.spacing_mm) != len(self.grid):
-            raise ValueError("spacing must have one entry per grid axis")
-        if any(not 0 < s < math.inf for s in self.spacing_mm):
-            raise ValueError(f"spacing must be finite and positive, got {self.spacing_mm}")
 
     def contrasts(self) -> dict:
         """Per-subgroup template contrast: 1.0 for the first subgroup,
@@ -266,7 +264,7 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
         version=MANIFEST_VERSION,
         num_classes=NUM_CLASSES,
         feature_width=FEATURE_WIDTH,
-        spacing_mm=config.spacing_mm,
+        spacing_mm=(1.0,) * len(config.grid),
     )
     for name, count in config.subgroup_cases.items():
         templates = templates_for(contrasts[name])
@@ -283,8 +281,8 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
             require_finite(features, f"float32 features of case {case_id!r}")
             feat_name = f"{case_id}_features.f32"
             lab_name = f"{case_id}_labels.u8"
-            features.tofile(os.path.join(out_dir, feat_name))
-            labels.astype(np.uint8).tofile(os.path.join(out_dir, lab_name))
+            write_array(os.path.join(out_dir, feat_name), features, "<f4")
+            write_array(os.path.join(out_dir, lab_name), labels, np.uint8)
             manifest.cases.append(CaseEntry(case_id, name, feat_name, lab_name, config.grid))
     write_json(os.path.join(out_dir, MANIFEST_NAME), manifest.to_doc())
     return manifest

@@ -155,21 +155,21 @@ def test_lookahead_identity_and_variance_rectification_branch():
     steps; the rectified optimizer takes plain momentum steps while its
     sample-size proxy is <= 4 (the first four steps at beta2=0.999) and
     its rectification factor settles within 1e-3 of 1 by t=1e4."""
-    wrapped = Lookahead(RAdam(lr=0.02), k=1, alpha=1.0)
-    bare = RAdam(lr=0.02)
+    wrapped = Lookahead(RAdam(), k=1, alpha=1.0)
+    bare = RAdam()
     x_w = x_b = np.array([1.3, -0.7, 0.4])
     for _ in range(100):
-        x_w = wrapped.step(x_w, 2.0 * x_w)
-        x_b = bare.step(x_b, 2.0 * x_b)
+        x_w = wrapped.step(x_w, 2.0 * x_w, 0.02)
+        x_b = bare.step(x_b, 2.0 * x_b, 0.02)
         assert (x_w == x_b).all()
 
-    r = RAdam(lr=0.01)
+    r = RAdam()
     assert abs(r.rho_t(1) - 1.0) <= 1e-12
     assert all(r.rho_t(t) <= 4.0 for t in (1, 2, 3, 4))
     assert r.rho_t(5) > 4.0
 
     # the first four steps must be exactly params - lr * bias-corrected momentum
-    stepper = RAdam(lr=0.01)
+    stepper = RAdam()
     params = np.array([0.5, -0.2])
     m = np.zeros(2)
     g_rng = np.random.default_rng(5)
@@ -177,7 +177,7 @@ def test_lookahead_identity_and_variance_rectification_branch():
         g = g_rng.normal(size=2)
         m = 0.9 * m + 0.1 * g
         unadapted = params - 0.01 * (m / (1.0 - 0.9 ** t))
-        params = stepper.step(params, g)
+        params = stepper.step(params, g, 0.01)
         if t <= 4:
             assert_allclose(params, unadapted, rtol=0.0, atol=1e-15)
         else:

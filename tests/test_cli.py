@@ -142,6 +142,22 @@ class TestSynth:
                             ("seed", "seed")):
             assert getattr(args, flag) == getattr(defaults, field), flag
 
+    def test_subgroup_listed_twice_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--grid", "6x6",
+                     "--subgroups", "a:3,a:4"]) == 2
+        assert "subgroup 'a' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../evil", "a/b", "evil/"])
+    def test_subgroup_name_with_a_path_separator_is_config_error(self, tmp_path, capsys, name):
+        outer = tmp_path / "outer"
+        outer.mkdir()
+        assert main(["synth", "--out", str(outer / "d2"), "--grid", "6x6",
+                     "--subgroups", f"common:1,{name}:1"]) == 2
+        assert f"subgroup name {name!r} contains a path separator" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [outer]
+
 
 class TestTrain:
     def test_writes_model_log_and_config(self, trained_run):
@@ -263,6 +279,19 @@ class TestTrain:
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert not [name for name in left if name.startswith(
             ("model", "training_log", "run_config.json"))], left
+
+    @pytest.mark.parametrize("seed, what", [
+        ("-1", "seed"),
+        ("18446744073709551615", "seed + 1 (the dro sampler's seed)"),
+        ("18446744073709551614", "model seed"),
+    ], ids=["negative", "sampler-seed-overflows", "model-seed-overflows"])
+    def test_seed_outside_64_bits_fails_before_out_is_made(self, dataset, tmp_path, capsys,
+                                                            seed, what):
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", dataset, "--out", str(out), "--epochs", "1",
+                     "--seed", seed]) == 2
+        assert f"error: {what} must be a 64-bit unsigned integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])

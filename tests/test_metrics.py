@@ -6,7 +6,6 @@ from segopt.losses import ProbMap
 from segopt.metrics import (
     REGIONS,
     CaseMetrics,
-    RegionSpec,
     aggregate,
     boundary_mask,
     dice_score,
@@ -28,10 +27,10 @@ ET, WT, TC = REGIONS
 
 class TestRegions:
     def test_report_order_and_composition(self):
-        assert [r.name for r in REGIONS] == ["ET", "WT", "TC"]
-        assert ET.label_set == {1}
-        assert WT.label_set == {1, 2, 3}
-        assert TC.label_set == {1, 3}
+        assert list(REGIONS) == ["ET", "WT", "TC"]
+        assert REGIONS[ET] == (1,)
+        assert REGIONS[WT] == (1, 2, 3)
+        assert REGIONS[TC] == (1, 3)
 
     def test_masks_on_one_voxel_per_class(self):
         labels = label_map([0, 1, 2, 3])
@@ -52,14 +51,6 @@ class TestRegions:
             wt = region_mask(labels, WT)
             assert (et <= tc).all()
             assert (tc <= wt).all()
-
-    def test_background_not_allowed_in_region(self):
-        with pytest.raises(ValueError, match="invalid labels"):
-            RegionSpec("BAD", frozenset({0, 1}))
-
-    def test_empty_region_rejected(self):
-        with pytest.raises(ValueError, match="empty label set"):
-            RegionSpec("BAD", frozenset())
 
 
 class TestDice:
@@ -259,7 +250,7 @@ def case(case_id, dice_vals, hd_vals):
 class TestAggregate:
     def test_single_case(self):
         agg = aggregate([case("a", (0.7, 0.8, 0.9), (1.0, 2.0, 3.0))])
-        s = agg.get("WT", "dice")
+        s = agg["WT", "dice"]
         assert s.mean == s.median == 0.8
         assert s.std == 0.0
         assert s.iqr == 0.0
@@ -270,14 +261,14 @@ class TestAggregate:
             case("a", (0.8, 0.8, 0.8), (1.0, 1.0, 1.0)),
             case("b", (0.9, 0.9, 0.9), (2.0, 2.0, 2.0)),
         ])
-        s = agg.get("ET", "dice")
+        s = agg["ET", "dice"]
         assert_allclose(s.mean, 0.85, atol=1e-15)
         assert_allclose(s.median, 0.85, atol=1e-15)
 
     def test_iqr_linear_interpolation(self):
         cases = [case(str(i), (0.5,) * 3, (float(v),) * 3)
                  for i, v in enumerate([1, 2, 3, 4])]
-        s = aggregate(cases).get("WT", "hd95")
+        s = aggregate(cases)["WT", "hd95"]
         assert_allclose(s.iqr, 1.5, atol=1e-12)
 
     def test_undefined_hd95_excluded_with_count(self):
@@ -286,14 +277,14 @@ class TestAggregate:
             case("b", (0.6,) * 3, (2.0, None, 3.0)),
             case("c", (0.7,) * 3, (None, None, 5.0)),
         ])
-        s_et = agg.get("ET", "hd95")
+        s_et = agg["ET", "hd95"]
         assert s_et.n_used == 2 and s_et.n_excluded == 1
         assert_allclose(s_et.mean, 3.0, atol=1e-15)
-        s_wt = agg.get("WT", "hd95")
+        s_wt = agg["WT", "hd95"]
         assert s_wt.n_used == 0 and s_wt.n_excluded == 3
         assert s_wt.mean is None and s_wt.median is None
         # dice columns never exclude
-        assert agg.get("WT", "dice").n_used == 3
+        assert agg["WT", "dice"].n_used == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

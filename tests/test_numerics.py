@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import segopt
-from segopt.numerics import (Rng, as_f64, parsing, read_array, read_json, require_finite, softmax,
-                             write_csv, write_json)
+from segopt.numerics import (Rng, as_f64, check_seed, parsing, read_array, read_json,
+                             require_finite, softmax, write_array, write_csv, write_json)
 
 
 class TestSoftmax:
@@ -47,6 +47,17 @@ class TestRng:
         a = Rng(42).uniform(size=100)
         b = Rng(42).uniform(size=100)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            Rng(seed)
+
+    def test_check_seed_names_the_seed(self):
+        assert check_seed(2**64 - 1) == 2**64 - 1
+        with pytest.raises(ValueError, match=r"^model seed must be a 64-bit unsigned integer, "
+                                             r"got 18446744073709551616$"):
+            check_seed(2**64, "model seed")
 
     def test_seeds_diverge(self):
         a = Rng(42).uniform(size=100)
@@ -133,6 +144,13 @@ class TestFileLayer:
         assert out.dtype == np.float64
         assert (out == np.arange(5.0)).all()
 
+    def test_write_array_converts_and_round_trips(self, tmp_path):
+        path = tmp_path / "a.u8"
+        values = np.arange(6, dtype=np.int64).reshape(2, 3)
+        write_array(path, values, np.uint8)
+        assert path.read_bytes() == bytes(range(6))
+        assert (read_array(path, np.uint8, 6, "widget") == values.reshape(-1)).all()
+
     @pytest.mark.parametrize("count, actual", [(4, 40), (6, 40)])
     def test_read_array_size_mismatch(self, tmp_path, count, actual):
         path = tmp_path / "a.bin"
@@ -148,8 +166,8 @@ class TestFileLayer:
 
 
 # Calls that read or write a file format; only the file layer may make them.
-FILE_FORMAT_CALL = re.compile(r"\b(json\.(load|loads|dump|dumps)|csv\.writer"
-                              r"|np\.(fromfile|frombuffer))\s*\(")
+FILE_FORMAT_CALL = re.compile(r"(\b(json\.(load|loads|dump|dumps)|csv\.writer"
+                              r"|np\.(fromfile|frombuffer))|\.tofile)\s*\(")
 
 
 def test_only_numerics_reads_and_writes_file_formats():

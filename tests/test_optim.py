@@ -15,11 +15,11 @@ from segopt.optim import (
 )
 
 
-def run_quadratic(opt, x0=1.0, steps=100, lr=None):
+def run_quadratic(opt, lr, x0=1.0, steps=100):
     """Minimize f(x) = x^2 (gradient 2x) and return the final iterate."""
     x = np.array([float(x0)])
     for _ in range(steps):
-        x = opt.step(x, 2.0 * x, lr=lr)
+        x = opt.step(x, 2.0 * x, lr)
     return x
 
 
@@ -59,58 +59,53 @@ class TestPolySchedule:
 
 class TestSgdNesterov:
     def test_zero_gradient_no_move(self):
-        opt = SgdNesterov(lr=0.1)
-        x = opt.step(np.array([1.0, -2.0]), np.zeros(2))
+        opt = SgdNesterov()
+        x = opt.step(np.array([1.0, -2.0]), np.zeros(2), 0.1)
         assert (x == np.array([1.0, -2.0])).all()
 
     def test_first_step_hand_value(self):
-        opt = SgdNesterov(lr=0.1, momentum=0.0)
-        x = opt.step(np.array([1.0]), np.array([2.0]))
+        opt = SgdNesterov()
+        opt.momentum = 0.0
+        x = opt.step(np.array([1.0]), np.array([2.0]), 0.1)
         assert_allclose(x, [0.8], atol=0)
 
     def test_quadratic_convergence_with_heavy_momentum(self):
         # momentum 0.99 contracts by only ~1.5% per step on this quadratic,
         # so driving |x| below 1e-3 takes on the order of 500 steps
-        opt = SgdNesterov(lr=0.01, momentum=0.99)
-        x = run_quadratic(opt, steps=500)
+        opt = SgdNesterov()
+        assert opt.momentum == 0.99
+        x = run_quadratic(opt, 0.01, steps=500)
         assert abs(x[0]) < 1e-3
 
     @pytest.mark.parametrize("lr", [np.inf, np.nan])
     def test_non_finite_lr_rejected(self, lr):
         with pytest.raises(ValueError, match="positive"):
-            SgdNesterov(lr=lr)
+            SgdNesterov().step(np.ones(2), np.ones(2), lr)
 
     def test_length_mismatch(self):
-        opt = SgdNesterov(lr=0.1)
+        opt = SgdNesterov()
         with pytest.raises(ValueError):
-            opt.step(np.zeros(3), np.zeros(2))
+            opt.step(np.zeros(3), np.zeros(2), 0.1)
 
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        opt = Adam(lr=0.1)
+        opt = Adam()
         start = np.array([0.5, -0.5])
         x = start
         for _ in range(10):
-            x = opt.step(x, np.zeros(2))
+            x = opt.step(x, np.zeros(2), 0.1)
         assert (x == start).all()
 
     def test_first_step_is_signed_lr(self):
-        opt = Adam(lr=0.05)
-        x = opt.step(np.zeros(3), np.array([2.0, -7.0, 0.3]))
+        opt = Adam()
+        x = opt.step(np.zeros(3), np.array([2.0, -7.0, 0.3]), 0.05)
         assert_allclose(x, [-0.05, 0.05, -0.05], rtol=1e-6)
 
     def test_quadratic_convergence(self):
-        opt = Adam(lr=0.05)
-        x = run_quadratic(opt, steps=500)
+        opt = Adam()
+        x = run_quadratic(opt, 0.05, steps=500)
         assert abs(x[0]) < 1e-2
-
-    def test_lr_override_takes_effect(self):
-        a = Adam(lr=0.001)
-        b = Adam(lr=0.05)
-        xa = a.step(np.zeros(1), np.array([1.0]), lr=0.05)
-        xb = b.step(np.zeros(1), np.array([1.0]))
-        assert (xa == xb).all()
 
 
 class TestRAdam:
@@ -127,58 +122,60 @@ class TestRAdam:
     def test_unadapted_branch_matches_momentum_step(self):
         # while rho_t <= 4 the update must be lr * bias-corrected momentum,
         # with no second-moment denominator
-        opt = RAdam(lr=0.1)
-        x = opt.step(np.array([1.0]), np.array([2.0]))
+        opt = RAdam()
+        x = opt.step(np.array([1.0]), np.array([2.0]), 0.1)
         assert_allclose(x, [1.0 - 0.1 * 2.0], atol=1e-12)
 
     def test_rectification_approaches_one(self):
         assert abs(RAdam().rectification(10_000) - 1.0) < 1e-3
 
     def test_zero_gradient_no_move(self):
-        opt = RAdam(lr=0.1)
+        opt = RAdam()
         x = np.array([0.3])
         for _ in range(10):
-            x = opt.step(x, np.zeros(1))
+            x = opt.step(x, np.zeros(1), 0.1)
         assert x[0] == 0.3
 
     def test_quadratic_convergence(self):
-        opt = RAdam(lr=0.05)
-        x = run_quadratic(opt, steps=500)
+        opt = RAdam()
+        x = run_quadratic(opt, 0.05, steps=500)
         assert abs(x[0]) < 1e-2
 
 
 class TestLookahead:
     def test_identity_configuration_is_exact(self):
         """k=1, alpha=1 must reproduce the inner optimizer bit for bit."""
-        inner_a = Adam(lr=0.02)
-        wrapped = Lookahead(Adam(lr=0.02), k=1, alpha=1.0)
+        inner_a = Adam()
+        wrapped = Lookahead(Adam(), k=1, alpha=1.0)
         xa = np.array([1.0, -0.3])
         xb = xa.copy()
         rng = np.random.default_rng(0)
         for _ in range(100):
             g = rng.normal(size=2)
-            xa = inner_a.step(xa, g)
-            xb = wrapped.step(xb, g)
+            xa = inner_a.step(xa, g, 0.02)
+            xb = wrapped.step(xb, g, 0.02)
             assert (xa == xb).all()
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            Lookahead(SgdNesterov(lr=0.1), alpha=0.0)
+            Lookahead(SgdNesterov(), alpha=0.0)
 
     def test_hand_simulated_sync(self):
         # five SGD steps (lr=0.1, no momentum) on x^2 from 1.0 reach
         # 0.8^5 = 0.32768; the slow weights then move halfway
-        wrapped = Lookahead(SgdNesterov(lr=0.1, momentum=0.0), k=5, alpha=0.5)
+        inner = SgdNesterov()
+        inner.momentum = 0.0
+        wrapped = Lookahead(inner, k=5, alpha=0.5)
         x = np.array([1.0])
         for _ in range(5):
-            x = wrapped.step(x, 2.0 * x)
+            x = wrapped.step(x, 2.0 * x, 0.1)
         assert_allclose(x, [0.66384], atol=1e-15)
 
     def test_counter_stays_below_k(self):
-        wrapped = Lookahead(SgdNesterov(lr=0.1), k=4, alpha=0.5)
+        wrapped = Lookahead(SgdNesterov(), k=4, alpha=0.5)
         x = np.array([1.0])
         for _ in range(13):
-            x = wrapped.step(x, np.array([0.5]))
+            x = wrapped.step(x, np.array([0.5]), 0.1)
             assert 0 <= wrapped.inner_counter < 4
 
     def test_invalid_k(self):
@@ -201,29 +198,29 @@ class TestRanger:
 
     def test_zero_lr_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            ranger(lr=0.0)
+            ranger().step(np.ones(1), np.ones(1), 0.0)
 
     def test_non_finite_lr_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            ranger(lr=np.inf)
+            ranger().step(np.ones(1), np.ones(1), np.inf)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             ranger(alpha=0.0)
 
     def test_identity_configuration_matches_bare_inner(self):
-        bare = RAdam(lr=0.05)
-        wrapped = ranger(lr=0.05, k=1, alpha=1.0)
+        bare = RAdam()
+        wrapped = ranger(k=1, alpha=1.0)
         xa = np.array([1.0])
         xb = np.array([1.0])
         for _ in range(10):
-            xa = bare.step(xa, 2.0 * xa)
-            xb = wrapped.step(xb, 2.0 * xb)
+            xa = bare.step(xa, 2.0 * xa, 0.05)
+            xb = wrapped.step(xb, 2.0 * xb, 0.05)
             assert (xa == xb).all()
 
     def test_quadratic_convergence(self):
-        opt = ranger(lr=0.05)
-        x = run_quadratic(opt, steps=500)
+        opt = ranger()
+        x = run_quadratic(opt, 0.05, steps=500)
         assert abs(x[0]) < 1e-2
 
 
@@ -232,37 +229,42 @@ class TestFactoryAndGenericProperties:
         with pytest.raises(ValueError, match="unknown optimizer"):
             make_optimizer("lion")
 
-    def test_default_learning_rates(self):
-        assert make_optimizer("sgd").lr == 1e-2
-        assert make_optimizer("adam").lr == 3e-3
-        assert make_optimizer("radam").lr == 3e-3
-        assert make_optimizer("ranger").inner.lr == 3e-3
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_no_optimizer_holds_a_learning_rate(self, kind):
+        opt = make_optimizer(kind)
+        assert not hasattr(opt, "lr")
+        assert not hasattr(getattr(opt, "inner", opt), "lr")
+
+    @pytest.mark.parametrize("cls", [SgdNesterov, Adam, RAdam])
+    def test_constructors_take_no_arguments(self, cls):
+        with pytest.raises(TypeError):
+            cls(0.1)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "radam", "ranger"])
     def test_step_count_tracks_calls(self, kind):
         opt = make_optimizer(kind)
         x = np.array([1.0])
         for i in range(7):
-            x = opt.step(x, 2.0 * x)
+            x = opt.step(x, 2.0 * x, 0.01)
         assert opt.step_count == 7
 
     @pytest.mark.parametrize("kind,lr", [
         ("sgd", 0.05), ("adam", 0.05), ("radam", 0.05), ("ranger", 0.05),
     ])
     def test_smoke_convergence_within_1000_steps(self, kind, lr):
-        opt = make_optimizer(kind, lr=lr)
-        x = run_quadratic(opt, steps=1000)
+        opt = make_optimizer(kind)
+        x = run_quadratic(opt, lr, steps=1000)
         assert abs(x[0]) < 1e-2
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "radam", "ranger"])
     def test_bit_identical_trajectories(self, kind):
         def trajectory():
-            opt = make_optimizer(kind, lr=0.03)
+            opt = make_optimizer(kind)
             rng = np.random.default_rng(99)
             x = np.ones(5)
             out = []
             for _ in range(50):
-                x = opt.step(x, 2.0 * x + 0.01 * rng.normal(size=5))
+                x = opt.step(x, 2.0 * x + 0.01 * rng.normal(size=5), 0.03)
                 out.append(x.copy())
             return np.array(out)
 
@@ -282,23 +284,31 @@ class TestPublicStepChecks:
         inputs = {"params": np.ones(3), "grad": np.ones(3)}
         inputs[where][1] = bad
         with pytest.raises(ValueError, match=f"non-finite values in {where}"):
-            opt.step(inputs["params"], inputs["grad"])
+            opt.step(inputs["params"], inputs["grad"], 0.01)
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     def test_shape_mismatch_rejected(self, kind):
         with pytest.raises(ValueError, match="does not match"):
-            make_optimizer(kind).step(np.ones(3), np.ones(4))
+            make_optimizer(kind).step(np.ones(3), np.ones(4), 0.01)
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("lr", [0.0, -0.01, np.inf, np.nan])
+    def test_bad_learning_rate_rejected(self, kind, lr):
+        opt = make_optimizer(kind)
+        with pytest.raises(ValueError, match="positive and finite"):
+            opt.step(np.ones(3), np.ones(3), lr)
+        assert opt.step_count == 0
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     def test_private_steps_equal_public_steps(self, kind):
         # LOOKAHEAD_K + 1 steps take ranger across one slow-weight sync.
-        public, private = make_optimizer(kind, lr=0.05), make_optimizer(kind, lr=0.05)
+        public, private = make_optimizer(kind), make_optimizer(kind)
         rng = np.random.default_rng(7)
         xa = xb = rng.normal(size=6)
         for step in range(LOOKAHEAD_K + 1):
             grad = rng.normal(size=6)
             lr = 0.05 * 0.9 ** step
-            xa = public.step(xa, grad, lr=lr)
+            xa = public.step(xa, grad, lr)
             xb = private._step(xb, grad, lr)
             assert xa.tobytes() == xb.tobytes()
         assert public.step_count == private.step_count == LOOKAHEAD_K + 1

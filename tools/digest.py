@@ -4,8 +4,10 @@
 
 The set: ``synth`` of the README dataset (24x24, common:40,rare:4), the
 same with ``--no-et-frac 0.3`` and an 8x8x6 dataset; ``train --preset``
-baseline, ranger, gwdl, dro and ensemble at 7 epochs; a 3-D ``--model mlp
---loss gwdl --population dro --optimizer ranger --batch-size 3`` run;
+baseline, ranger, gwdl, dro and ensemble at 7 epochs; ``--optimizer adam``
+and ``--optimizer radam`` runs with ``--population dro --loss gwdl_ce``, so
+every optimizer kind trains; a 3-D ``--model mlp --loss gwdl --population
+dro --optimizer ranger --batch-size 3`` run;
 ``evaluate`` of the four ensemble members on both 2-D datasets and of
 the MLP on the 3-D one;
 ``gradcheck --trials 20`` for seeds 0-9; and two commands the CLI
@@ -51,6 +53,10 @@ def commands(tiny: bool = False) -> list:
     for preset in (*ARMS, "ensemble"):
         out.append(["train", "--dataset", "readme", "--out", f"train_{preset}",
                     "--preset", preset, "--epochs", epochs])
+    for optimizer in ("adam", "radam"):
+        out.append(["train", "--dataset", "readme", "--out", f"train_{optimizer}",
+                    "--optimizer", optimizer, "--population", "dro", "--loss", "gwdl_ce",
+                    "--epochs", epochs])
     out.append(["train", "--dataset", "vol", "--out", "train_mlp", "--model", "mlp",
                 "--loss", "gwdl", "--population", "dro", "--optimizer", "ranger",
                 "--batch-size", "3", "--epochs", epochs])

@@ -76,6 +76,7 @@ def parse_subgroups(text: str) -> dict:
     out = {}
     for chunk in text.split(","):
         name, sep, count = chunk.partition(":")
+        name = name.strip()
         if not sep or not name:
             raise ValueError(f"subgroups must be name:count[,name:count...], got {text!r}")
         if name in out:

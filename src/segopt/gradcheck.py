@@ -21,7 +21,7 @@ import numpy as np
 from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, _batch_terms, _check_kind,
                      _check_shapes, _Tables, brats_distance_matrix, composite_loss)
 from .model import Model, ModelSpec, _forward, _unpack
-from .numerics import Rng
+from .numerics import Rng, check_seed
 
 __all__ = [
     "FD_STEP",
@@ -131,6 +131,8 @@ def run_gradcheck(kinds=None, *, trials: int, seed: int) -> list:
         kinds = LOSS_KINDS
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # Trial t seeds its model with seed + t; refuse the range before any trial runs.
+    check_seed(seed + trials - 1, "the last trial's model seed (seed + trials - 1)")
     matrix = brats_distance_matrix()
     results = []
     for kind in kinds:

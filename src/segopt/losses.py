@@ -308,7 +308,7 @@ class _Tables:
         return 2.0 * dn, 2.0 * dn + dw
 
 
-def _batch_terms(kind, p, labels, tables, want_gradient, counts=None):
+def _batch_terms(kind, p, labels, tables, want_gradient):
     """Per-case values of one loss kind over B cases of V voxels each.
 
     The layout is class-major: ``p[l, b, v]`` is the predicted
@@ -321,8 +321,6 @@ def _batch_terms(kind, p, labels, tables, want_gradient, counts=None):
     differencing steps off the simplex).  Nothing is checked: the kind,
     shapes and label range are the caller's contract, and so is
     ``tables``, a _Tables for the kind's matrix (None unless gwdl) and L.
-    ``counts`` is the [L, B] int64 voxel count of each class in each
-    case; when None, the Dice kinds count it from ``labels``.
 
     Two index arrays replace one-hot masks: ``true_idx`` points at each
     voxel's ground-truth entry in the flattened block (gather the true
@@ -341,7 +339,7 @@ def _batch_terms(kind, p, labels, tables, want_gradient, counts=None):
     # case_class is built where it is passed, not kept, so it is freed
     # before the cross-entropy terms, where a step's memory peaks.
     if kind in ("dice", "dice_ce"):
-        base = _dice_terms(flat, true_p, labels + class_offsets, want_gradient, tables, counts)
+        base = _dice_terms(flat, true_p, labels + class_offsets, want_gradient, tables)
     elif kind in ("gwdl", "gwdl_ce"):
         base = _gwdl_terms(flat, labels, true_idx, labels + class_offsets, want_gradient, tables)
     if kind not in ("ce", "dice_ce", "gwdl_ce"):
@@ -394,7 +392,7 @@ def _gwdl_terms(flat, labels, true_idx, case_class, want_gradient, tables):
     return values, grad
 
 
-def _dice_terms(flat, true_p, case_class, want_gradient, tables, counts):
+def _dice_terms(flat, true_p, case_class, want_gradient, tables):
     """Soft multi-class Dice loss per case, averaged over foreground classes.
 
     Per foreground class l the overlap quotient is
@@ -411,8 +409,7 @@ def _dice_terms(flat, true_p, case_class, want_gradient, tables, counts):
     keys = case_class.reshape(-1)
     inter = np.bincount(keys, weights=true_p.reshape(-1), minlength=B * L)
     inter = inter.reshape(B, L).T
-    if counts is None:
-        counts = np.bincount(keys, minlength=B * L).reshape(B, L).T
+    counts = np.bincount(keys, minlength=B * L).reshape(B, L).T
     sums = flat.reshape(L, B, V).sum(axis=-1) + counts
     num = 2.0 * inter + SMOOTH_EPS
     den = sums + SMOOTH_EPS

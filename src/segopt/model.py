@@ -25,13 +25,13 @@ each group is concatenated into one class-major block, and a single
 forward, loss and backward pass gives every case's loss value and the
 batch's mean parameter gradient.  What does not change during a run is
 built once per run (_Run): the loss's index offsets and gradient
-constants and each case's voxel count per class.  The optimizer then
-steps without re-checking its inputs, since train() checks the
-parameters after every step.  Each synthdata.Case was checked when made
-and cannot change.  Model.forward() and Model.backward() are the
-same kernel on one case.  The loop wires in a loss kind, an
-epoch-level learning rate schedule, an optimizer, and a population:
-plain shuffling ("erm") or the hardness-weighted sampler ("dro").
+constants.  The optimizer's public step() checks only shapes and the
+rate, since train() checks the parameters for finiteness after every
+step.  Each synthdata.Case was checked when made and cannot change.
+Model.forward() and Model.backward() are the same kernel on one case.
+The loop wires in a loss kind, an epoch-level learning rate schedule,
+an optimizer, and a population: plain shuffling ("erm") or the
+hardness-weighted sampler ("dro").
 Reweighting for dro lives entirely in the sampling distribution; batch
 gradients stay unweighted means.
 """
@@ -237,19 +237,19 @@ def ensemble_labels(models, case: Case) -> np.ndarray:
 
 
 def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-            loss_kind: str, tables: _Tables, counts: np.ndarray | None = None):
+            loss_kind: str, tables: _Tables):
     """Forward, loss and backward over B same-size cases in one pass.
 
     x holds the cases' feature rows back to back, [B*V, F], and labels
     their [B, V] label maps.  Returns the per-case loss values [B] and the
     parameter gradient of the summed loss.  The loss arguments, ``tables``
-    and ``counts`` included, are the callers' contract with losses._batch_terms.
+    included, are the callers' contract with losses._batch_terms.
     """
     num_cases, num_voxels = labels.shape
     probs, hidden = _forward(spec, params, x)
     values, prob_grad = _batch_terms(
         loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, tables,
-        want_gradient=True, counts=counts)
+        want_gradient=True)
     # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)),
     # in the loss gradient's own buffer.
     dz = prob_grad.reshape(probs.shape)
@@ -269,20 +269,15 @@ def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarr
 
 
 class _Run:
-    """One training run's dataset and loss, and what its steps read, built
-    once: the loss's losses._Tables (index offsets per batch shape, the
-    Dice class mask, the GWDL gradient constants) and, for the Dice kinds,
-    each case's voxel count per class as an [L, cases] int64 array."""
+    """One training run's dataset and loss, and the loss's losses._Tables
+    (index offsets per batch shape, the Dice class mask, the GWDL gradient
+    constants), built once and read by every step."""
 
     def __init__(self, spec: ModelSpec, cases, loss_kind: str, m: DistanceMatrix | None):
         self.spec = spec
         self.cases = cases
         self.loss_kind = loss_kind
         self.tables = _Tables(m, spec.num_classes)
-        self.counts = None
-        if loss_kind in ("dice", "dice_ce"):
-            self.counts = np.stack([np.bincount(case.labels.labels, minlength=spec.num_classes)
-                                    for case in cases], axis=1)
 
     def gradient(self, params: np.ndarray, batch):
         """Per-case loss values, in batch order, and mean parameter gradient
@@ -300,8 +295,7 @@ class _Run:
             # The group's stacked inputs live only for the duration of the call.
             group_values, group_grad = _kernel(
                 self.spec, params, *_stack([self.cases[idx] for idx in members]),
-                self.loss_kind, self.tables,
-                None if self.counts is None else self.counts[:, members])
+                self.loss_kind, self.tables)
             values[positions] = group_values
             grad = group_grad if grad is None else grad + group_grad
         grad /= len(batch)
@@ -412,8 +406,9 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
 
     The inputs are checked once, on entry, and the loss tables that are
     constant for the dataset are built once per run (see _Run); each step
-    then calls the optimizer's unchecked _step, because the parameters are
-    checked for finiteness and magnitude after every step.
+    then calls the optimizer's step(), which leaves finiteness to this
+    loop: the parameters are checked for finiteness and magnitude after
+    every step.
     """
     dataset = list(dataset)
     _check_inputs(model, dataset, config)
@@ -453,7 +448,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
                 epoch_losses.append(value)
                 if sampler is not None:
                     sampler.update_loss(int(idx), value)
-            params = optimizer._step(params, grad, lr)
+            params = optimizer.step(params, grad, lr)
             peak = float(np.abs(params).max())
             if not peak <= PARAM_LIMIT:  # also true for NaN and inf
                 raise TrainingDiverged(

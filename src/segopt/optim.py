@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_f64
-
 __all__ = [
     "PolySchedule",
     "SgdNesterov",
@@ -82,24 +80,19 @@ class _OptimizerBase:
     def __init__(self):
         self.step_count = 0
 
-    def _check(self, params: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """The updated parameters after one step on ``grad`` at rate ``lr``.
+
+        Checks that ``grad`` has the shape of ``params`` and that ``lr`` is
+        positive and finite.  Trusts both arrays to be finite float64:
+        finiteness is the caller's job (model.train checks the parameters
+        on entry and after every step).
+        """
         if params.shape != grad.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match parameters {params.shape}"
             )
-
-    def step(self, params, grad, lr: float) -> np.ndarray:
-        params = as_f64(params, "params")
-        grad = as_f64(grad, "grad")
-        self._check(params, grad)
-        lr = float(lr)
         _check_lr(lr)
-        return self._step(params, grad, lr)
-
-    def _step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        """step() without its checks, for model.train: its params are
-        checked on entry and after every step, and its gradients are
-        float64 vectors of their shape."""
         self.step_count += 1
         return self._update(params, grad, lr)
 
@@ -203,16 +196,10 @@ class Lookahead:
     def step_count(self) -> int:
         return self.inner.step_count
 
-    def step(self, params, grad, lr: float) -> np.ndarray:
-        return self._sync(params, self.inner.step(params, grad, lr))  # validates both
-
-    def _step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        """step() without the inner optimizer's checks; see _OptimizerBase._step."""
-        return self._sync(params, self.inner._step(params, grad, lr))
-
-    def _sync(self, params, fast: np.ndarray) -> np.ndarray:
-        """Count one fast step from ``params`` to ``fast``; every k-th moves
-        the slow weights and restarts the fast ones from them."""
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        """One inner step, checked as _OptimizerBase.step checks it; every
+        k-th moves the slow weights and restarts the fast ones from them."""
+        fast = self.inner.step(params, grad, lr)
         if self.slow_weights is None:
             self.slow_weights = np.array(params, dtype=np.float64)
         self.inner_counter += 1

@@ -14,7 +14,7 @@ import shutil
 import numpy as np
 import pytest
 
-from segopt import gradcheck
+from segopt import gradcheck, optim
 from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
 from segopt.model import Model, ModelSpec, TrainConfig, save_model
@@ -149,6 +149,26 @@ class TestSynth:
         assert "subgroup 'a' is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subgroup_names_are_stripped(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--grid", "6x6",
+                     "--subgroups", "a:1, b:1"]) == 0
+        assert sorted(os.listdir(out)) == ["a_000_features.f32", "a_000_labels.u8",
+                                           "b_000_features.f32", "b_000_labels.u8",
+                                           "manifest.json", "run_config.json"]
+        manifest = read_json(str(out / "manifest.json"))
+        assert [case["subgroup"] for case in manifest["cases"]] == ["a", "b"]
+
+    @pytest.mark.parametrize("text,message", [
+        ("a:1, :2", "subgroups must be name:count"),
+        ("a:1, a:2", "subgroup 'a' is listed twice"),
+    ])
+    def test_subgroup_name_is_checked_after_stripping(self, tmp_path, capsys, text, message):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--grid", "6x6", "--subgroups", text]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["../evil", "a/b", "evil/"])
     def test_subgroup_name_with_a_path_separator_is_config_error(self, tmp_path, capsys, name):
         outer = tmp_path / "outer"
@@ -196,6 +216,29 @@ class TestTrain:
         assert cfg["optimizer"] == "ranger"
         assert cfg["lr"] == 3e-3
         assert cfg["loss"] == "dice_ce"
+
+    @pytest.mark.parametrize("preset", ["baseline", "ranger"])
+    def test_train_steps_through_the_public_step(self, dataset, tmp_path, monkeypatch, preset):
+        # The attributes the benchmark's tracer wraps; a Lookahead step's
+        # inner step is part of it, so only the outermost call counts.
+        calls = {"outer": 0, "depth": 0}
+
+        def counting(step):
+            def wrapper(*args, **kwargs):
+                calls["outer"] += calls["depth"] == 0
+                calls["depth"] += 1
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    calls["depth"] -= 1
+            return wrapper
+
+        for cls in (optim._OptimizerBase, optim.Lookahead):
+            monkeypatch.setattr(cls, "step", counting(cls.step))
+        assert main(["train", "--dataset", dataset, "--out", str(tmp_path / "run"),
+                     "--preset", preset, "--epochs", "2"]) == 0
+        # 6 cases at batch size 2 are 3 steps an epoch.
+        assert calls["outer"] == 6
 
     def test_dro_preset_sets_population_and_beta(self, dataset, tmp_path):
         out = str(tmp_path / "run")
@@ -604,6 +647,14 @@ class TestGradcheck:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_last_trial_seed_is_checked_before_the_first_trial(self, capsys):
+        # Trial t seeds its model with seed + t, so trial 1 would overflow.
+        assert main(["gradcheck", "--trials", "2", "--seed", str(2**64 - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the last trial's model seed (seed + trials - 1) must be a 64-bit unsigned " \
+               f"integer, got {2**64}" in captured.err
 
     def test_removed_inject_bug_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

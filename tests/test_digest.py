@@ -28,7 +28,7 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     assert [c["argv"] for c in doc["commands"]] == digest.commands(tiny=True)
     failed = [(c["argv"], c["exit"]) for c in doc["commands"] if c["exit"] != 0]
     assert failed == [(argv, 2) for argv in digest.commands(tiny=True)[-2:]]
-    for preset in (*digest.ARMS, "ensemble", "adam", "radam", "mlp"):
+    for preset in (*digest.ARMS, "ensemble", "adam", "radam", "mlp", "dice", "ce"):
         assert f"train_{preset}/run_config.json" in doc["files"]
     for data in ("readme", "no_et", "vol"):
         assert f"eval_{data}/metrics.csv" in doc["files"]

@@ -6,9 +6,9 @@ per-case Model.backward gives, for every loss kind and both model kinds,
 on batches that mix grids and repeat an index; train() must accept
 mixed grids at any batch size, and name the first diverging case in
 batch order.  A _Run whose tables are warm from earlier steps must give
-the bytes of a fresh one, and train()'s unchecked optimizer step the
-bytes of the public step().  A Case stays as it was checked, so train()
-checks no case's features again.
+the bytes of a fresh one, and train() the bytes of a loop of fresh
+_Run gradients and public step() calls.  A Case stays as it was
+checked, so train() checks no case's features again.
 """
 
 import dataclasses

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from segopt.optim import (
-    LOOKAHEAD_K,
     OPTIMIZER_KINDS,
     Adam,
     Lookahead,
@@ -272,19 +271,8 @@ class TestFactoryAndGenericProperties:
 
 
 class TestPublicStepChecks:
-    """step() checks its inputs for every optimizer kind; the unchecked
-    _step that model.train calls on its validated inputs must give the
-    same bytes."""
-
-    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-    @pytest.mark.parametrize("where", ["params", "grad"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_rejected(self, kind, where, bad):
-        opt = make_optimizer(kind)
-        inputs = {"params": np.ones(3), "grad": np.ones(3)}
-        inputs[where][1] = bad
-        with pytest.raises(ValueError, match=f"non-finite values in {where}"):
-            opt.step(inputs["params"], inputs["grad"], 0.01)
+    """step() checks the gradient's shape and the learning rate for every
+    optimizer kind; the arrays' finiteness is the caller's job."""
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     def test_shape_mismatch_rejected(self, kind):
@@ -298,20 +286,3 @@ class TestPublicStepChecks:
         with pytest.raises(ValueError, match="positive and finite"):
             opt.step(np.ones(3), np.ones(3), lr)
         assert opt.step_count == 0
-
-    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-    def test_private_steps_equal_public_steps(self, kind):
-        # LOOKAHEAD_K + 1 steps take ranger across one slow-weight sync.
-        public, private = make_optimizer(kind), make_optimizer(kind)
-        rng = np.random.default_rng(7)
-        xa = xb = rng.normal(size=6)
-        for step in range(LOOKAHEAD_K + 1):
-            grad = rng.normal(size=6)
-            lr = 0.05 * 0.9 ** step
-            xa = public.step(xa, grad, lr)
-            xb = private._step(xb, grad, lr)
-            assert xa.tobytes() == xb.tobytes()
-        assert public.step_count == private.step_count == LOOKAHEAD_K + 1
-        if kind == "ranger":
-            assert private.inner_counter == 1
-            assert public.slow_weights.tobytes() == private.slow_weights.tobytes()

@@ -7,7 +7,9 @@ same with ``--no-et-frac 0.3`` and an 8x8x6 dataset; ``train --preset``
 baseline, ranger, gwdl, dro and ensemble at 7 epochs; ``--optimizer adam``
 and ``--optimizer radam`` runs with ``--population dro --loss gwdl_ce``, so
 every optimizer kind trains; a 3-D ``--model mlp --loss gwdl --population
-dro --optimizer ranger --batch-size 3`` run;
+dro --optimizer ranger --batch-size 3`` run; a ``--loss dice --batch-size 3``
+run, whose last README batch holds 2 cases, and a 3-D ``--model mlp --loss
+ce`` run, so every loss kind trains;
 ``evaluate`` of the four ensemble members on both 2-D datasets and of
 the MLP on the 3-D one;
 ``gradcheck --trials 20`` for seeds 0-9; and two commands the CLI
@@ -60,6 +62,10 @@ def commands(tiny: bool = False) -> list:
     out.append(["train", "--dataset", "vol", "--out", "train_mlp", "--model", "mlp",
                 "--loss", "gwdl", "--population", "dro", "--optimizer", "ranger",
                 "--batch-size", "3", "--epochs", epochs])
+    out.append(["train", "--dataset", "readme", "--out", "train_dice", "--loss", "dice",
+                "--batch-size", "3", "--epochs", epochs])
+    out.append(["train", "--dataset", "vol", "--out", "train_ce", "--model", "mlp",
+                "--loss", "ce", "--epochs", epochs])
     members = [f"train_ensemble/model_{arm}.json" for arm in ARMS]
     for data in ("readme", "no_et"):
         out.append(["evaluate", *members, "--dataset", data, "--out", f"eval_{data}"])

@@ -17,15 +17,14 @@ import sys
 
 from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
-from .losses import LOSS_KINDS, LabelMap, brats_distance_matrix, load_distance_matrix
+from .losses import LOSS_KINDS, LabelMap, _Loss, brats_distance_matrix, load_distance_matrix
 from .metrics import (aggregate, evaluate_case, format_aggregate_table, postprocess_et,
                       write_aggregate_csv, write_case_csv)
 # Not called in this module, but kept as its attribute: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.cli.ensemble_mean_softmax.
 from .metrics import ensemble_mean_softmax  # noqa: F401
 from .model import (MODEL_KINDS, POPULATIONS, Model, ModelSpec, TrainConfig, TrainingDiverged,
-                    _check_matrix, ensemble_labels, load_model, save_model, train,
-                    write_training_log)
+                    ensemble_labels, load_model, save_model, train, write_training_log)
 from .numerics import write_json
 from .optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
@@ -163,7 +162,7 @@ def cmd_train(args) -> int:
         seed=args.seed + 2,  # keep init, shuffle and sampler streams apart
     )
     for config in configs.values():
-        _check_matrix(spec, config.distance_matrix)
+        _Loss(config.loss, config.distance_matrix, spec.num_classes)
     os.makedirs(args.out, exist_ok=True)
     records = {tag: _train_one(args, spec, config, cases, tag) for tag, config in configs.items()}
     doc = {"command": "train", "dataset": args.dataset, "out": args.out, "preset": args.preset}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (DistanceMatrix, LabelMap, LOSS_KINDS, _batch_terms, _check_kind,
-                     _check_shapes, _Tables, brats_distance_matrix, composite_loss)
+                     _check_shapes, _Loss, brats_distance_matrix, composite_loss)
 from .model import Model, ModelSpec, _forward, _unpack
 from .numerics import Rng, check_seed
 
@@ -65,12 +65,11 @@ def max_rel_error(analytic: np.ndarray, differenced: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def _pair_differences(kind: str, stack: np.ndarray, gt: LabelMap,
-                      m: DistanceMatrix | None) -> np.ndarray:
+def _pair_differences(loss: _Loss, stack: np.ndarray, gt: LabelMap) -> np.ndarray:
     """Central differences from one loss call on an [L, 2K, V] block labeled
     ``gt``: case 2k steps coordinate k up by FD_STEP and case 2k+1 down."""
-    values, _ = _batch_terms(kind, stack, np.broadcast_to(gt.labels, stack.shape[1:]),
-                             _Tables(m, len(stack)), want_gradient=False)
+    values, _ = _batch_terms(loss, stack, np.broadcast_to(gt.labels, stack.shape[1:]),
+                             want_gradient=False)
     return (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
 
 
@@ -78,31 +77,31 @@ def fd_prob_gradient(kind: str, probs: np.ndarray, gt: LabelMap,
                      m: DistanceMatrix | None) -> np.ndarray:
     """Central differences over every probability entry k = (v, l), in one batch."""
     probs = np.asarray(probs, dtype=np.float64)
-    m = _check_kind(kind, m)
-    _check_shapes(probs.shape, gt, m)
     V, L = probs.shape
+    loss = _Loss(kind, m, L)
+    _check_shapes(probs.shape, gt)
     k = np.arange(V * L)
     v, l = np.divmod(k, L)
     stack = np.repeat(probs.T[:, None, :], 2 * V * L, axis=1)
     stack[l, 2 * k, v] += FD_STEP
     stack[l, 2 * k + 1, v] -= FD_STEP
-    return _pair_differences(kind, stack, gt, m).reshape(V, L)
+    return _pair_differences(loss, stack, gt).reshape(V, L)
 
 
 def fd_param_gradient(model: Model, features: np.ndarray, gt: LabelMap, kind: str,
                       m: DistanceMatrix | None) -> np.ndarray:
     """Central differences over every parameter, in one batch of the
     forward passes of the stepped parameter vectors."""
-    m = _check_kind(kind, m)
+    loss = _Loss(kind, m, model.spec.num_classes)
     x = model._features(features)
-    _check_shapes((x.shape[0], model.spec.num_classes), gt, m)
+    _check_shapes((x.shape[0], model.spec.num_classes), gt)
     P = model.params.size
     i = np.arange(P)
     stepped = np.repeat(model.params[None, :], 2 * P, axis=0)
     stepped[2 * i, i] += FD_STEP
     stepped[2 * i + 1, i] -= FD_STEP
     stack = np.stack([_forward(model.spec, params, x)[0] for params in stepped], axis=1)
-    return _pair_differences(kind, stack, gt, m)
+    return _pair_differences(loss, stack, gt)
 
 
 def _near_kink(model: Model, features: np.ndarray) -> bool:

@@ -9,9 +9,9 @@ composing with the softmax Jacobian is the model's job, which keeps the
 loss math independent of the classifier head.
 
 _batch_terms() is the one batched core behind it: B same-size cases in
-class-major layout [L, B, V], values reduced per case along V.  Every
-caller checks its own inputs and hands it a _Tables: training one per
-run, every other caller one per call.
+class-major layout [L, B, V], values reduced per case along V.  It reads
+a _Loss, checked when made and carrying the tables the core builds on
+first use: training makes one per run, every other caller one per call.
 
 The centerpiece is the generalized Wasserstein Dice loss: a Dice-style
 overlap loss whose per-voxel error is the earth-mover distance between the
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import parsing, read_json, require_finite
+from .numerics import json_int, parsing, read_json, require_finite
 
 __all__ = [
     "SMOOTH_EPS",
@@ -193,10 +193,7 @@ def load_distance_matrix(path) -> DistanceMatrix:
     matrix's own checks included, is reported with the file's path."""
     doc = read_json(path, "distance-matrix file", ("matrix", "background_index"))
     with parsing("distance-matrix file", path):
-        background = doc["background_index"]
-        if type(background) is not int or background != BACKGROUND:
-            raise ValueError(
-                f"background_index must be the integer {BACKGROUND}, got {background!r}")
+        json_int(doc["background_index"], "background_index", only=BACKGROUND)
         return DistanceMatrix(m=doc["matrix"])
 
 
@@ -217,8 +214,8 @@ def _pred_array(pred) -> np.ndarray:
     return arr
 
 
-def _check_shapes(shape, gt: LabelMap, m: DistanceMatrix | None = None) -> None:
-    """Check a [V, L] prediction shape against the labels and the matrix."""
+def _check_shapes(shape, gt: LabelMap) -> None:
+    """Check a [V, L] prediction shape against the labels."""
     num_voxels, num_classes = shape
     if num_voxels != gt.num_voxels:
         raise ValueError(
@@ -227,11 +224,6 @@ def _check_shapes(shape, gt: LabelMap, m: DistanceMatrix | None = None) -> None:
     if num_classes != gt.num_classes:
         raise ValueError(
             f"prediction has {num_classes} classes but labels declare {gt.num_classes}"
-        )
-    if m is not None and m.num_classes != num_classes:
-        raise ValueError(
-            f"distance matrix is {m.num_classes}x{m.num_classes} "
-            f"but prediction has {num_classes} classes"
         )
 
 
@@ -257,7 +249,8 @@ def wasserstein_voxel(pred_row, gt_class: int, m: DistanceMatrix) -> float:
 def wasserstein_per_voxel(pred, gt: LabelMap, m: DistanceMatrix) -> np.ndarray:
     """Vectorized one-hot earth-mover error for every voxel, shape [V]."""
     p = _pred_array(pred)
-    _check_shapes(p.shape, gt, m)
+    _Loss("gwdl", m, p.shape[1])
+    _check_shapes(p.shape, gt)
     return np.einsum("vl,vl->v", m.m[gt.labels], p)
 
 
@@ -273,12 +266,19 @@ def _check_kind(kind: str, m: DistanceMatrix | None) -> DistanceMatrix | None:
     return m
 
 
-class _Tables:
-    """The arrays _batch_terms reads that depend only on the matrix, the
-    class count and the batch shape, each built on first use."""
+class _Loss:
+    """One loss kind, checked with its distance matrix and class count when
+    made, and the arrays _batch_terms reads that depend only on these and
+    the batch shape, each built on first use."""
 
-    def __init__(self, m, num_classes):
-        self.m = m
+    def __init__(self, kind: str, m: DistanceMatrix | None, num_classes: int):
+        self.m = _check_kind(kind, m)
+        if self.m is not None and self.m.num_classes != num_classes:
+            raise ValueError(f"distance matrix is {self.m.num_classes}x{self.m.num_classes}, "
+                             f"model has {num_classes} classes")
+        if kind in ("dice", "dice_ce") and num_classes < 2:
+            raise ValueError("dice loss needs at least one foreground class")
+        self.kind = kind
         self.num_classes = num_classes
         self._offsets = {}
 
@@ -308,7 +308,7 @@ class _Tables:
         return 2.0 * dn, 2.0 * dn + dw
 
 
-def _batch_terms(kind, p, labels, tables, want_gradient):
+def _batch_terms(loss, p, labels, want_gradient):
     """Per-case values of one loss kind over B cases of V voxels each.
 
     The layout is class-major: ``p[l, b, v]`` is the predicted
@@ -318,9 +318,9 @@ def _batch_terms(kind, p, labels, tables, want_gradient):
     depends on case b alone.  Returns the values, shape [B], and when
     requested the gradient of each case's value with respect to its own
     probabilities, shape [L, B, V].  Rows need not sum to 1 (finite
-    differencing steps off the simplex).  Nothing is checked: the kind,
-    shapes and label range are the caller's contract, and so is
-    ``tables``, a _Tables for the kind's matrix (None unless gwdl) and L.
+    differencing steps off the simplex).  Nothing is checked: ``loss``, a
+    _Loss made for L classes, was checked when made, and the shapes and
+    label range are the caller's contract.
 
     Two index arrays replace one-hot masks: ``true_idx`` points at each
     voxel's ground-truth entry in the flattened block (gather the true
@@ -330,7 +330,7 @@ def _batch_terms(kind, p, labels, tables, want_gradient):
     back over the voxels.
     """
     L, B, V = p.shape
-    voxel_offsets, class_offsets = tables.offsets(B, V)
+    voxel_offsets, class_offsets = loss.offsets(B, V)
     true_idx = labels * (B * V)
     true_idx += voxel_offsets
     flat = p.reshape(L, B * V)
@@ -338,11 +338,11 @@ def _batch_terms(kind, p, labels, tables, want_gradient):
     base = None
     # case_class is built where it is passed, not kept, so it is freed
     # before the cross-entropy terms, where a step's memory peaks.
-    if kind in ("dice", "dice_ce"):
-        base = _dice_terms(flat, true_p, labels + class_offsets, want_gradient, tables)
-    elif kind in ("gwdl", "gwdl_ce"):
-        base = _gwdl_terms(flat, labels, true_idx, labels + class_offsets, want_gradient, tables)
-    if kind not in ("ce", "dice_ce", "gwdl_ce"):
+    if loss.kind in ("dice", "dice_ce"):
+        base = _dice_terms(flat, true_p, labels + class_offsets, want_gradient, loss)
+    elif loss.kind in ("gwdl", "gwdl_ce"):
+        base = _gwdl_terms(flat, labels, true_idx, labels + class_offsets, want_gradient, loss)
+    if loss.kind not in ("ce", "dice_ce", "gwdl_ce"):
         return base
     values, true_grad = _ce_terms(true_p, want_gradient)
     grad = None
@@ -360,7 +360,7 @@ def _spread(table, case_class):
     return table.reshape(L, B * K).take(case_class, axis=1)
 
 
-def _gwdl_terms(flat, labels, true_idx, case_class, want_gradient, tables):
+def _gwdl_terms(flat, labels, true_idx, case_class, want_gradient, loss):
     """Generalized Wasserstein Dice loss per case.
 
     Let W_i be the per-voxel earth-mover error and F the set of foreground
@@ -372,10 +372,10 @@ def _gwdl_terms(flat, labels, true_idx, case_class, want_gradient, tables):
     quotient is a Wasserstein-weighted Dice overlap that equals 1 for a
     perfect prediction, so the loss bottoms out at 0 there; the smoothing
     keeps the all-background case finite.  The distance matrix m is
-    ``tables.m``.
+    ``loss.m``.
     """
     # Per-voxel earth-mover error: W = (m @ p)[gt], column by column.
-    w = (tables.m.m @ flat).take(true_idx)
+    w = (loss.m.m @ flat).take(true_idx)
     fg = labels != BACKGROUND
     n = np.where(fg, 1.0 - w, 0.0).sum(axis=-1)
     s = w.sum(axis=-1)
@@ -386,24 +386,22 @@ def _gwdl_terms(flat, labels, true_idx, case_class, want_gradient, tables):
     grad = None
     if want_gradient:
         # The quotient rule over the per-(class, true class) tables dA, dB.
-        da, db = tables.gwdl_gradient
+        da, db = loss.gwdl_gradient
         a, b = a[:, None], b[:, None]
         grad = _spread((a * db - da * b) / (b * b), case_class)
     return values, grad
 
 
-def _dice_terms(flat, true_p, case_class, want_gradient, tables):
+def _dice_terms(flat, true_p, case_class, want_gradient, loss):
     """Soft multi-class Dice loss per case, averaged over foreground classes.
 
     Per foreground class l the overlap quotient is
     (2*sum_i p_hat*p + eps) / (sum_i p_hat + sum_i p + eps); the loss is one
     minus the mean quotient.  The background class BACKGROUND is excluded
-    from the mean.
+    from the mean; the _Loss made sure there is a foreground class.
     """
     L, (B, V) = flat.shape[0], true_p.shape
     n_fg = L - 1
-    if n_fg == 0:
-        raise ValueError("dice loss needs at least one foreground class")
     # Per (case, class): the probability mass on the class's own voxels
     # and the voxel count, both as [L, B].
     keys = case_class.reshape(-1)
@@ -424,7 +422,7 @@ def _dice_terms(flat, true_p, case_class, want_gradient, tables):
         sq = den * den
         on = -((2.0 * den - num) / sq) / n_fg
         off = -(-num / sq) / n_fg
-        table = np.where(tables.own_class, on[..., None], off[..., None])
+        table = np.where(loss.own_class, on[..., None], off[..., None])
         table[BACKGROUND] = 0.0
         grad = _spread(table, case_class)
     return values, grad
@@ -462,11 +460,11 @@ def composite_loss(
     ``pred`` is a ProbMap or a [V, L] array; it runs through the batched
     core as one class-major case, and the gradient comes back as [V, L].
     """
-    m = _check_kind(kind, m)
     p = _pred_array(pred)
-    _check_shapes(p.shape, gt, m)
-    values, grad = _batch_terms(kind, np.ascontiguousarray(p.T)[:, None, :],
-                                gt.labels[None, :], _Tables(m, p.shape[1]), want_gradient)
+    loss = _Loss(kind, m, p.shape[1])
+    _check_shapes(p.shape, gt)
+    values, grad = _batch_terms(loss, np.ascontiguousarray(p.T)[:, None, :],
+                                gt.labels[None, :], want_gradient)
     if grad is not None:
         grad = np.ascontiguousarray(grad[:, 0, :].T)
     return LossValue(value=float(values[0]), gradient=grad)

@@ -19,12 +19,12 @@ hand; no autodiff anywhere.  For a probability column p and upstream
 gradient g the logit gradient is p * (g - (g . p)), which follows from
 dp_j/dz_k = p_j (delta_jk - p_k).
 
-train() checks the parameters and the model fit once, then runs one kernel
-call per optimizer step: the batch's cases are grouped by voxel count,
-each group is concatenated into one class-major block, and a single
+train() checks the parameters, the model fit and the loss once, then runs
+one kernel call per optimizer step: the batch's cases are grouped by voxel
+count, each group is concatenated into one class-major block, and a single
 forward, loss and backward pass gives every case's loss value and the
-batch's mean parameter gradient.  What does not change during a run is
-built once per run (_Run): the loss's index offsets and gradient
+batch's mean parameter gradient.  The run's one losses._Loss carries what
+does not change during a run: the loss's index offsets and gradient
 constants.  The optimizer's public step() checks only shapes and the
 rate, since train() checks the parameters for finiteness after every
 step.  Each synthdata.Case was checked when made and cannot change.
@@ -46,8 +46,8 @@ import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
-                     _check_shapes, _Tables)
-from .numerics import (Rng, as_f64, check_seed, parsing, read_array, read_json,
+                     _check_shapes, _Loss)
+from .numerics import (Rng, as_f64, check_seed, json_int, parsing, read_array, read_json,
                        require_finite, softmax_inplace, write_array, write_csv, write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
@@ -172,10 +172,9 @@ class Model:
         """The loss value on the forward pass, as a float, and its gradient
         over the flat params."""
         x = self._features(features)
-        m = _check_kind(loss_kind, m)
-        _check_shapes((x.shape[0], self.spec.num_classes), gt, m)
-        values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss_kind,
-                               _Tables(m, self.spec.num_classes))
+        loss = _Loss(loss_kind, m, self.spec.num_classes)
+        _check_shapes((x.shape[0], self.spec.num_classes), gt)
+        values, grad = _kernel(self.spec, self.params, x, gt.labels[None, :], loss)
         return float(values[0]), grad
 
 
@@ -236,20 +235,18 @@ def ensemble_labels(models, case: Case) -> np.ndarray:
     return np.argmax(total, axis=0)
 
 
-def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-            loss_kind: str, tables: _Tables):
+def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray, loss: _Loss):
     """Forward, loss and backward over B same-size cases in one pass.
 
     x holds the cases' feature rows back to back, [B*V, F], and labels
     their [B, V] label maps.  Returns the per-case loss values [B] and the
-    parameter gradient of the summed loss.  The loss arguments, ``tables``
-    included, are the callers' contract with losses._batch_terms.
+    parameter gradient of the summed loss.  ``loss`` was checked for the
+    spec's class count when made; the shapes are the callers' contract.
     """
     num_cases, num_voxels = labels.shape
     probs, hidden = _forward(spec, params, x)
-    values, prob_grad = _batch_terms(
-        loss_kind, probs.reshape(-1, num_cases, num_voxels), labels, tables,
-        want_gradient=True)
+    values, prob_grad = _batch_terms(loss, probs.reshape(-1, num_cases, num_voxels), labels,
+                                     want_gradient=True)
     # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)),
     # in the loss gradient's own buffer.
     dz = prob_grad.reshape(probs.shape)
@@ -268,38 +265,27 @@ def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarr
     return values, grad
 
 
-class _Run:
-    """One training run's dataset and loss, and the loss's losses._Tables
-    (index offsets per batch shape, the Dice class mask, the GWDL gradient
-    constants), built once and read by every step."""
-
-    def __init__(self, spec: ModelSpec, cases, loss_kind: str, m: DistanceMatrix | None):
-        self.spec = spec
-        self.cases = cases
-        self.loss_kind = loss_kind
-        self.tables = _Tables(m, spec.num_classes)
-
-    def gradient(self, params: np.ndarray, batch):
-        """Per-case loss values, in batch order, and mean parameter gradient
-        of one step on ``batch``, indexes into the cases that may repeat (DRO
-        draws with replacement).  Cases go through the kernel grouped by
-        voxel count, so mixed 2-D/3-D datasets work.  Unchecked: train()
-        checks its inputs on entry."""
-        groups: dict[int, list[int]] = {}
-        for pos, idx in enumerate(batch):
-            groups.setdefault(self.cases[int(idx)].num_voxels, []).append(pos)
-        values = np.empty(len(batch))
-        grad = None
-        for positions in groups.values():
-            members = [int(batch[pos]) for pos in positions]
-            # The group's stacked inputs live only for the duration of the call.
-            group_values, group_grad = _kernel(
-                self.spec, params, *_stack([self.cases[idx] for idx in members]),
-                self.loss_kind, self.tables)
-            values[positions] = group_values
-            grad = group_grad if grad is None else grad + group_grad
-        grad /= len(batch)
-        return values, grad
+def _gradient(spec: ModelSpec, params: np.ndarray, cases, batch, loss: _Loss):
+    """Per-case loss values, in batch order, and mean parameter gradient
+    of one step on ``batch``, indexes into ``cases`` that may repeat (DRO
+    draws with replacement).  Cases go through the kernel grouped by voxel
+    count, so mixed 2-D/3-D datasets work.  Unchecked: train() checks its
+    inputs on entry and passes every step the run's one ``loss``, whose
+    tables are built once and read by every later step."""
+    groups: dict[int, list[int]] = {}
+    for pos, idx in enumerate(batch):
+        groups.setdefault(cases[int(idx)].num_voxels, []).append(pos)
+    values = np.empty(len(batch))
+    grad = None
+    for positions in groups.values():
+        members = [int(batch[pos]) for pos in positions]
+        # The group's stacked inputs live only for the duration of the call.
+        group_values, group_grad = _kernel(
+            spec, params, *_stack([cases[idx] for idx in members]), loss)
+        values[positions] = group_values
+        grad = group_grad if grad is None else grad + group_grad
+    grad /= len(batch)
+    return values, grad
 
 
 def _stack(members):
@@ -371,27 +357,19 @@ class TrainedModel:
     sampler: HardnessWeightedSampler | None = None
 
 
-def _check_matrix(spec: ModelSpec, m: DistanceMatrix | None) -> None:
-    """A training config's distance matrix, if any, has the model's classes."""
-    if m is not None and m.num_classes != spec.num_classes:
-        raise ValueError(
-            f"distance matrix is {m.num_classes}x{m.num_classes}, "
-            f"model has {spec.num_classes} classes"
-        )
-
-
-def _check_inputs(model: Model, dataset, config: TrainConfig) -> None:
+def _check_inputs(model: Model, dataset, config: TrainConfig) -> _Loss:
     """What the training kernel trusts and a Case cannot know, checked once
-    on entry: a non-empty dataset, finite parameters, the matrix's class
-    count and each case's fit to the model."""
+    on entry: a non-empty dataset, finite parameters, the loss for the
+    model's class count (returned: the run's _Loss) and each case's fit."""
     spec = model.spec
     if not dataset:
         raise ValueError("training dataset is empty")
     require_finite(model.params, "params")
-    _check_matrix(spec, config.distance_matrix)
+    loss = _Loss(config.loss, config.distance_matrix, spec.num_classes)
     for case in dataset:
         spec.check_fit(case.features.shape[1], case.labels.num_classes, "model",
                        f"case {case.case_id!r}")
+    return loss
 
 
 def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
@@ -405,13 +383,13 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     guard and the sampler in batch order.
 
     The inputs are checked once, on entry, and the loss tables that are
-    constant for the dataset are built once per run (see _Run); each step
+    constant for the dataset are built once per run (see _gradient); each step
     then calls the optimizer's step(), which leaves finiteness to this
     loop: the parameters are checked for finiteness and magnitude after
     every step.
     """
     dataset = list(dataset)
-    _check_inputs(model, dataset, config)
+    loss = _check_inputs(model, dataset, config)
     n = len(dataset)
 
     optimizer = make_optimizer(config.optimizer, config.lookahead_k, config.lookahead_alpha)
@@ -427,7 +405,6 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     if config.epochs == 0:
         return TrainedModel(Model(model.spec, params), log, sampler)
 
-    run = _Run(model.spec, dataset, config.loss, config.distance_matrix)
     schedule = PolySchedule(initial_lr=config.lr, t_max=config.epochs)
     for epoch in range(config.epochs):
         lr = schedule.at(epoch)
@@ -438,7 +415,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            values, grad = run.gradient(params, batch)
+            values, grad = _gradient(model.spec, params, dataset, batch, loss)
             for idx, value in zip(batch, values.tolist()):
                 if not math.isfinite(value):
                     raise TrainingDiverged(
@@ -490,13 +467,13 @@ def load_model(path) -> Model:
         hidden = fields["hidden_width"]
         spec = ModelSpec(
             kind=str(fields["kind"]),
-            input_features=int(fields["input_features"]),
-            num_classes=int(fields["num_classes"]),
-            hidden_width=None if hidden is None else int(hidden),
-            seed=int(fields["seed"]),
+            input_features=json_int(fields["input_features"], "input_features"),
+            num_classes=json_int(fields["num_classes"], "num_classes"),
+            hidden_width=None if hidden is None else json_int(hidden, "hidden_width"),
+            seed=json_int(fields["seed"], "seed"),
         )
         param_path = os.path.join(os.path.dirname(path) or ".", doc["param_file"])
-        count = int(doc["param_count"])
+        count = json_int(doc["param_count"], "param_count")
         if count != spec.param_count():
             raise ValueError(f"param_count {count} does not match spec ({spec.param_count()})")
     params = read_array(param_path, "<f8", count, "parameter file").copy()  # writable

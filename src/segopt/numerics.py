@@ -19,7 +19,8 @@ from contextlib import contextmanager
 import numpy as np
 
 __all__ = ["Rng", "check_seed", "softmax", "softmax_inplace", "require_finite", "as_f64",
-           "read_json", "parsing", "read_array", "write_json", "write_csv", "write_array"]
+           "read_json", "json_int", "parsing", "read_array", "write_json", "write_csv",
+           "write_array"]
 
 
 def as_f64(values, name: str = "array") -> np.ndarray:
@@ -93,6 +94,15 @@ def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
     return z
+
+
+def json_int(value, name: str, only: int | None = None) -> int:
+    """Return a JSON file's integer field, refusing a float or a bool, which
+    int() would pass truncated, and with ``only``, any other integer."""
+    if type(value) is not int or (only is not None and value != only):
+        want = "an integer" if only is None else f"the integer {only}"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return value
 
 
 @contextmanager

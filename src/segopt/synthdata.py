@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LabelMap
-from .numerics import (Rng, parsing, read_array, read_json, require_finite, write_array,
-                       write_json)
+from .numerics import (Rng, json_int, parsing, read_array, read_json, require_finite,
+                       write_array, write_json)
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -290,24 +290,29 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
 
 def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest:
     """Parse and validate a manifest file without touching the case files:
-    at least one case, class count, feature width and grid extents >= 1,
-    spacing finite and positive and, with ``check_spacing`` (evaluate's;
-    train uses none), one spacing entry per axis of every case's grid."""
+    at least one case, each id once, integer fields JSON integers, class
+    count, feature width and grid extents >= 1, spacing finite positive
+    numbers and, with ``check_spacing`` (evaluate's; train uses none), one
+    spacing entry per axis of every case's grid."""
     manifest_path = str(manifest_path)
     doc = read_json(manifest_path, "manifest",
                     ("version", "num_classes", "feature_width", "spacing_mm", "cases"))
     with parsing("manifest", manifest_path):
-        if doc["version"] != MANIFEST_VERSION:
+        if json_int(doc["version"], "version") != MANIFEST_VERSION:
             raise ValueError(
                 f"unsupported manifest version {doc['version']!r}, expected {MANIFEST_VERSION}"
             )
+        spacing = doc["spacing_mm"]
+        if any(type(s) not in (int, float) or not 0 < s < math.inf for s in spacing):
+            raise ValueError(f"spacing must be finite and positive numbers, got {spacing!r}")
         manifest = DatasetManifest(
             version=MANIFEST_VERSION,
-            num_classes=int(doc["num_classes"]),
-            feature_width=int(doc["feature_width"]),
-            spacing_mm=tuple(float(s) for s in doc["spacing_mm"]),
+            num_classes=json_int(doc["num_classes"], "num_classes"),
+            feature_width=json_int(doc["feature_width"], "feature_width"),
+            spacing_mm=tuple(float(s) for s in spacing),
             cases=[CaseEntry(str(e["id"]), str(e["subgroup"]), str(e["features"]),
-                             str(e["labels"]), tuple(int(g) for g in e["grid"]))
+                             str(e["labels"]),
+                             tuple(json_int(g, "grid extent") for g in e["grid"]))
                    for e in doc["cases"]],
             root=os.path.dirname(manifest_path),
         )
@@ -315,9 +320,11 @@ def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest
             raise ValueError("no cases")
         if min(manifest.num_classes, manifest.feature_width) < 1:
             raise ValueError("num_classes and feature_width must be >= 1")
-        if any(not 0 < s < math.inf for s in manifest.spacing_mm):
-            raise ValueError(f"spacing must be finite and positive, got {manifest.spacing_mm}")
+        ids = set()
         for entry in manifest.cases:
+            if entry.case_id in ids:
+                raise ValueError(f"case id {entry.case_id!r} is listed twice")
+            ids.add(entry.case_id)
             if min(entry.grid, default=0) < 1:
                 raise ValueError(f"case {entry.case_id!r} has grid {entry.grid}, "
                                  "extents must be >= 1")

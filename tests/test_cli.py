@@ -678,6 +678,23 @@ MALFORMED = {
     "model-param-file-number": ("model", lambda doc: {**doc, "param_file": 5}),
     "model-spec-classes-text": ("model", lambda doc: {**doc, "spec": {**doc["spec"],
                                                                       "num_classes": "x"}}),
+    # int() would truncate each of these to the right value.
+    "model-spec-features-float": ("model", lambda doc: {**doc, "spec": {
+        **doc["spec"], "input_features": doc["spec"]["input_features"] + 0.9}}),
+    "model-spec-seed-float": ("model", lambda doc: {**doc, "spec": {**doc["spec"],
+                                                                    "seed": 0.5}}),
+    "model-param-count-float": ("model", lambda doc: {**doc,
+                                                      "param_count": float(doc["param_count"])}),
+    "manifest-version-float": ("manifest", lambda doc: {**doc, "version": 1.0}),
+    "manifest-version-bool": ("manifest", lambda doc: {**doc, "version": True}),
+    "manifest-classes-float": ("manifest", lambda doc: {**doc,
+                                                        "num_classes": doc["num_classes"] + 0.2}),
+    "manifest-width-float": ("manifest", lambda doc: {**doc,
+                                                      "feature_width": doc["feature_width"] + 0.0}),
+    "manifest-grid-float": ("manifest", lambda doc: {**doc, "cases": [
+        {**doc["cases"][0], "grid": [doc["cases"][0]["grid"][0] + 0.9,
+                                     *doc["cases"][0]["grid"][1:]]}, *doc["cases"][1:]]}),
+    "manifest-spacing-bool": ("manifest", lambda doc: {**doc, "spacing_mm": [1, True]}),
     "manifest-case-number": ("manifest", lambda doc: {**doc, "cases": [5]}),
     "manifest-spacing-number": ("manifest", lambda doc: {**doc, "spacing_mm": 5}),
     "manifest-classes-text": ("manifest", lambda doc: {**doc, "num_classes": "four"}),
@@ -721,6 +738,7 @@ BAD_MANIFESTS = {
                                                    for case in doc["cases"]]},
     "nan-spacing": lambda doc: {**doc, "spacing_mm": [float("nan"), 1.0]},
     "no-cases": lambda doc: {**doc, "cases": []},
+    "duplicate-id": lambda doc: {**doc, "cases": [*doc["cases"], doc["cases"][0]]},
 }
 
 
@@ -743,6 +761,33 @@ def test_bad_manifest_is_refused_before_any_output(dataset, trained_run, tmp_pat
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: malformed manifest {manifest}: ")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("loss, code, message", [
+    ("dice", 2, "dice loss needs at least one foreground class"),
+    ("dice_ce", 2, "dice loss needs at least one foreground class"),
+    ("gwdl", 2, "distance matrix is 4x4, model has 1 classes"),
+    ("ce", 0, ""),
+], ids=["dice", "dice_ce", "gwdl", "ce"])
+def test_one_class_dataset_refuses_a_dice_loss_before_any_output(tmp_path, capsys, loss, code,
+                                                                  message):
+    # One all-background case of 2x3 voxels with one feature channel.
+    data = tmp_path / "data"
+    data.mkdir()
+    np.ones(6, "<f4").tofile(data / "c_features.f32")
+    np.zeros(6, np.uint8).tofile(data / "c_labels.u8")
+    (data / "manifest.json").write_text(json.dumps({
+        "version": 1, "num_classes": 1, "feature_width": 1, "spacing_mm": [1.0, 1.0],
+        "cases": [{"id": "c", "subgroup": "s", "features": "c_features.f32",
+                   "labels": "c_labels.u8", "grid": [2, 3]}]}))
+    out = tmp_path / "out"
+    argv = ["train", "--dataset", str(data), "--out", str(out), "--loss", loss, "--epochs", "1"]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    else:
+        assert (out / "model.json").exists()
 
 
 # A case file whose size is right but whose content is not: which file of

@@ -27,8 +27,14 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     doc = two_runs[0]
     assert [c["argv"] for c in doc["commands"]] == digest.commands(tiny=True)
     failed = [(c["argv"], c["exit"]) for c in doc["commands"] if c["exit"] != 0]
-    assert failed == [(argv, 2) for argv in digest.commands(tiny=True)[-2:]]
-    for preset in (*digest.ARMS, "ensemble", "adam", "radam", "mlp", "dice", "ce"):
+    assert failed == [(argv, 2) for argv in digest.commands(tiny=True)[-3:]]
+    assert doc["commands"][-1]["stderr"] == "error: distance matrix is 3x3, model has 4 classes\n"
+    for preset in (*digest.ARMS, "ensemble", "adam", "radam", "mlp", "dice", "ce", "matrix"):
         assert f"train_{preset}/run_config.json" in doc["files"]
+    for name in ("matrix.json", "matrix_3x3.json"):
+        assert name in doc["files"]
+    for name in ("model.json", "model.params.bin", "training_log.csv"):
+        # the builtin matrix, given as a file, trains the builtin's bytes
+        assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
     for data in ("readme", "no_et", "vol"):
         assert f"eval_{data}/metrics.csv" in doc["files"]

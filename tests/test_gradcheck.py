@@ -1,9 +1,14 @@
+import re
+
+import numpy as np
 import pytest
 
 from segopt import gradcheck
-from segopt.gradcheck import PARAM_TOL, PROB_TOL, fd_param_gradient, run_gradcheck
-from segopt.losses import LOSS_KINDS, brats_distance_matrix
-from segopt.model import MODEL_KINDS, Model, ModelSpec
+from segopt.gradcheck import (PARAM_TOL, PROB_TOL, fd_param_gradient, fd_prob_gradient,
+                              run_gradcheck)
+from segopt.losses import LOSS_KINDS, DistanceMatrix, brats_distance_matrix, composite_loss
+from segopt.model import MODEL_KINDS, Model, ModelSpec, TrainConfig, train
+from segopt.synthdata import Case
 
 from conftest import fd_model_gradient, label_map
 
@@ -83,3 +88,38 @@ def test_batched_param_differences_equal_the_per_parameter_loop(model_kind, kind
         model = Model(spec, params + 0.3 * rng.normal(size=params.shape))
         batched = fd_param_gradient(model, features, gt, kind, m)
         assert batched.tobytes() == fd_model_gradient(model, features, gt, kind, m).tobytes()
+
+
+# A loss that no entry point scores: its kind, matrix and class count, and
+# the message every entry point refuses it with.
+BAD_LOSSES = {
+    "3x3-matrix-on-4-classes": ("gwdl", DistanceMatrix(1.0 - np.eye(3)), 4,
+                                "distance matrix is 3x3, model has 4 classes"),
+    "dice-on-1-class": ("dice", None, 1, "dice loss needs at least one foreground class"),
+    "dice_ce-on-1-class": ("dice_ce", None, 1, "dice loss needs at least one foreground class"),
+    "gwdl-without-matrix": ("gwdl_ce", None, 4, "loss kind 'gwdl_ce' requires a distance matrix"),
+    "unknown-kind": ("hinge", None, 4, "unknown loss kind 'hinge'"),
+}
+
+# Each entry point scoring one case: fn(kind, m, model, features, probs, gt).
+ENTRY_POINTS = {
+    "composite_loss": lambda kind, m, model, x, probs, gt: composite_loss(
+        kind, probs, gt, m, want_gradient=True),
+    "Model.backward": lambda kind, m, model, x, probs, gt: model.backward(x, gt, kind, m),
+    "fd_prob_gradient": lambda kind, m, model, x, probs, gt: fd_prob_gradient(kind, probs, gt, m),
+    "fd_param_gradient": lambda kind, m, model, x, probs, gt: fd_param_gradient(
+        model, x, gt, kind, m),
+    "train": lambda kind, m, model, x, probs, gt: train(
+        model, [Case("c0", x, gt, "t")], TrainConfig(loss=kind, distance_matrix=m, epochs=1)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("kind, m, classes, message", BAD_LOSSES.values(), ids=BAD_LOSSES)
+def test_every_loss_entry_point_refuses_a_bad_loss_alike(entry, kind, m, classes, message):
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    probs = np.full((6, classes), 1.0 / classes)
+    gt = label_map(np.arange(6) % classes, num_classes=classes)
+    model = Model.init(ModelSpec("linear", 3, classes))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ENTRY_POINTS[entry](kind, m, model, x, probs, gt)

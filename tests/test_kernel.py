@@ -5,10 +5,10 @@ of the batch.  Its per-case values and mean gradient must equal what
 per-case Model.backward gives, for every loss kind and both model kinds,
 on batches that mix grids and repeat an index; train() must accept
 mixed grids at any batch size, and name the first diverging case in
-batch order.  A _Run whose tables are warm from earlier steps must give
-the bytes of a fresh one, and train() the bytes of a loop of fresh
-_Run gradients and public step() calls.  A Case stays as it was
-checked, so train() checks no case's features again.
+batch order.  A _Loss whose tables are warm from earlier steps must give
+the bytes of a fresh one, and train() the bytes of a loop of _gradient
+calls on fresh _Loss objects and public step() calls.  A Case stays as
+it was checked, so train() checks no case's features again.
 """
 
 import dataclasses
@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 import segopt
-from segopt.losses import LOSS_KINDS, LabelMap, brats_distance_matrix
-from segopt.model import MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _Run, train
+from segopt.losses import LOSS_KINDS, LabelMap, _Loss, brats_distance_matrix
+from segopt.model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _gradient,
+                          train)
 from segopt.numerics import Rng
 from segopt.optim import DEFAULT_LR, OPTIMIZER_KINDS, PolySchedule, make_optimizer
 from segopt.synthdata import Case, SynthConfig, generate, load
@@ -56,7 +57,7 @@ def test_batched_step_matches_per_case_backward(kind, model_kind, rng):
     cases = mixed_dataset(rng, 3)
     model = perturbed_model(rng, model_kind)
     batch = np.array([1, 0, 2, 1])  # 3-D, 2-D, 2-D, then the 3-D case again
-    values, grad = _Run(model.spec, cases, kind, m).gradient(model.params, batch)
+    values, grad = _gradient(model.spec, model.params, cases, batch, _Loss(kind, m, 4))
 
     per_case = [model.backward(cases[i].features, cases[i].labels, kind, m) for i in batch]
     want_values = np.array([loss for loss, _ in per_case])
@@ -75,7 +76,7 @@ def test_batched_gradient_matches_finite_differences_of_batch_mean(model_kind, r
     cases = mixed_dataset(rng, 3)
     model = perturbed_model(rng, model_kind)
     batch = [0, 1, 1, 2]
-    _, grad = _Run(model.spec, cases, "gwdl_ce", m).gradient(model.params, batch)
+    _, grad = _gradient(model.spec, model.params, cases, batch, _Loss("gwdl_ce", m, 4))
     differenced = np.mean([fd_model_gradient(model, cases[i].features, cases[i].labels,
                                              "gwdl_ce", m) for i in batch], axis=0)
     assert rel_err(grad, differenced) <= 1e-4
@@ -99,8 +100,8 @@ LEAN_BATCHES = {
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
 def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name, rng):
-    # train() reuses one _Run for every step; the reference is a fresh
-    # one.  The reused _Run first steps through every batch of its
+    # train() reuses one _Loss for every step; the reference is a fresh
+    # one.  The reused _Loss first steps through every batch of its
     # dataset, so its cached offsets cover the named batch's shapes.
     m = brats_distance_matrix() if "gwdl" in kind else None
     data = LEAN_BATCHES[batch_name][0]
@@ -110,12 +111,12 @@ def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name
     batches = {name: partial if batch is None else batch
                for name, (other, batch) in LEAN_BATCHES.items() if other == data}
     model = perturbed_model(rng, model_kind)
-    run = _Run(model.spec, cases, kind, m)
+    loss = _Loss(kind, m, 4)
     for batch in batches.values():
-        run.gradient(model.params, np.array(batch))
+        _gradient(model.spec, model.params, cases, np.array(batch), loss)
     batch = batches[batch_name]
-    warm_values, warm_grad = run.gradient(model.params, np.array(batch))
-    values, grad = _Run(model.spec, cases, kind, m).gradient(model.params, batch)
+    warm_values, warm_grad = _gradient(model.spec, model.params, cases, np.array(batch), loss)
+    values, grad = _gradient(model.spec, model.params, cases, batch, _Loss(kind, m, 4))
     assert values.shape == (len(batch),)
     assert warm_values.tobytes() == values.tobytes()
     assert warm_grad.tobytes() == grad.tobytes()
@@ -125,7 +126,7 @@ def test_per_run_tables_give_the_general_path_bytes(model_kind, kind, batch_name
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
 def test_train_gives_the_public_step_bytes(model_kind, kind, rng):
     # Two ERM epochs of 7 cases at batch size 2 are 8 ranger steps, past
-    # one Lookahead sync; train() must equal a fresh _Run's gradient and step().
+    # one Lookahead sync; train() must equal a fresh _Loss's gradient and step().
     m = brats_distance_matrix() if "gwdl" in kind else None
     dataset = uniform_dataset(rng)
     model = perturbed_model(rng, model_kind)
@@ -137,8 +138,8 @@ def test_train_gives_the_public_step_bytes(model_kind, kind, rng):
     for epoch in range(config.epochs):
         order = shuffle.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch_size):
-            _, grad = _Run(model.spec, dataset, kind, m).gradient(
-                params, list(order[start:start + config.batch_size]))
+            _, grad = _gradient(model.spec, params, dataset,
+                                list(order[start:start + config.batch_size]), _Loss(kind, m, 4))
             params = optimizer.step(params, grad, schedule.at(epoch))
     assert train(model, dataset, config).model.params.tobytes() == params.tobytes()
 

@@ -12,9 +12,12 @@ run, whose last README batch holds 2 cases, and a 3-D ``--model mlp --loss
 ce`` run, so every loss kind trains;
 ``evaluate`` of the four ensemble members on both 2-D datasets and of
 the MLP on the 3-D one;
-``gradcheck --trials 20`` for seeds 0-9; and two commands the CLI
-refuses.  ``run(out, tiny=True)`` shrinks the 2-D datasets, the epochs
-and the gradcheck trials and seeds, so the whole set runs in a few seconds.
+``gradcheck --trials 20`` for seeds 0-9; a ``--preset gwdl`` run given
+the builtin matrix as a ``--distance-matrix`` file; and three commands
+the CLI refuses, one an ensemble given a 3x3 matrix file.  Both matrix
+files are written into OUT before the commands run.  ``run(out,
+tiny=True)`` shrinks the 2-D datasets, the epochs and the gradcheck
+trials and seeds, so the whole set runs in a few seconds.
 
 Each command runs in its own process of the segopt beside this script,
 inside OUT with relative paths, so no file records where OUT is, and with
@@ -38,6 +41,15 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DIGESTS = "digests.json"
 ARMS = ("baseline", "ranger", "gwdl", "dro")
+# Writes the builtin distance matrix and its upper-left 3x3 block, itself
+# a valid matrix, as matrix files in the working directory.
+MATRICES = """
+from segopt.losses import brats_distance_matrix
+from segopt.numerics import write_json
+m = brats_distance_matrix().m
+write_json("matrix.json", {"background_index": 0, "matrix": m.tolist()})
+write_json("matrix_3x3.json", {"background_index": 0, "matrix": m[:3, :3].tolist()})
+"""
 
 
 def commands(tiny: bool = False) -> list:
@@ -71,10 +83,14 @@ def commands(tiny: bool = False) -> list:
         out.append(["evaluate", *members, "--dataset", data, "--out", f"eval_{data}"])
     out.append(["evaluate", "train_mlp/model.json", "--dataset", "vol", "--out", "eval_vol"])
     out += [["gradcheck", "--trials", trials, "--seed", str(seed)] for seed in seeds]
+    out.append(["train", "--dataset", "readme", "--out", "train_matrix", "--preset", "gwdl",
+                "--distance-matrix", "matrix.json", "--epochs", epochs])
     out += [
         ["train", "--dataset", "readme", "--out", "refused_beta", "--preset", "baseline",
          "--beta", "5"],
         ["evaluate", "missing.json", "--dataset", "readme", "--out", "refused_model"],
+        ["train", "--dataset", "readme", "--out", "refused_matrix", "--preset", "ensemble",
+         "--distance-matrix", "matrix_3x3.json", "--epochs", epochs],
     ]
     return out
 
@@ -84,6 +100,7 @@ def run(out: str, tiny: bool = False) -> dict:
     os.makedirs(out)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", MATRICES], cwd=out, env=env, check=True)
     ran = []
     for argv in commands(tiny):
         proc = subprocess.run([sys.executable, "-m", "segopt.cli", *argv], cwd=out, env=env,

@@ -27,7 +27,7 @@ from .model import (MODEL_KINDS, POPULATIONS, Model, ModelSpec, TrainConfig, Tra
                     ensemble_labels, load_model, save_model, train, write_training_log)
 from .numerics import write_json
 from .optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS
-from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, read_manifest
+from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, load_case, read_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,7 +177,9 @@ def cmd_train(args) -> int:
 def case_workers(cases) -> int:
     """Threads evaluate scores ``cases`` on: one per CPU this process may
     run on, at most one per case, and 1 when the cases average fewer than
-    PARALLEL_MIN_VOXELS voxels."""
+    PARALLEL_MIN_VOXELS voxels.  ``cases`` are Cases or the manifest's
+    CaseEntries: both count their voxels, so evaluate decides before it
+    reads any case file."""
     if not cases or sum(c.num_voxels for c in cases) < PARALLEL_MIN_VOXELS * len(cases):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -189,34 +191,37 @@ def case_workers(cases) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = read_manifest(_dataset_path(args.dataset), check_spacing=True)
-    cases = load(manifest)
     models = []
     for path in args.models:
         model = load_model(path)
         model.spec.check_fit(manifest.feature_width, manifest.num_classes,
                              f"model {path}", "the dataset")
         models.append(model)
-    os.makedirs(args.out, exist_ok=True)
 
-    def eval_one(case):
+    def eval_one(entry):
+        # The case lives only inside this call, so at most one case per
+        # worker is in memory, and its read overlaps other workers' scoring.
+        case = load_case(manifest, entry)
         labels = ensemble_labels(models, case)
         pred_map = LabelMap(labels, manifest.num_classes, case.labels.spatial_shape)
         return evaluate_case(postprocess_et(pred_map), case.labels, manifest.spacing_mm,
                              case_id=case.case_id)
 
-    # Results come back in case order whatever the worker count, so the
-    # first failing case raises first and the output bytes do not change.
-    # One worker scores the cases in this thread: a one-thread pool made
-    # evaluate on 44 cases of 576 voxels about 10% slower.
-    workers = case_workers(cases)
+    # Results come back in manifest order whatever the worker count, so the
+    # first faulty case file or failing case raises first, and the output
+    # bytes do not change.  One worker scores the cases in this thread: a
+    # one-thread pool made evaluate on 44 cases of 576 voxels about 10% slower.
+    workers = case_workers(manifest.cases)
     if workers == 1:
-        per_case = list(map(eval_one, cases))
+        per_case = list(map(eval_one, manifest.cases))
     else:
         # Imported here, so that the other commands never load it.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_case = list(pool.map(eval_one, cases))
+            per_case = list(pool.map(eval_one, manifest.cases))
+    # Made only once every case has scored, so a refused run writes nothing.
+    os.makedirs(args.out, exist_ok=True)
     stats = aggregate(per_case)
     write_case_csv(per_case, os.path.join(args.out, "metrics.csv"))
     write_aggregate_csv(stats, os.path.join(args.out, "aggregate.csv"))

@@ -46,6 +46,7 @@ __all__ = [
     "templates_for",
     "generate",
     "read_manifest",
+    "load_case",
     "load",
 ]
 
@@ -140,6 +141,10 @@ class CaseEntry:
     feature_file: str
     label_file: str
     grid: tuple[int, ...]
+
+    @property
+    def num_voxels(self) -> int:
+        return math.prod(self.grid)
 
 
 @dataclass
@@ -334,30 +339,34 @@ def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest
     return manifest
 
 
+def load_case(manifest: DatasetManifest, entry: CaseEntry) -> Case:
+    """Read one manifest entry's two files back as a checked case.
+
+    Each file is read with one read_array call, the feature file before
+    the label file is opened; a fault in either file's content names that
+    file.
+    """
+    n_vox, width = entry.num_voxels, manifest.feature_width
+    feature_path = os.path.join(manifest.root, entry.feature_file)
+    label_path = os.path.join(manifest.root, entry.label_file)
+    features = read_array(feature_path, "<f4", n_vox * width, "case file")
+    labels = read_array(label_path, np.uint8, n_vox, "case file")
+    with parsing("case file", label_path):
+        labels = LabelMap(labels, manifest.num_classes, entry.grid)
+    with parsing("case file", feature_path):
+        return Case(entry.case_id, features.reshape(n_vox, width), labels, entry.subgroup)
+
+
 def load(manifest_path) -> list:
-    """Read a dataset back as a list of checked cases.
+    """Read a dataset back as a list of checked cases, in manifest order,
+    through load_case.
 
     ``manifest_path`` is a manifest file, or the DatasetManifest that
     read_manifest returned for it, so a caller that needs the manifest
-    too parses it once.  Each case file is read with one read_array call,
-    the feature file before the label file is opened; a fault in either
-    file's content names that file.
+    too parses it once.
     """
     if isinstance(manifest_path, DatasetManifest):
         manifest = manifest_path
     else:
         manifest = read_manifest(manifest_path)
-    root, width = manifest.root, manifest.feature_width
-    cases = []
-    for entry in manifest.cases:
-        n_vox = math.prod(entry.grid)
-        feature_path = os.path.join(root, entry.feature_file)
-        label_path = os.path.join(root, entry.label_file)
-        features = read_array(feature_path, "<f4", n_vox * width, "case file")
-        labels = read_array(label_path, np.uint8, n_vox, "case file")
-        with parsing("case file", label_path):
-            labels = LabelMap(labels, manifest.num_classes, entry.grid)
-        with parsing("case file", feature_path):
-            cases.append(Case(entry.case_id, features.reshape(n_vox, width), labels,
-                              entry.subgroup))
-    return cases
+    return [load_case(manifest, entry) for entry in manifest.cases]

@@ -10,16 +10,18 @@ import csv
 import json
 import os
 import shutil
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from segopt import gradcheck, optim
+from segopt import gradcheck, optim, synthdata
 from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
 from segopt.model import Model, ModelSpec, TrainConfig, save_model
 from segopt.optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K
-from segopt.synthdata import FEATURE_WIDTH, SynthConfig, load
+from segopt.synthdata import FEATURE_WIDTH, SynthConfig, load, read_manifest
 
 
 def read_json(path):
@@ -596,21 +598,79 @@ class TestEvaluateWorkers:
         assert pools == ([] if cpus == 1 else [5])
         assert code == 2
         assert "non-finite" in captured.err
+        assert not os.path.exists(tmp_path / "eval")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_resident_cases_are_bounded_by_the_worker_count(self, monkeypatch, capsys,
+                                                            trained_run, volume_dataset,
+                                                            tmp_path, cpus):
+        counts = {"live": 0, "peak": 0}
+        lock = threading.RLock()
+
+        def release():
+            with lock:
+                counts["live"] -= 1
+
+        class CountedCase(synthdata.Case):
+            def __post_init__(self):
+                super().__post_init__()
+                with lock:
+                    counts["live"] += 1
+                    counts["peak"] = max(counts["peak"], counts["live"])
+                weakref.finalize(self, release)
+
+        monkeypatch.setattr(synthdata, "Case", CountedCase)
+        models = [os.path.join(trained_run, "model.json")]
+        code, _, pools = self.evaluate(monkeypatch, capsys, cpus, models, volume_dataset,
+                                       str(tmp_path / "eval"))
+        assert code == 0
+        workers = min(cpus, 5)
+        assert 1 <= counts["peak"] <= workers
+        assert counts["live"] == 0
+        assert pools == ([] if cpus == 1 else [workers])
+        assert case_workers(read_manifest(os.path.join(volume_dataset, "manifest.json")).cases) \
+            == workers
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_first_bad_case_file_is_refused_before_any_output(self, monkeypatch, capsys,
+                                                              trained_run, volume_dataset,
+                                                              tmp_path, cpus):
+        data = str(tmp_path / "data")
+        shutil.copytree(volume_dataset, data)
+        # Case 1 has a label byte 9, case 3 a NaN feature: case 1 is named.
+        for case, (name, edit, _) in (("common_001", BAD_CASE_FILES["label-byte-9"]),
+                                      ("common_003", BAD_CASE_FILES["nan-feature"])):
+            victim = os.path.join(data, f"{case}_{name}")
+            edited = edit(file_bytes(victim))
+            with open(victim, "wb") as fh:
+                fh.write(edited)
+        out = str(tmp_path / "eval")
+        code, captured, pools = self.evaluate(monkeypatch, capsys, cpus,
+                                              [os.path.join(trained_run, "model.json")],
+                                              data, out)
+        assert pools == ([] if cpus == 1 else [5])
+        assert code == 2
+        label_file = os.path.join(data, "common_001_labels.u8")
+        assert captured.err == (f"error: malformed case file {label_file}: "
+                                "labels must lie in [0, 4), found range [0, 9]\n")
+        assert not os.path.exists(out)
 
     def test_small_cases_score_on_one_worker(self, monkeypatch, tmp_path):
         data = str(tmp_path / "small")
         assert main(["synth", "--out", data, "--grid", "24x24", "--subgroups", "common:3"]) == 0
-        cases = load(os.path.join(data, "manifest.json"))
+        manifest = read_manifest(os.path.join(data, "manifest.json"))
+        cases = load(manifest)
         assert {case.num_voxels for case in cases} == {576}
         self.use_cpus(monkeypatch, 8)
-        assert case_workers(cases) == 1
+        assert case_workers(cases) == case_workers(manifest.cases) == 1
 
     def test_worker_count_is_capped_by_cases_and_cpus(self, monkeypatch, volume_dataset):
-        cases = load(os.path.join(volume_dataset, "manifest.json"))
+        manifest = read_manifest(os.path.join(volume_dataset, "manifest.json"))
+        cases = load(manifest)
         assert min(case.num_voxels for case in cases) == PARALLEL_MIN_VOXELS == 8192
         for cpus, want in ((1, 1), (2, 2), (8, len(cases))):
             self.use_cpus(monkeypatch, cpus)
-            assert case_workers(cases) == want, cpus
+            assert case_workers(cases) == case_workers(manifest.cases) == want, cpus
 
 
 class TestGradcheck:

@@ -1,9 +1,12 @@
 """tools/digest.py: the fixed command set reruns to the same digests."""
 
 import importlib.util
+import math
 import os
 
 import pytest
+
+from segopt.cli import PARALLEL_MIN_VOXELS, parse_grid
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC = importlib.util.spec_from_file_location(
@@ -36,5 +39,16 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     for name in ("model.json", "model.params.bin", "training_log.csv"):
         # the builtin matrix, given as a file, trains the builtin's bytes
         assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
-    for data in ("readme", "no_et", "vol"):
+    for data in ("readme", "no_et", "vol", "vol32"):
         assert f"eval_{data}/metrics.csv" in doc["files"]
+
+
+def test_one_evaluate_scores_cases_large_enough_for_threads():
+    # The vol32 dataset holds one grid only, so its mean case size is that grid's.
+    for tiny in (False, True):
+        synth = next(argv for argv in digest.commands(tiny)
+                     if argv[:3] == ["synth", "--out", "vol32"])
+        grid = parse_grid(synth[synth.index("--grid") + 1])
+        assert math.prod(grid) >= PARALLEL_MIN_VOXELS
+        assert any(argv[0] == "evaluate" and argv[-3:] == ["vol32", "--out", "eval_vol32"]
+                   for argv in digest.commands(tiny))

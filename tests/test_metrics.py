@@ -38,6 +38,13 @@ class TestRegions:
         assert region_mask(labels, TC).tolist() == [False, True, False, True]
         assert region_mask(labels, ET).tolist() == [False, True, False, False]
 
+    def test_masks_of_raw_labels_match_isin(self):
+        labels = np.random.default_rng(0).integers(-1, 6, size=(5, 7))
+        for region, members in REGIONS.items():
+            mask = region_mask(labels, region)
+            assert mask.dtype == bool
+            assert mask.tolist() == np.isin(labels.reshape(-1), members).tolist()
+
     def test_all_background_gives_empty_masks(self):
         labels = label_map([0, 0, 0])
         for region in REGIONS:

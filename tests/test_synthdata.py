@@ -13,6 +13,7 @@ from segopt.synthdata import (
     SynthConfig,
     generate,
     load,
+    load_case,
     read_manifest,
     templates_for,
 )
@@ -289,6 +290,19 @@ class TestLoad:
         (tmp_path / "common_000_labels.u8").unlink()
         with pytest.raises(ValueError, match=f"size mismatch in {re.escape(str(victim))}"):
             load(tmp_path / MANIFEST_NAME)
+
+    def test_load_case_reads_only_its_own_entry(self, tmp_path):
+        generate(small_config(), tmp_path)
+        manifest = read_manifest(tmp_path / MANIFEST_NAME)
+        loaded = load(manifest)
+        for name in ("common_000_features.f32", "rare_001_labels.u8"):
+            (tmp_path / name).unlink()
+        entry = manifest.cases[2]
+        case = load_case(manifest, entry)
+        assert entry.num_voxels == case.num_voxels == 100
+        assert case.case_id == loaded[2].case_id == "common_002"
+        assert (case.features == loaded[2].features).all()
+        assert (case.labels.labels == loaded[2].labels.labels).all()
 
     def test_spacing_rank_is_not_checked_against_the_grid(self, tmp_path):
         generate(small_config(), tmp_path)

@@ -13,8 +13,10 @@ ce`` run, so every loss kind trains;
 ``evaluate`` of the four ensemble members on both 2-D datasets and of
 the MLP on the 3-D one;
 ``gradcheck --trials 20`` for seeds 0-9; a ``--preset gwdl`` run given
-the builtin matrix as a ``--distance-matrix`` file; and three commands
-the CLI refuses, one an ensemble given a 3x3 matrix file.  Both matrix
+the builtin matrix as a ``--distance-matrix`` file; a 32x32x8 dataset,
+whose cases are large enough for ``evaluate`` to score them on several
+threads, and ``evaluate`` of the four ensemble members on it; and three
+commands the CLI refuses, one an ensemble given a 3x3 matrix file.  Both matrix
 files are written into OUT before the commands run.  ``run(out,
 tiny=True)`` shrinks the 2-D datasets, the epochs and the gradcheck
 trials and seeds, so the whole set runs in a few seconds.
@@ -85,6 +87,9 @@ def commands(tiny: bool = False) -> list:
     out += [["gradcheck", "--trials", trials, "--seed", str(seed)] for seed in seeds]
     out.append(["train", "--dataset", "readme", "--out", "train_matrix", "--preset", "gwdl",
                 "--distance-matrix", "matrix.json", "--epochs", epochs])
+    out.append(["synth", "--out", "vol32", "--grid", "32x32x8",
+                "--subgroups", "common:2,rare:1", "--no-et-frac", "0.5", "--seed", "2"])
+    out.append(["evaluate", *members, "--dataset", "vol32", "--out", "eval_vol32"])
     out += [
         ["train", "--dataset", "readme", "--out", "refused_beta", "--preset", "baseline",
          "--beta", "5"],

@@ -26,7 +26,7 @@ from .metrics import ensemble_mean_softmax  # noqa: F401
 from .model import (MODEL_KINDS, POPULATIONS, Model, ModelSpec, TrainConfig, TrainingDiverged,
                     ensemble_labels, load_model, save_model, train, write_training_log)
 from .numerics import write_json
-from .optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS
+from .optim import OPTIMIZER_KINDS, Lookahead
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, load_case, read_manifest
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ PRESETS = {
 
 # The train flags that are TrainConfig fields of the same name: passed from
 # the flags when given, and recorded per arm at the config's resolved value.
-SHARED_SETTINGS = ("beta", "lr", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed")
+SHARED_SETTINGS = ("beta", "lr", "epochs", "batch_size", "seed")
 
 # Hidden width of the mlp when --hidden is not given.
 DEFAULT_HIDDEN = 16
@@ -123,6 +123,9 @@ def _train_one(args, spec: ModelSpec, config: TrainConfig, cases, tag: str | Non
     return {
         **{key: getattr(config, key) for key in ("loss", "population", "optimizer",
                                                   *SHARED_SETTINGS)},
+        # Lookahead's constants, recorded for every arm as the shared settings are.
+        "lookahead_k": Lookahead.k,
+        "lookahead_alpha": Lookahead.alpha,
         "model_kind": spec.kind,
         "hidden_width": spec.hidden_width,
         "distance_matrix": ((args.distance_matrix or "builtin")
@@ -149,10 +152,6 @@ def cmd_train(args) -> int:
         raise ValueError(f"no arm's loss uses --distance-matrix {args.distance_matrix}")
     if args.beta is not None and all(c.population != "dro" for c in configs.values()):
         raise ValueError(f"no arm's population uses --beta {args.beta}")
-    lookahead = {"--lookahead-k": args.lookahead_k, "--lookahead-alpha": args.lookahead_alpha}
-    given = " ".join(f"{flag} {value}" for flag, value in lookahead.items() if value is not None)
-    if given and all(c.optimizer != "ranger" for c in configs.values()):
-        raise ValueError(f"no arm's optimizer uses {given}")
     spec = ModelSpec(
         kind=args.model,
         input_features=manifest.feature_width,
@@ -279,10 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default=None)
     p.add_argument("--lr", type=float, default=None,
                    help="initial learning rate (per-optimizer default otherwise)")
-    p.add_argument("--lookahead-k", type=int, default=None,
-                   help=f"Lookahead sync period (ranger only; default {LOOKAHEAD_K})")
-    p.add_argument("--lookahead-alpha", type=float, default=None,
-                   help=f"Lookahead slow step (ranger only; default {LOOKAHEAD_ALPHA:g})")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--distance-matrix", default=None,

@@ -252,8 +252,11 @@ def postprocess_et(labels: LabelMap, min_et_voxels: int = 50) -> LabelMap:
     Predictions with fewer than min_et_voxels label-1 voxels have all of
     them rewritten to label 3; otherwise the map is returned unchanged.
     Tiny predicted ET components are usually false positives, and a wrong
-    ET guess on an ET-free case costs a whole Dice point.
+    ET guess on an ET-free case costs a whole Dice point.  A map with fewer
+    than 4 classes has no label 3 to rewrite to and is returned unchanged.
     """
+    if labels.num_classes < 4:
+        return labels
     flat = labels.labels
     count = int((flat == 1).sum())
     if 0 < count < min_et_voxels:

@@ -28,7 +28,8 @@ does not change during a run: the loss's index offsets and gradient
 constants.  The optimizer's public step() checks only shapes and the
 rate, since train() checks the parameters for finiteness after every
 step.  Each synthdata.Case was checked when made and cannot change.
-Model.forward() and Model.backward() are the same kernel on one case.
+Model.backward() is the same kernel on one case; Model.forward() runs
+only its forward half, _forward(), with no loss.
 The loop wires in a loss kind, an epoch-level learning rate schedule,
 an optimizer, and a population: plain shuffling ("erm") or the
 hardness-weighted sampler ("dro").
@@ -54,8 +55,7 @@ from .numerics import (Rng, as_f64, check_seed, json_int, parsing, read_array, r
 # segopt.model.softmax.
 from .losses import composite_loss  # noqa: F401
 from .numerics import softmax  # noqa: F401
-from .optim import (DEFAULT_LR, LOOKAHEAD_ALPHA, LOOKAHEAD_K, OPTIMIZER_KINDS, PolySchedule,
-                    _check_lookahead, _check_lr, make_optimizer)
+from .optim import DEFAULT_LR, OPTIMIZER_KINDS, PolySchedule, _check_lr, make_optimizer
 from .synthdata import Case
 
 __all__ = [
@@ -308,8 +308,6 @@ class TrainConfig:
     beta: float = DEFAULT_BETA
     optimizer: str = "sgd"
     lr: float | None = None
-    lookahead_k: int = LOOKAHEAD_K
-    lookahead_alpha: float = LOOKAHEAD_ALPHA
     epochs: int = 1000
     batch_size: int = 2
     seed: int = 0
@@ -327,8 +325,6 @@ class TrainConfig:
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
         _check_lr(self.lr)
-        # Checked whatever the optimizer, so a bad value fails before training.
-        _check_lookahead(self.lookahead_k, self.lookahead_alpha)
         _check_beta(self.beta)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
@@ -392,7 +388,7 @@ def train(model: Model, dataset, config: TrainConfig) -> TrainedModel:
     loss = _check_inputs(model, dataset, config)
     n = len(dataset)
 
-    optimizer = make_optimizer(config.optimizer, config.lookahead_k, config.lookahead_alpha)
+    optimizer = make_optimizer(config.optimizer)
     params = model.params.copy()
     log = []
     sampler = None

@@ -17,6 +17,10 @@ Lookahead keeps a second, slow copy of the weights.  The inner optimizer
 runs k fast steps, then the slow weights move a fraction alpha toward the
 fast ones and the fast weights restart from there, smoothing the
 trajectory.
+
+Hyperparameters other than the rate are class constants, as in Ranger:
+SGD's momentum 0.99, Adam's betas (0.9, 0.999), and Lookahead's k=6 and
+alpha=0.5.
 """
 
 from __future__ import annotations
@@ -36,18 +40,12 @@ __all__ = [
     "make_optimizer",
     "DEFAULT_LR",
     "OPTIMIZER_KINDS",
-    "LOOKAHEAD_K",
-    "LOOKAHEAD_ALPHA",
 ]
 
 # Default learning rate per optimizer kind, resolved by TrainConfig.
 DEFAULT_LR = {"sgd": 1e-2, "adam": 3e-3, "radam": 3e-3, "ranger": 3e-3}
 
 OPTIMIZER_KINDS = tuple(DEFAULT_LR)
-
-# Lookahead's default sync period and slow step, as in Ranger.
-LOOKAHEAD_K = 6
-LOOKAHEAD_ALPHA = 0.5
 
 
 def _check_lr(lr: float) -> None:
@@ -166,14 +164,6 @@ class RAdam(Adam):
         return params - lr * m_hat
 
 
-def _check_lookahead(k: int, alpha: float) -> None:
-    """Lookahead's sync period k must be >= 1 and its slow step alpha in (0, 1]."""
-    if k < 1:
-        raise ValueError(f"sync period k must be >= 1, got {k}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"slow step alpha must be in (0, 1], got {alpha}")
-
-
 class Lookahead:
     """Slow/fast weight wrapper around any inner optimizer.
 
@@ -183,12 +173,10 @@ class Lookahead:
     reproduces the inner optimizer exactly, with no rounding drift.
     """
 
-    def __init__(self, inner: _OptimizerBase, k: int = LOOKAHEAD_K,
-                 alpha: float = LOOKAHEAD_ALPHA):
-        _check_lookahead(k, alpha)
+    k, alpha = 6, 0.5
+
+    def __init__(self, inner: _OptimizerBase):
         self.inner = inner
-        self.k = int(k)
-        self.alpha = float(alpha)
         self.slow_weights = None
         self.inner_counter = 0
 
@@ -210,16 +198,13 @@ class Lookahead:
         return fast
 
 
-def ranger(k: int = LOOKAHEAD_K, alpha: float = LOOKAHEAD_ALPHA) -> Lookahead:
+def ranger() -> Lookahead:
     """Ranger: the Lookahead wrapper around RAdam."""
-    return Lookahead(RAdam(), k=k, alpha=alpha)
+    return Lookahead(RAdam())
 
 
-def make_optimizer(kind: str, lookahead_k: int = LOOKAHEAD_K,
-                   lookahead_alpha: float = LOOKAHEAD_ALPHA):
-    """Build an optimizer by CLI name; the Lookahead settings apply to ranger only."""
+def make_optimizer(kind: str):
+    """Build an optimizer by CLI name."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")
-    if kind == "ranger":
-        return ranger(lookahead_k, lookahead_alpha)
-    return {"sgd": SgdNesterov, "adam": Adam, "radam": RAdam}[kind]()
+    return {"sgd": SgdNesterov, "adam": Adam, "radam": RAdam, "ranger": ranger}[kind]()

@@ -155,7 +155,8 @@ def test_lookahead_identity_and_variance_rectification_branch():
     steps; the rectified optimizer takes plain momentum steps while its
     sample-size proxy is <= 4 (the first four steps at beta2=0.999) and
     its rectification factor settles within 1e-3 of 1 by t=1e4."""
-    wrapped = Lookahead(RAdam(), k=1, alpha=1.0)
+    wrapped = Lookahead(RAdam())
+    wrapped.k, wrapped.alpha = 1, 1.0
     bare = RAdam()
     x_w = x_b = np.array([1.3, -0.7, 0.4])
     for _ in range(100):

@@ -20,7 +20,7 @@ from segopt import gradcheck, optim, synthdata
 from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
 from segopt.model import Model, ModelSpec, TrainConfig, save_model
-from segopt.optim import LOOKAHEAD_ALPHA, LOOKAHEAD_K
+from segopt.optim import Lookahead
 from segopt.synthdata import FEATURE_WIDTH, SynthConfig, load, read_manifest
 
 
@@ -285,8 +285,6 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
-        ["--preset", "ensemble", "--lookahead-alpha", "0"],
-        ["--lookahead-k", "-3", "--lookahead-alpha", "7"],
         ["--preset", "ensemble", "--distance-matrix", "MATRIX"],
         ["--preset", "baseline", "--distance-matrix", "VALID_MATRIX"],
         ["--preset", "ensemble", "--distance-matrix", "MATRIX_3X3"],
@@ -295,17 +293,13 @@ class TestTrain:
         ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_2_MATRIX"],
         ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_FLOAT_MATRIX"],
         ["--preset", "gwdl", "--distance-matrix", "BACKGROUND_STRING_MATRIX"],
-        ["--preset", "baseline", "--lookahead-k", "3", "--lookahead-alpha", "0.9"],
-        ["--preset", "dro", "--lookahead-alpha", "0.9"],
         ["--preset", "ensemble", "--beta", "inf"],
         ["--preset", "ensemble", "--lr", "inf"],
         ["--preset", "ensemble", "--beta", "1e308"],
-    ], ids=["ensemble-alpha-zero", "sgd-bad-lookahead", "ensemble-matrix-no-background",
-            "baseline-unused-matrix", "ensemble-3x3-matrix", "linear-hidden",
-            "baseline-unused-beta", "gwdl-background-two", "gwdl-background-float",
-            "gwdl-background-string", "baseline-unused-lookahead",
-            "dro-unused-lookahead-alpha", "ensemble-beta-inf", "ensemble-lr-inf",
-            "ensemble-beta-1e308"])
+    ], ids=["ensemble-matrix-no-background", "baseline-unused-matrix", "ensemble-3x3-matrix",
+            "linear-hidden", "baseline-unused-beta", "gwdl-background-two",
+            "gwdl-background-float", "gwdl-background-string", "ensemble-beta-inf",
+            "ensemble-lr-inf", "ensemble-beta-1e308"])
     def test_bad_arm_fails_before_any_arm_trains(self, dataset, tmp_path, capsys, extra):
         files = {}
         for name, background, size in (("MATRIX", None, 4), ("VALID_MATRIX", 0, 4),
@@ -343,16 +337,24 @@ class TestTrain:
         defaults = TrainConfig()
         for name in ("epochs", "batch_size", "seed"):
             assert getattr(args, name) == getattr(defaults, name), name
-        # Flags that only some arms use default to None; TrainConfig resolves them.
-        assert (args.beta, args.lookahead_k, args.lookahead_alpha) == (None, None, None)
+        # --beta, which only the dro arms use, defaults to None; TrainConfig resolves it.
+        assert args.beta is None
         assert defaults.beta == DEFAULT_BETA
-        assert (defaults.lookahead_k, defaults.lookahead_alpha) == (LOOKAHEAD_K, LOOKAHEAD_ALPHA)
+        assert (Lookahead.k, Lookahead.alpha) == (6, 0.5)
+
+    @pytest.mark.parametrize("flag", [["--lookahead-k", "3"], ["--lookahead-alpha", "0.9"]],
+                             ids=["k", "alpha"])
+    def test_removed_lookahead_flags_are_usage_errors(self, dataset, tmp_path, flag):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", dataset, "--out", str(out), "--preset", "ranger",
+                  "--epochs", "1", *flag])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, want", [
         ([], {"lookahead_k": 6, "lookahead_alpha": 0.5}),
-        (["--lookahead-k", "3", "--lookahead-alpha", "0.9"],
-         {"lookahead_k": 3, "lookahead_alpha": 0.9}),
-    ], ids=["defaults", "flags"])
+    ], ids=["defaults"])
     def test_ranger_run_records_resolved_lookahead(self, dataset, tmp_path, extra, want):
         out = str(tmp_path / "run")
         assert main(["train", "--dataset", dataset, "--out", out, "--preset", "ensemble",
@@ -364,8 +366,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("extra, given", [
         ([], {}),
-        (["--lr", "0.02", "--beta", "30", "--lookahead-k", "3", "--lookahead-alpha", "0.9"],
-         {"lr": 0.02, "beta": 30.0, "lookahead_k": 3, "lookahead_alpha": 0.9}),
+        (["--lr", "0.02", "--beta", "30"], {"lr": 0.02, "beta": 30.0}),
     ], ids=["defaults", "flags"])
     def test_every_arm_records_its_resolved_shared_settings(self, dataset, tmp_path,
                                                              extra, given):
@@ -377,7 +378,8 @@ class TestTrain:
             config = TrainConfig(optimizer=arm["optimizer"], epochs=1, batch_size=3, seed=5,
                                  **given)
             want = {key: getattr(config, key) for key in (
-                "beta", "lr", "lookahead_k", "lookahead_alpha", "epochs", "batch_size", "seed")}
+                "beta", "lr", "epochs", "batch_size", "seed")}
+            want.update(lookahead_k=Lookahead.k, lookahead_alpha=Lookahead.alpha)
             assert {key: arm[key] for key in want} == want, tag
             assert arm["model_kind"] == "linear", tag
 
@@ -848,6 +850,26 @@ def test_one_class_dataset_refuses_a_dice_loss_before_any_output(tmp_path, capsy
         assert not out.exists()
     else:
         assert (out / "model.json").exists()
+
+
+def test_two_class_dataset_evaluates(tmp_path, capsys):
+    # ET against the rest: no label 3 for the small-ET cleanup to write.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--grid", "8x8", "--subgroups", "common:6",
+                 "--seed", "0"]) == 0
+    doc = read_json(str(data / "manifest.json"))
+    doc["num_classes"] = 2
+    (data / "manifest.json").write_text(json.dumps(doc))
+    for case in doc["cases"]:
+        path = data / case["labels"]
+        (np.fromfile(path, np.uint8) == 1).astype(np.uint8).tofile(path)
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(data), "--out", str(run), "--epochs", "30"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(run / "model.json"), "--dataset", str(data),
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    assert (out / "metrics.csv").exists()
 
 
 # A case file whose size is right but whose content is not: which file of

@@ -3,8 +3,11 @@
 import importlib.util
 import math
 import os
+import platform
 
+import numpy
 import pytest
+import scipy
 
 from segopt.cli import PARALLEL_MIN_VOXELS, parse_grid
 
@@ -41,6 +44,13 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
         assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
     for data in ("readme", "no_et", "vol", "vol32"):
         assert f"eval_{data}/metrics.csv" in doc["files"]
+
+
+def test_digests_record_where_they_were_made(two_runs):
+    assert two_runs[0]["environment"] == {
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "scipy": scipy.__version__, "machine": platform.machine(),
+        "OPENBLAS_NUM_THREADS": "1"}
 
 
 def test_one_evaluate_scores_cases_large_enough_for_threads():

@@ -378,6 +378,16 @@ class TestPostprocess:
         assert (postprocess_et(before, min_et_voxels=10).labels == before.labels).all()
         assert (postprocess_et(before, min_et_voxels=11).labels == 3).sum() == 10
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("n_et", [1, 25, 49])
+    def test_maps_without_class_three_come_back_unchanged(self, num_classes, n_et):
+        labels = np.zeros(200, dtype=np.int64)
+        labels[:n_et] = 1
+        if num_classes == 3:
+            labels[-10:] = 2
+        before = label_map(labels, num_classes=num_classes)
+        assert postprocess_et(before) is before
+
 
 class TestReports:
     def make_agg(self):

@@ -23,9 +23,11 @@ trials and seeds, so the whole set runs in a few seconds.
 
 Each command runs in its own process of the segopt beside this script,
 inside OUT with relative paths, so no file records where OUT is, and with
-OPENBLAS_NUM_THREADS=1.  OUT/digests.json maps each file under OUT to its
-sha256 and lists every command's argv, exit code, stdout and stderr, one
-entry per line, so ``diff A/digests.json B/digests.json`` shows what moved.
+OPENBLAS_NUM_THREADS=1.  OUT/digests.json records where it was made (the
+Python, numpy and scipy versions, the machine type and the pinned
+OPENBLAS_NUM_THREADS), maps each file under OUT to its sha256 and lists
+every command's argv, exit code, stdout and stderr, one entry per line, so
+``diff A/digests.json B/digests.json`` shows what moved.
 
 Compare digests made on the same machine only: the bytes depend on the
 BLAS kernel OpenBLAS picks for the CPU, so no golden digests are kept.
@@ -37,12 +39,15 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+from importlib.metadata import version
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DIGESTS = "digests.json"
 ARMS = ("baseline", "ranger", "gwdl", "dro")
+OPENBLAS_NUM_THREADS = "1"
 # Writes the builtin distance matrix and its upper-left 3x3 block, itself
 # a valid matrix, as matrix files in the working directory.
 MATRICES = """
@@ -100,10 +105,17 @@ def commands(tiny: bool = False) -> list:
     return out
 
 
+def environment() -> dict:
+    """What the bytes depend on besides the source: versions, machine, BLAS threads."""
+    return {"python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy"), "machine": platform.machine(),
+            "OPENBLAS_NUM_THREADS": OPENBLAS_NUM_THREADS}
+
+
 def run(out: str, tiny: bool = False) -> dict:
     """Run the set inside the new directory ``out``; write and return its digests."""
     os.makedirs(out)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": OPENBLAS_NUM_THREADS,
            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     subprocess.run([sys.executable, "-c", MATRICES], cwd=out, env=env, check=True)
     ran = []
@@ -118,7 +130,8 @@ def run(out: str, tiny: bool = False) -> dict:
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()
-    doc = {"files": dict(sorted(files.items())), "commands": ran}
+    doc = {"environment": environment(), "files": dict(sorted(files.items())),
+           "commands": ran}
     with open(os.path.join(out, DIGESTS), "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

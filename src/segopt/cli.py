@@ -36,10 +36,10 @@ EXIT_NUMERIC = 3
 # evaluate scores cases on threads only when they are at least this large on
 # average.  The distance transforms and matmuls release the GIL, but smaller
 # cases spend most of their time in Python and numpy call overhead, where two
-# threads fight over it.  On a 2-core VM (24 cases, four members, median of
-# five runs), two threads against one ran evaluate at 0.44x the speed at 576
-# voxels per case, 0.90x at 4,096, 1.21x at 8,192, 1.23x at 12,288 and 1.60x
-# at 32,768.
+# threads fight over it.  On a 2-core VM (24 cases, four members; the median
+# of three sessions, each the median of nine runs), two threads against one
+# ran evaluate at 0.82x the speed at 576 voxels per case, 0.95x at 4,096,
+# 1.19x at 8,192, 1.46x at 12,288 and 1.92x at 32,768.
 PARALLEL_MIN_VOXELS = 8192
 
 # The four experiment arms: default ingredients, a better optimizer, a
@@ -189,6 +189,13 @@ def case_workers(cases) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # The report directory is made only once every case has scored, so an
+    # --out at or under a file is refused before any input file is read.
+    existing = args.out
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValueError(f"--out {args.out}: {existing} exists and is not a directory")
     manifest = read_manifest(_dataset_path(args.dataset), check_spacing=True)
     models = []
     for path in args.models:

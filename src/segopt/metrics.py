@@ -44,6 +44,17 @@ __all__ = [
 # Each region's labels, in the report tables' order: ET, WT, TC.
 REGIONS = {"ET": (1,), "WT": (1, 2, 3), "TC": (1, 3)}
 
+# _surface_distances transforms a box around the source surface only on
+# grids of more than this many voxels.  On smaller grids the transform's
+# fixed cost per call outweighs its per-voxel cost, so the box's own work
+# (bounding box, counts, index shift) costs more than the voxels it leaves
+# out save.  Per call, box against whole grid, over every call of one
+# evaluate of four ensemble members (fastest of 31 passes, 2-core VM):
+# 1.42x the time at 8x8x6, 1.16x at 24x24, 1.05x at 32x32, 0.97x at
+# 10x10x10, 0.98x at 8x8x16, 0.93x at 12x12x8, 0.86x at 12x12x12, 0.67x at
+# 32x32x8 and 0.58x at 32x32x32.
+BOX_MIN_VOXELS = 1024
+
 
 @dataclass
 class CaseMetrics:
@@ -125,7 +136,7 @@ def hd95(a, b, spatial_shape, spacing=None) -> float | None:
     spatial_shape = tuple(int(s) for s in spatial_shape)
     a = _flat_mask(a, "a")
     b = _flat_mask(b, "b")
-    n = int(np.prod(spatial_shape))
+    n = math.prod(spatial_shape)
     if a.size != n or b.size != n:
         raise ValueError(
             f"mask sizes {a.size}/{b.size} do not match grid {spatial_shape}"
@@ -157,24 +168,60 @@ def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.n
     """Distance in mm from each ``src`` voxel, in C order, to the nearest
     ``dst`` voxel: ``distance_transform_edt(~dst, sampling=spacing)[src]``.
 
-    Only the feature transform (each voxel's nearest zero of ``~dst``) runs
-    on the whole grid.  The distances are then taken at the source voxels
-    alone, with the transform's own arithmetic (float64 offsets scaled per
-    axis, squared, summed over the axes, square-rooted), so they are
-    bit-identical to the full transform's without its grid-sized
-    temporaries.
+    Only the feature transform (each voxel's nearest zero of ``~dst``) runs,
+    and on a grid of more than BOX_MIN_VOXELS voxels only on a box: the
+    bounding box of ``src`` grown by ``margin[k]`` voxels on both sides of
+    each axis k, clipped to the grid, every margin 1 at first.  The
+    distances are then taken at the source voxels alone, with the
+    transform's own arithmetic (float64 offsets scaled per axis, squared,
+    summed over the axes, square-rooted), so they are bit-identical to the
+    full transform's when the box holds every ``src`` voxel's nearest
+    ``dst`` voxel.  It does when no ``dst`` voxel lies outside the box, or
+    when every box side not at the grid edge lies farther from ``src`` than
+    the largest distance found, ``(margin[k] + 1) * spacing[k] > largest``:
+    a ``dst`` voxel beyond that side is at least that far from every
+    ``src`` voxel.  Otherwise each margin grows to ``max(margin[k],
+    ceil(largest / spacing[k]))`` and the box is transformed again, which
+    passes by construction, since a larger box finds no larger distance.
+    A box holding no ``dst`` voxel is replaced by the whole grid.
     """
     # Imported here, not at module level: importing scipy.ndimage takes
     # 0.3-0.4 s and 27 MB of RSS, which every command would pay at start-up
     # although only evaluation needs it.
     from scipy import ndimage
 
-    nearest = ndimage.distance_transform_edt(~dst, sampling=spacing, return_distances=False,
-                                             return_indices=True)
-    offsets = (nearest[:, src] - np.nonzero(src)).astype(np.float64)
-    offsets *= np.asarray(spacing)[:, None]
-    np.multiply(offsets, offsets, out=offsets)
-    return np.sqrt(np.add.reduce(offsets, axis=0))
+    coords = np.array(np.nonzero(src))
+    scale = np.asarray(spacing, dtype=np.float64)[:, None]
+    boxed = src.size > BOX_MIN_VOXELS and coords.size > 0
+    if boxed:
+        first = coords.min(axis=1).tolist()
+        last = coords.max(axis=1).tolist()
+        dst_count = np.count_nonzero(dst)
+    margin = [1] * src.ndim
+    while True:
+        box = ()
+        if boxed:
+            box = tuple(slice(max(a - m, 0), min(b + 1 + m, n))
+                        for a, b, m, n in zip(first, last, margin, src.shape))
+            inside = np.count_nonzero(dst[box])
+            if not inside:
+                box = ()
+        nearest = ndimage.distance_transform_edt(~dst[box], sampling=spacing,
+                                                 return_distances=False, return_indices=True)
+        offsets = nearest[:, src[box]] - coords
+        if box:
+            offsets += np.array([[side.start] for side in box])
+        offsets = offsets.astype(np.float64)
+        offsets *= scale
+        np.multiply(offsets, offsets, out=offsets)
+        distances = np.sqrt(np.add.reduce(offsets, axis=0))
+        if not box or inside == dst_count:
+            return distances
+        largest = distances.max()
+        if all((m + 1) * s > largest or (side.start == 0 and side.stop == n)
+               for m, s, side, n in zip(margin, spacing, box, src.shape)):
+            return distances
+        margin = [max(m, math.ceil(largest / s)) for m, s in zip(margin, spacing)]
 
 
 def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,

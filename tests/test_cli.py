@@ -520,6 +520,29 @@ class TestEvaluate:
                         str(tmp_path / "eval"))
         assert code == 2
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_at_or_under_a_file_is_refused_before_any_case_is_read(
+            self, trained_run, dataset, tmp_path, monkeypatch, capsys, below):
+        from segopt import cli
+
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return synthdata.load_case(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_case", counted)
+        existing = tmp_path / "report.txt"
+        existing.write_bytes(b"keep")
+        out = os.path.join(existing, below) if below else str(existing)
+        code = self.run([os.path.join(trained_run, "model.json")], dataset, out)
+        assert code == 2
+        assert reads == []
+        assert (capsys.readouterr().err
+                == f"error: --out {out}: {existing} exists and is not a directory\n")
+        assert existing.read_bytes() == b"keep"
+        assert os.listdir(tmp_path) == ["report.txt"]
+
 
 @pytest.fixture(scope="module")
 def volume_dataset(tmp_path_factory):

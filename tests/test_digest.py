@@ -42,8 +42,18 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     for name in ("model.json", "model.params.bin", "training_log.csv"):
         # the builtin matrix, given as a file, trains the builtin's bytes
         assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
-    for data in ("readme", "no_et", "vol", "vol32"):
+    for data in ("readme", "no_et", "vol", "vol32", "vol32_anisotropic"):
         assert f"eval_{data}/metrics.csv" in doc["files"]
+
+
+def test_one_evaluate_scores_the_vol32_cases_at_anisotropic_spacing(two_runs):
+    doc = two_runs[0]
+    command = next(c for c in doc["commands"] if c["argv"][-1] == "eval_vol32_anisotropic")
+    assert command["argv"][-3] == "vol32/manifest_anisotropic.json"
+    assert "vol32/manifest_anisotropic.json" in doc["files"]
+    # The spacing reaches hd95, so the report differs from the 1 mm one.
+    assert (doc["files"]["eval_vol32_anisotropic/metrics.csv"]
+            != doc["files"]["eval_vol32/metrics.csv"])
 
 
 def test_digests_record_where_they_were_made(two_runs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +20,7 @@ from segopt.metrics import (
     write_aggregate_csv,
     write_case_csv,
 )
-from segopt.metrics import _surface_distances
+from segopt.metrics import BOX_MIN_VOXELS, _surface_distances
 
 from conftest import bounded_probs, dyadic_probs, label_map, oracle_hd95
 
@@ -216,6 +218,114 @@ class TestHd95:
             got = _surface_distances(src, dst, spacing)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def transformed_sizes(monkeypatch):
+    """Record the voxel count of every distance transform the metrics run."""
+    from scipy import ndimage
+
+    sizes = []
+    original = ndimage.distance_transform_edt
+
+    def spy(input, *args, **kwargs):
+        sizes.append(input.size)
+        return original(input, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", spy)
+    return sizes
+
+
+def full_transform(src, dst, spacing):
+    from scipy import ndimage
+
+    return ndimage.distance_transform_edt(~dst, sampling=spacing)[src]
+
+
+class TestSurfaceDistanceBox:
+    """_surface_distances on grids above BOX_MIN_VOXELS, where it transforms
+    a box around ``src`` only."""
+
+    SPACINGS = ["unit", "0.7", "anisotropic"]
+
+    def spacing(self, kind, ndim, rng):
+        if kind == "unit":
+            return (1.0,) * ndim
+        if kind == "0.7":
+            return (0.7,) * ndim
+        return tuple(float(s) for s in rng.uniform(0.3, 3.0, size=ndim))
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_compact_source_equals_the_full_transform_bit_for_bit(
+            self, rng, monkeypatch, ndim, kind):
+        sizes = transformed_sizes(monkeypatch)
+        boxed = 0
+        for _ in range(60):
+            shape = tuple(int(s) for s in rng.integers(*((34, 48) if ndim == 2 else (11, 17)),
+                                                       size=ndim))
+            assert math.prod(shape) > BOX_MIN_VOXELS
+            start = [int(rng.integers(0, n - 3)) for n in shape]
+            block = tuple(slice(a, a + int(rng.integers(2, n // 3 + 2)))
+                          for a, n in zip(start, shape))
+            src = np.zeros(shape, dtype=bool)
+            src[block] = rng.uniform(size=src[block].shape) < rng.uniform(0.3, 1.0)
+            src[tuple(start)] = True
+            dst = rng.uniform(size=shape) < rng.uniform(0.001, 0.05)
+            dst.flat[int(rng.integers(dst.size))] = True
+            spacing = self.spacing(kind, ndim, rng)
+            del sizes[:]
+            got = _surface_distances(src, dst, spacing)
+            want = full_transform(src, dst, spacing)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            boxed += sizes[0] < src.size
+        assert boxed > 30
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    def test_box_without_a_target_voxel_becomes_the_grid(self, rng, monkeypatch, kind):
+        sizes = transformed_sizes(monkeypatch)
+        src = np.zeros((40, 40), dtype=bool)
+        src[2:6, 3:8] = True
+        dst = np.zeros_like(src)
+        dst[30, 35] = dst[38, 2] = True
+        spacing = self.spacing(kind, 2, rng)
+        got = _surface_distances(src, dst, spacing)
+        assert sizes == [src.size]
+        assert got.tobytes() == full_transform(src, dst, spacing).tobytes()
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    def test_box_regrows_when_a_nearer_voxel_may_lie_outside_it(self, rng, monkeypatch, kind):
+        sizes = transformed_sizes(monkeypatch)
+        src = np.zeros((12, 12, 12), dtype=bool)
+        src[2:9, 6, 6] = True
+        dst = np.zeros_like(src)
+        # In the first box (axis 0 in [1, 10), axes 1 and 2 in [5, 8)) lies
+        # only a target 7 voxels from src's far end; one 3 voxels from that
+        # end lies outside it.
+        dst[1, 6, 6] = dst[8, 6, 9] = True
+        spacing = self.spacing(kind, 3, rng)
+        got = _surface_distances(src, dst, spacing)
+        assert len(sizes) == 2 and sizes[0] == 9 * 3 * 3 < sizes[1]
+        assert got.tobytes() == full_transform(src, dst, spacing).tobytes()
+
+    def test_compact_source_on_a_32_cube_transforms_fewer_voxels_than_the_grid(
+            self, monkeypatch):
+        sizes = transformed_sizes(monkeypatch)
+        z, y, x = np.ogrid[:32, :32, :32]
+        gt = (z - 12) ** 2 + (y - 14) ** 2 + (x - 16) ** 2 <= 36
+        pred = (z - 13) ** 2 + (y - 14) ** 2 + (x - 17) ** 2 <= 30
+        src, dst = boundary_mask(gt), boundary_mask(pred)
+        got = _surface_distances(src, dst, (1.0, 1.0, 1.0))
+        assert sum(sizes) < src.size
+        assert got.tobytes() == full_transform(src, dst, (1.0, 1.0, 1.0)).tobytes()
+
+    def test_small_grids_are_transformed_whole(self, monkeypatch):
+        sizes = transformed_sizes(monkeypatch)
+        src = np.zeros((32, 32), dtype=bool)
+        src[4:8, 4:8] = True
+        assert src.size == BOX_MIN_VOXELS
+        _surface_distances(src, ~src, (1.0, 1.0))
+        assert sizes == [src.size]
 
 
 class TestEvaluateCase:

@@ -15,9 +15,12 @@ the MLP on the 3-D one;
 ``gradcheck --trials 20`` for seeds 0-9; a ``--preset gwdl`` run given
 the builtin matrix as a ``--distance-matrix`` file; a 32x32x8 dataset,
 whose cases are large enough for ``evaluate`` to score them on several
-threads, and ``evaluate`` of the four ensemble members on it; and three
-commands the CLI refuses, one an ensemble given a 3x3 matrix file.  Both matrix
-files are written into OUT before the commands run.  ``run(out,
+threads, and ``evaluate`` of the four ensemble members on it, once as made
+(1 mm spacing) and once through a copy of its manifest that records the
+anisotropic spacing 0.7 x 1.3 x 2.5 mm; and three commands the CLI refuses,
+one an ensemble given a 3x3 matrix file.  Both matrix files are written into
+OUT before the commands run, the anisotropic manifest into vol32 right after
+the command that makes it.  ``run(out,
 tiny=True)`` shrinks the 2-D datasets, the epochs and the gradcheck
 trials and seeds, so the whole set runs in a few seconds.
 
@@ -57,6 +60,14 @@ m = brats_distance_matrix().m
 write_json("matrix.json", {"background_index": 0, "matrix": m.tolist()})
 write_json("matrix_3x3.json", {"background_index": 0, "matrix": m[:3, :3].tolist()})
 """
+# Writes a copy of vol32's manifest that records anisotropic spacing, beside
+# it, so that its case file names still resolve.
+ANISOTROPIC = """
+from segopt.numerics import read_json, write_json
+doc = read_json("vol32/manifest.json", "manifest", ["spacing_mm"])
+doc["spacing_mm"] = [0.7, 1.3, 2.5]
+write_json("vol32/manifest_anisotropic.json", doc)
+"""
 
 
 def commands(tiny: bool = False) -> list:
@@ -95,6 +106,8 @@ def commands(tiny: bool = False) -> list:
     out.append(["synth", "--out", "vol32", "--grid", "32x32x8",
                 "--subgroups", "common:2,rare:1", "--no-et-frac", "0.5", "--seed", "2"])
     out.append(["evaluate", *members, "--dataset", "vol32", "--out", "eval_vol32"])
+    out.append(["evaluate", *members, "--dataset", "vol32/manifest_anisotropic.json",
+                "--out", "eval_vol32_anisotropic"])
     out += [
         ["train", "--dataset", "readme", "--out", "refused_beta", "--preset", "baseline",
          "--beta", "5"],
@@ -124,6 +137,8 @@ def run(out: str, tiny: bool = False) -> dict:
                               capture_output=True, text=True)
         ran.append({"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
                     "stderr": proc.stderr})
+        if argv[:3] == ["synth", "--out", "vol32"]:
+            subprocess.run([sys.executable, "-c", ANISOTROPIC], cwd=out, env=env, check=True)
     files = {}
     for dirpath, _, names in os.walk(out):
         for name in names:

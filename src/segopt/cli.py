@@ -94,11 +94,25 @@ def _write_run_config(args, doc: dict | None = None) -> None:
     write_json(os.path.join(args.out, "run_config.json"), doc)
 
 
+def _refuse_file_out(out: str) -> None:
+    """Refuse an --out at or under an existing file, before any input is read.
+
+    Walks up from ``out`` to the nearest path that exists; that path must
+    be a directory for the command to make ``out`` in it.
+    """
+    existing = out
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValueError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def _dataset_path(path: str) -> str:
     return os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
 
 
 def cmd_synth(args) -> int:
+    _refuse_file_out(args.out)
     config = SynthConfig(
         grid=parse_grid(args.grid),
         subgroup_cases=parse_subgroups(args.subgroups),
@@ -135,6 +149,7 @@ def _train_one(args, spec: ModelSpec, config: TrainConfig, cases, tag: str | Non
 
 
 def cmd_train(args) -> int:
+    _refuse_file_out(args.out)
     manifest = read_manifest(_dataset_path(args.dataset))
     cases = load(manifest)
     # Every arm is configured, and so checked, before the first one trains.
@@ -190,12 +205,8 @@ def case_workers(cases) -> int:
 
 def cmd_evaluate(args) -> int:
     # The report directory is made only once every case has scored, so an
-    # --out at or under a file is refused before any input file is read.
-    existing = args.out
-    while existing and not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
-    if existing and not os.path.isdir(existing):
-        raise ValueError(f"--out {args.out}: {existing} exists and is not a directory")
+    # --out at or under a file is refused here, not after the scoring.
+    _refuse_file_out(args.out)
     manifest = read_manifest(_dataset_path(args.dataset), check_spacing=True)
     models = []
     for path in args.models:

@@ -9,8 +9,12 @@ HD95 is the max of the two directed 95th-percentile surface distances.
 The surface of a mask is its set of boundary voxels: mask voxels with at
 least one face neighbor (4-connectivity in 2-D, 6 in 3-D) outside the
 mask, where out-of-grid counts as outside.  Percentiles use linear
-interpolation.  Both masks empty gives 0; exactly one empty is undefined
-(None) and excluded from aggregation, with the exclusion count reported.
+interpolation.  Each directed 95th percentile is computed by one
+``np.partition`` at the two order statistics it reads, interpolated with
+``np.percentile``'s own linear-method arithmetic, so it has the bytes of
+``np.percentile(x, 95)``.  Both masks empty gives 0; exactly one empty is
+undefined (None) and excluded from aggregation, with the exclusion count
+reported.
 """
 
 from __future__ import annotations
@@ -114,17 +118,20 @@ def boundary_mask(grid: np.ndarray) -> np.ndarray:
     """Mask voxels with a face neighbor outside the mask (grid edge counts)."""
     grid = np.asarray(grid, dtype=bool)
     interior = grid.copy()
+    flat_interior, flat = interior.reshape(-1), grid.reshape(-1)
     for axis in range(grid.ndim):
-        shifted_fwd = np.zeros_like(grid)
-        shifted_bwd = np.zeros_like(grid)
-        src = [slice(None)] * grid.ndim
-        dst = [slice(None)] * grid.ndim
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-        shifted_fwd[tuple(dst)] = grid[tuple(src)]
-        shifted_bwd[tuple(src)] = grid[tuple(dst)]
-        interior &= shifted_fwd & shifted_bwd
-    return grid & ~interior
+        # Voxel i's neighbors along the axis are i - step and i + step in C
+        # order, except on the axis's two edge slabs, where one of them is
+        # off the grid (the flat shift wraps to another row) and which are
+        # cleared after.  Flat shifts keep every AND contiguous: the same
+        # shifts on the grid's own axes took 3x as long on a 32^3 grid.
+        step = math.prod(grid.shape[axis + 1:])
+        flat_interior[:-step] &= flat[step:]
+        flat_interior[step:] &= flat[:-step]
+        interior[(slice(None),) * axis + (slice(None, 1),)] = False
+        interior[(slice(None),) * axis + (slice(-1, None),)] = False
+    # interior lies inside grid, so this is grid & ~interior.
+    return np.not_equal(grid, interior, out=interior)
 
 
 def hd95(a, b, spatial_shape, spacing=None) -> float | None:
@@ -159,9 +166,30 @@ def hd95(a, b, spatial_shape, spacing=None) -> float | None:
 
     surf_a = boundary_mask(ga)
     surf_b = boundary_mask(gb)
-    d_ab = float(np.percentile(_surface_distances(surf_a, surf_b, spacing), 95))
-    d_ba = float(np.percentile(_surface_distances(surf_b, surf_a, spacing), 95))
+    d_ab = _percentile95(_surface_distances(surf_a, surf_b, spacing))
+    d_ba = _percentile95(_surface_distances(surf_b, surf_a, spacing))
     return max(d_ab, d_ba)
+
+
+def _percentile95(x: np.ndarray) -> float:
+    """``float(np.percentile(x, 95))`` of a non-empty 1-D float64 array, to
+    the bit, from one ``np.partition`` at the two order statistics the
+    percentile reads.
+
+    The arithmetic is numpy's linear method: the virtual index
+    ``(n - 1) * 0.95``, its floor ``lo`` and fraction ``t``, and the
+    interpolation of numpy's ``_lerp``, which takes ``a + (b - a) * t``
+    below ``t = 0.5`` and ``b - (b - a) * (1 - t)`` from there.  Python
+    floats are IEEE doubles, so each step rounds as numpy's does.
+    """
+    index = (x.size - 1) * 0.95
+    lo = math.floor(index)
+    if lo == x.size - 1:
+        return float(x[0])
+    part = np.partition(x, (lo, lo + 1))
+    a, b = float(part[lo]), float(part[lo + 1])
+    t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.ndarray:
@@ -190,9 +218,11 @@ def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.n
     # although only evaluation needs it.
     from scipy import ndimage
 
-    coords = np.array(np.nonzero(src))
+    # One flat scan and an unravel: np.nonzero on a 3-D grid took 6x as long.
+    flat = np.flatnonzero(src)
+    coords = np.array(np.unravel_index(flat, src.shape))
     scale = np.asarray(spacing, dtype=np.float64)[:, None]
-    boxed = src.size > BOX_MIN_VOXELS and coords.size > 0
+    boxed = src.size > BOX_MIN_VOXELS and flat.size > 0
     if boxed:
         first = coords.min(axis=1).tolist()
         last = coords.max(axis=1).tolist()
@@ -208,9 +238,12 @@ def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.n
                 box = ()
         nearest = ndimage.distance_transform_edt(~dst[box], sampling=spacing,
                                                  return_distances=False, return_indices=True)
-        offsets = nearest[:, src[box]] - coords
+        # The source voxels' coordinates and flat positions in the box.
+        local, at = coords, flat
         if box:
-            offsets += np.array([[side.start] for side in box])
+            local = coords - np.array([[side.start] for side in box])
+            at = np.ravel_multi_index(local, nearest.shape[1:])
+        offsets = nearest.reshape(src.ndim, -1)[:, at] - local
         offsets = offsets.astype(np.float64)
         offsets *= scale
         np.multiply(offsets, offsets, out=offsets)

@@ -180,8 +180,47 @@ class TestSynth:
         assert f"subgroup name {name!r} contains a path separator" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [outer]
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_at_or_under_a_file_is_refused_before_generating(
+            self, tmp_path, monkeypatch, capsys, below):
+        from segopt import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "generate", lambda *args: calls.append(args))
+        existing = tmp_path / "data.txt"
+        existing.write_bytes(b"keep")
+        out = os.path.join(existing, below) if below else str(existing)
+        assert main(["synth", "--out", out, "--grid", "6x6", "--subgroups", "common:2"]) == 2
+        assert calls == []
+        assert (capsys.readouterr().err
+                == f"error: --out {out}: {existing} exists and is not a directory\n")
+        assert existing.read_bytes() == b"keep"
+        assert os.listdir(tmp_path) == ["data.txt"]
+
 
 class TestTrain:
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_at_or_under_a_file_is_refused_before_the_dataset_is_read(
+            self, dataset, tmp_path, monkeypatch, capsys, below):
+        from segopt import cli
+
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return read_manifest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_manifest", counted)
+        existing = tmp_path / "run.txt"
+        existing.write_bytes(b"keep")
+        out = os.path.join(existing, below) if below else str(existing)
+        assert main(["train", "--dataset", dataset, "--out", out, "--epochs", "1"]) == 2
+        assert reads == []
+        assert (capsys.readouterr().err
+                == f"error: --out {out}: {existing} exists and is not a directory\n")
+        assert existing.read_bytes() == b"keep"
+        assert os.listdir(tmp_path) == ["run.txt"]
+
     def test_writes_model_log_and_config(self, trained_run):
         for name in ("model.json", "model.params.bin", "training_log.csv",
                      "run_config.json"):

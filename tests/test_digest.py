@@ -42,7 +42,7 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     for name in ("model.json", "model.params.bin", "training_log.csv"):
         # the builtin matrix, given as a file, trains the builtin's bytes
         assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
-    for data in ("readme", "no_et", "vol", "vol32", "vol32_anisotropic"):
+    for data in ("readme", "no_et", "readme_paper", "vol", "vol32", "vol32_anisotropic"):
         assert f"eval_{data}/metrics.csv" in doc["files"]
 
 

@@ -20,9 +20,9 @@ from segopt.metrics import (
     write_aggregate_csv,
     write_case_csv,
 )
-from segopt.metrics import BOX_MIN_VOXELS, _surface_distances
+from segopt.metrics import BOX_MIN_VOXELS, _percentile95, _surface_distances
 
-from conftest import bounded_probs, dyadic_probs, label_map, oracle_hd95
+from conftest import bounded_probs, dyadic_probs, label_map, oracle_boundary, oracle_hd95
 
 ET, WT, TC = REGIONS
 
@@ -113,6 +113,15 @@ class TestBoundary:
         grid = np.zeros((4, 4), dtype=bool)
         grid[2, 1] = True
         assert (boundary_mask(grid) == grid).all()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 9), (9, 2), (6, 11), (1, 4, 5),
+                                       (3, 2, 4), (5, 4, 1), (2, 2, 2), (7, 6, 5)])
+    def test_equals_the_voxel_by_voxel_oracle(self, rng, shape):
+        for fill in (0.0, 0.3, 0.7, 0.95, 1.0):
+            grid = rng.random(shape) < fill
+            got = boundary_mask(grid)
+            assert got.dtype == bool and got.shape == shape
+            assert (got == oracle_boundary(grid)).all()
 
 
 class TestHd95:
@@ -218,6 +227,41 @@ class TestHd95:
             got = _surface_distances(src, dst, spacing)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class TestPercentile95:
+    """_percentile95 is np.percentile(x, 95) to the bit."""
+
+    def check(self, x):
+        want = np.percentile(x, 95)
+        got = _percentile95(x.copy())
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x.size
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 40, 41])
+    def test_small_sizes(self, rng, n):
+        for _ in range(50):
+            self.check(rng.random(n))
+            self.check(rng.integers(0, 3, n).astype(np.float64))
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.49, 1.69])
+    def test_square_roots_of_integer_sums(self, rng, spacing):
+        # Distances as _surface_distances makes them: sqrt of summed squared
+        # offsets scaled by the spacing, with many repeated values.
+        for n in [*range(1, 60), *rng.integers(60, 3000, 60).tolist()]:
+            offsets = rng.integers(0, 9, (3, n)).astype(np.float64) * spacing
+            self.check(np.sqrt(np.add.reduce(offsets * offsets, axis=0)))
+
+    def test_repeated_values(self, rng):
+        for n in rng.integers(2, 3000, 40).tolist():
+            self.check(np.full(n, 1.5))
+            self.check(np.repeat(rng.random(3), n))
+
+    def test_leaves_its_argument_unchanged(self, rng):
+        x = rng.random(100)
+        before = x.copy()
+        _percentile95(x)
+        assert (x == before).all()
 
 
 def transformed_sizes(monkeypatch):

@@ -160,6 +160,22 @@ class TestEnsembleLabels:
         assert (got == want).all()
         assert len(set(got.tolist())) > 1
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_exact_ties_go_to_the_lowest_class(self, rng, count):
+        # Linear members whose class rows 1 and 2, and 0 and 3, have equal
+        # weights and biases: on every voxel the top two classes tie exactly.
+        models = [m for m in self.members(2 * count) if m.spec.kind == "linear"]
+        for member in models:
+            w, b = _unpack(member.spec, member.params)
+            w[2], b[2] = w[1], b[1]
+            w[3], b[3] = w[0], b[0]
+        feats = rng.normal(size=(300, 3))
+        mean = ensemble_mean_softmax([m.forward(feats) for m in models]).voxels
+        assert (mean[:, 1] == mean[:, 2]).all() and (mean[:, 0] == mean[:, 3]).all()
+        got = ensemble_labels(models, self.case(feats))
+        assert (got == np.argmax(mean, axis=1)).all()
+        assert set(got.tolist()) == {0, 1}
+
     def test_overflowing_member_is_value_error(self, rng):
         models = self.members(2)
         huge = Model(models[1].spec, np.full(models[1].spec.param_count(), 1e300))

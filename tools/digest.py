@@ -10,8 +10,9 @@ every optimizer kind trains; a 3-D ``--model mlp --loss gwdl --population
 dro --optimizer ranger --batch-size 3`` run; a ``--loss dice --batch-size 3``
 run, whose last README batch holds 2 cases, and a 3-D ``--model mlp --loss
 ce`` run, so every loss kind trains;
-``evaluate`` of the four ensemble members on both 2-D datasets and of
-the MLP on the 3-D one;
+``evaluate`` of the four ensemble members on both 2-D datasets, of the
+paper's three-network ensemble (the ranger, gwdl and dro members) on the
+README dataset, and of the MLP on the 3-D one;
 ``gradcheck --trials 20`` for seeds 0-9; a ``--preset gwdl`` run given
 the builtin matrix as a ``--distance-matrix`` file; a 32x32x8 dataset,
 whose cases are large enough for ``evaluate`` to score them on several
@@ -50,6 +51,9 @@ from importlib.metadata import version
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DIGESTS = "digests.json"
 ARMS = ("baseline", "ranger", "gwdl", "dro")
+# The members of the paper's ensemble: a three-way mean is not a power-of-two
+# mean, so its ties and roundings differ from the four members'.
+PAPER_ARMS = ("ranger", "gwdl", "dro")
 OPENBLAS_NUM_THREADS = "1"
 # Writes the builtin distance matrix and its upper-left 3x3 block, itself
 # a valid matrix, as matrix files in the working directory.
@@ -99,6 +103,8 @@ def commands(tiny: bool = False) -> list:
     members = [f"train_ensemble/model_{arm}.json" for arm in ARMS]
     for data in ("readme", "no_et"):
         out.append(["evaluate", *members, "--dataset", data, "--out", f"eval_{data}"])
+    out.append(["evaluate", *(f"train_ensemble/model_{arm}.json" for arm in PAPER_ARMS),
+                "--dataset", "readme", "--out", "eval_readme_paper"])
     out.append(["evaluate", "train_mlp/model.json", "--dataset", "vol", "--out", "eval_vol"])
     out += [["gradcheck", "--trials", trials, "--seed", str(seed)] for seed in seeds]
     out.append(["train", "--dataset", "readme", "--out", "train_matrix", "--preset", "gwdl",

@@ -90,27 +90,41 @@ class ProbMap:
 @dataclass(frozen=True)
 class LabelMap:
     """Integer-labeled segmentation, flattened row-major from its grid.  Frozen,
-    with its own read-only int64 copy of the labels, so they stay the ones a
-    Case was checked against."""
+    with its own read-only copy of the labels, so they stay the ones a Case
+    was checked against.
+
+    The copy is of the narrowest type that holds every class,
+    ``np.min_scalar_type(num_classes - 1)``: uint8 up to 256 classes, as
+    the uint8 label files hold.  Arithmetic on it wraps or overflows, so
+    it is widened to np.intp where labels become indices: _batch_terms
+    casts on entry and model._stack concatenates into np.intp.  A value
+    that is not an integer is refused, not truncated."""
 
     labels: np.ndarray
     num_classes: int
     spatial_shape: tuple[int, ...]
 
     def __post_init__(self):
-        lab = np.array(self.labels, dtype=np.int64)
-        if lab.ndim != 1:
+        given = np.asarray(self.labels)
+        if given.ndim != 1:
             raise ValueError("labels must be a flat sequence")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if lab.size and (lab.min() < 0 or lab.max() >= self.num_classes):
+        if given.dtype.kind not in "biu":
+            given = np.asarray(given, dtype=np.float64)
+            fractional = given != np.trunc(given)  # NaN too
+            if np.any(fractional):
+                i = int(np.argmax(fractional))
+                raise ValueError(f"labels must be integers, entry {i} is {float(given[i])!r}")
+        if given.size and (given.min() < 0 or given.max() >= self.num_classes):
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes}), "
-                f"found range [{lab.min()}, {lab.max()}]"
+                f"found range [{given.min()}, {given.max()}]"
             )
         shape = tuple(int(s) for s in self.spatial_shape)
-        if math.prod(shape) != lab.size:
-            raise ValueError(f"spatial shape {shape} does not cover {lab.size} voxels")
+        if math.prod(shape) != given.size:
+            raise ValueError(f"spatial shape {shape} does not cover {given.size} voxels")
+        lab = given.astype(np.min_scalar_type(self.num_classes - 1))
         lab.flags.writeable = False
         object.__setattr__(self, "spatial_shape", shape)
         object.__setattr__(self, "labels", lab)
@@ -320,7 +334,10 @@ def _batch_terms(loss, p, labels, want_gradient):
     probabilities, shape [L, B, V].  Rows need not sum to 1 (finite
     differencing steps off the simplex).  Nothing is checked: ``loss``, a
     _Loss made for L classes, was checked when made, and the shapes and
-    label range are the caller's contract.
+    label range are the caller's contract.  ``labels`` may be a LabelMap's
+    narrow copy: they are cast to np.intp on entry, since this is where
+    they take part in index arithmetic, which in uint8 would wrap (a
+    uint8 times 200) or raise OverflowError (a uint8 times 1152).
 
     Two index arrays replace one-hot masks: ``true_idx`` points at each
     voxel's ground-truth entry in the flattened block (gather the true
@@ -330,6 +347,7 @@ def _batch_terms(loss, p, labels, want_gradient):
     back over the voxels.
     """
     L, B, V = p.shape
+    labels = np.asarray(labels, dtype=np.intp)
     voxel_offsets, class_offsets = loss.offsets(B, V)
     true_idx = labels * (B * V)
     true_idx += voxel_offsets

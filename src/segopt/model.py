@@ -28,6 +28,11 @@ does not change during a run: the loss's index offsets and gradient
 constants.  The optimizer's public step() checks only shapes and the
 rate, since train() checks the parameters for finiteness after every
 step.  Each synthdata.Case was checked when made and cannot change.
+A Case keeps its features and labels at the width they were read with
+(float32 and uint8 from a case file); they are widened to float64 and
+np.intp only where the kernel computes: _stack builds each step's
+block in those dtypes, ensemble_labels widens a case's features once,
+and Model.forward() and Model.backward() widen theirs through as_f64.
 Model.backward() is the same kernel on one case; Model.forward() runs
 only its forward half, _forward(), with no loss.
 The loop wires in a loss kind, an epoch-level learning rate schedule,
@@ -216,9 +221,10 @@ def ensemble_labels(models, case: Case) -> np.ndarray:
     summed in place, in member order, and divided once by the member
     count, the arithmetic ``metrics.ensemble_mean_softmax`` does, so the
     labels equal the argmax of its rows.  The Case's checked features are
-    used as they are; each member's fit to the case is checked, and the
-    mean once: a member whose logits overflow makes it non-finite, which
-    raises ValueError.
+    widened to float64 once per call, not once per member; each member's
+    fit to the case is checked, and the mean once: a member whose logits
+    overflow makes it non-finite, which raises ValueError.  The labels
+    come back in the dtype of the case's LabelMap.
 
     The argmax runs over the L class rows, each a contiguous [V] row: a
     voxel's label becomes k where row k beats the best of rows 0..k-1,
@@ -228,10 +234,10 @@ def ensemble_labels(models, case: Case) -> np.ndarray:
     models = list(models)
     if not models:
         raise ValueError("ensemble needs at least one model")
-    x = case.features
     for i, model in enumerate(models):
-        model.spec.check_fit(x.shape[1], case.labels.num_classes, f"ensemble member {i}",
-                             f"case {case.case_id!r}")
+        model.spec.check_fit(case.features.shape[1], case.labels.num_classes,
+                             f"ensemble member {i}", f"case {case.case_id!r}")
+    x = case.features.astype(np.float64, copy=False)
     total, _ = _forward(models[0].spec, models[0].params, x)
     for model in models[1:]:
         total += _forward(model.spec, model.params, x)[0]
@@ -239,7 +245,7 @@ def ensemble_labels(models, case: Case) -> np.ndarray:
     require_finite(total, "ensemble probabilities")
     # np.argmax(total, axis=0) walks the [L, V] block across its rows and
     # took twice as long.
-    labels = np.zeros(total.shape[1], dtype=np.intp)
+    labels = np.zeros(total.shape[1], dtype=case.labels.labels.dtype)
     best = total[0]
     for k in range(1, total.shape[0]):
         row = total[k]
@@ -302,11 +308,15 @@ def _gradient(spec: ModelSpec, params: np.ndarray, cases, batch, loss: _Loss):
 
 
 def _stack(members):
-    """Feature rows [B*V, F] and labels [B, V] of same-size cases, back to back."""
+    """Feature rows [B*V, F] float64 and labels [B, V] np.intp of same-size
+    cases, back to back: the cases' narrow copies, widened here."""
     if len(members) == 1:
-        return members[0].features, members[0].labels.labels[None, :]
-    return (np.concatenate([case.features for case in members]),
-            np.concatenate([case.labels.labels for case in members]).reshape(len(members), -1))
+        case = members[0]
+        return (case.features.astype(np.float64, copy=False),
+                case.labels.labels.astype(np.intp)[None, :])
+    return (np.concatenate([case.features for case in members], dtype=np.float64),
+            np.concatenate([case.labels.labels for case in members],
+                           dtype=np.intp).reshape(len(members), -1))
 
 
 @dataclass

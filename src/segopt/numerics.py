@@ -1,7 +1,8 @@
 """Shared numerical primitives and the file layer.
 
-Everything downstream works on dense float64 numpy arrays in row-major
-order, and draws randomness from :class:`Rng`, a counter-based generator
+Everything downstream computes on dense float64 numpy arrays in row-major
+order (a checked case may store narrower ones, widened where they are
+used), and draws randomness from :class:`Rng`, a counter-based generator
 whose streams replay bit-identically across platforms for a fixed seed.
 
 It is also the file layer: read_json, read_array, write_json, write_csv

@@ -65,21 +65,25 @@ class Case:
     """One training/evaluation case: per-voxel features plus its label map.
 
     The one checked case type: 2-D, finite, one feature row per label,
-    checked once, here.  The features are the case's own read-only float64
-    copy, and the case and its LabelMap are frozen, so train() need not
-    check it again.
+    checked once, here.  The features are the case's own read-only,
+    C-contiguous copy, at the width they were read with: float32 features,
+    as every case file holds, stay float32, and any other input is stored
+    as float64.  Training and ensembling widen them to float64 where they
+    compute (model._stack, ensemble_labels), an exact conversion.  The case
+    and its LabelMap are frozen, so train() need not check it again.
 
     The subgroup tag is carried through for reporting only; nothing in
     training may condition on it.
     """
 
     case_id: str
-    features: np.ndarray  # [V, F] float64, read-only
+    features: np.ndarray  # [V, F] float32 or float64, read-only
     labels: LabelMap
     subgroup: str = ""
 
     def __post_init__(self):
-        f = np.array(self.features, dtype=np.float64, order="C")
+        f = np.asarray(self.features)
+        f = np.array(f, dtype=np.float32 if f.dtype == np.float32 else np.float64, order="C")
         if f.ndim != 2:
             raise ValueError(f"features must be [V, F], got shape {f.shape}")
         require_finite(f, f"features of case {self.case_id!r}")

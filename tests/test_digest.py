@@ -10,6 +10,7 @@ import pytest
 import scipy
 
 from segopt.cli import PARALLEL_MIN_VOXELS, parse_grid
+from segopt.numerics import read_json
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC = importlib.util.spec_from_file_location(
@@ -19,9 +20,13 @@ SPEC.loader.exec_module(digest)
 
 
 @pytest.fixture(scope="module")
-def two_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("digest")
-    return [digest.run(str(root / name), tiny=True) for name in ("a", "b")]
+def digest_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("digest")
+
+
+@pytest.fixture(scope="module")
+def two_runs(digest_root):
+    return [digest.run(str(digest_root / name), tiny=True) for name in ("a", "b")]
 
 
 def test_rerun_in_another_directory_gives_equal_digests(two_runs):
@@ -35,7 +40,8 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     failed = [(c["argv"], c["exit"]) for c in doc["commands"] if c["exit"] != 0]
     assert failed == [(argv, 2) for argv in digest.commands(tiny=True)[-3:]]
     assert doc["commands"][-1]["stderr"] == "error: distance matrix is 3x3, model has 4 classes\n"
-    for preset in (*digest.ARMS, "ensemble", "adam", "radam", "mlp", "dice", "ce", "matrix"):
+    for preset in (*digest.ARMS, "ensemble", "adam", "radam", "mlp", "dice", "ce", "mixed",
+                   "matrix"):
         assert f"train_{preset}/run_config.json" in doc["files"]
     for name in ("matrix.json", "matrix_3x3.json"):
         assert name in doc["files"]
@@ -54,6 +60,17 @@ def test_one_evaluate_scores_the_vol32_cases_at_anisotropic_spacing(two_runs):
     # The spacing reaches hd95, so the report differs from the 1 mm one.
     assert (doc["files"]["eval_vol32_anisotropic/metrics.csv"]
             != doc["files"]["eval_vol32/metrics.csv"])
+
+
+def test_one_mlp_train_mixes_two_grids(two_runs, digest_root):
+    command = next(c for c in two_runs[0]["commands"] if c["argv"][2] == "mixed.json")
+    assert command["argv"][:2] == ["train", "--dataset"] and "mlp" in command["argv"]
+    assert "train_mixed/model.params.bin" in two_runs[0]["files"]
+    doc = read_json(str(digest_root / "a" / "mixed.json"), "manifest", ["cases"])
+    ids = [case["id"] for case in doc["cases"]]
+    assert len(set(ids)) == len(ids)
+    grids = {tuple(case["grid"]) for case in doc["cases"]}
+    assert grids == {(8, 8), (8, 8, 6)}
 
 
 def test_digests_record_where_they_were_made(two_runs):

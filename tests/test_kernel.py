@@ -8,7 +8,9 @@ mixed grids at any batch size, and name the first diverging case in
 batch order.  A _Loss whose tables are warm from earlier steps must give
 the bytes of a fresh one, and train() the bytes of a loop of _gradient
 calls on fresh _Loss objects and public step() calls.  A Case stays as
-it was checked, so train() checks no case's features again.
+it was checked, so train() checks no case's features again.  A case read
+from its files keeps float32 features and uint8 labels, and trains and
+ensembles to the bytes of the same case held at float64 and int64.
 """
 
 import dataclasses
@@ -22,10 +24,10 @@ import pytest
 import segopt
 from segopt.losses import LOSS_KINDS, LabelMap, _Loss, brats_distance_matrix
 from segopt.model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _gradient,
-                          train)
+                          ensemble_labels, train)
 from segopt.numerics import Rng
 from segopt.optim import DEFAULT_LR, OPTIMIZER_KINDS, PolySchedule, make_optimizer
-from segopt.synthdata import Case, SynthConfig, generate, load
+from segopt.synthdata import Case, SynthConfig, generate, load, load_case
 
 from conftest import fd_model_gradient, rel_err
 
@@ -184,16 +186,59 @@ def test_a_case_cannot_change_after_it_is_checked(rng, tmp_path):
     generate(SynthConfig(grid=(8, 8), subgroup_cases={"common": 1}), tmp_path)
     features = rng.normal(size=(30, 3))
     made = Case("c0", features, LabelMap(rng.integers(0, 4, size=30), 4, (6, 5)))
-    for case in (made, load(tmp_path / "manifest.json")[0]):
+    # float64 features stay float64; a case file's float32 features stay float32.
+    for case, dtype in ((made, np.float64), (load(tmp_path / "manifest.json")[0], np.float32)):
         with pytest.raises(ValueError, match="read-only"):
             case.features[2, 1] = np.nan
         with pytest.raises(dataclasses.FrozenInstanceError):
             case.features = np.full(case.features.shape, np.nan)
         with pytest.raises(dataclasses.FrozenInstanceError):
             case.labels.labels = case.labels.labels[:6]
-        assert case.features.flags.c_contiguous and case.features.dtype == np.float64
+        assert case.features.flags.c_contiguous and case.features.dtype == dtype
     features[2, 1] = np.nan  # the caller's array is copied, not frozen
     assert np.isfinite(made.features).all()
+
+
+def wide_copy(case):
+    """``case`` with float64 features and int64 labels: a LabelMap narrows
+    any labels it is given, so the wide copy is set past its check."""
+    labels = LabelMap(case.labels.labels, case.labels.num_classes, case.labels.spatial_shape)
+    object.__setattr__(labels, "labels", labels.labels.astype(np.int64))
+    return Case(case.case_id, case.features.astype(np.float64), labels, case.subgroup)
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_narrow_cases_train_and_ensemble_to_the_bytes_of_wide_ones(model_kind, rng, tmp_path):
+    # Two 100-voxel cases, whose batch has B*V = 200: uint8 labels times 200
+    # wrap silently.  The 1152-voxel case alone: uint8 labels times 1152 raise.
+    parts = [generate(SynthConfig(grid=grid, subgroup_cases={"common": count}, seed=seed),
+                      tmp_path / str(seed))
+             for grid, count, seed in (((10, 10), 2, 3), ((12, 12, 8), 1, 4))]
+    narrow = [load_case(manifest, entry) for manifest in parts for entry in manifest.cases]
+    for case in narrow:
+        assert case.features.dtype == np.float32 and case.labels.labels.dtype == np.uint8
+        assert not case.features.flags.writeable and not case.labels.labels.flags.writeable
+    wide = [wide_copy(case) for case in narrow]
+    assert wide[0].features.dtype == np.float64 and wide[0].labels.labels.dtype == np.int64
+
+    model = perturbed_model(rng, model_kind, num_features=4)
+    for batch in ([0, 1], [2], [1, 2, 0]):
+        loss = _Loss("gwdl_ce", brats_distance_matrix(), 4)
+        got, want = (_gradient(model.spec, model.params, cases, np.array(batch), loss)
+                     for cases in (narrow, wide))
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    for config in (TrainConfig(loss="gwdl_ce", distance_matrix=brats_distance_matrix(),
+                               epochs=4, batch_size=2, seed=1),
+                   TrainConfig(loss="dice_ce", population="dro", optimizer="ranger",
+                               epochs=4, batch_size=3, seed=2)):
+        got, want = (train(model, cases, config) for cases in (narrow, wide))
+        assert got.model.params.tobytes() == want.model.params.tobytes()
+        assert got.training_log == want.training_log
+        members = [model, got.model]
+        for narrow_case, wide_case in zip(narrow, wide):
+            labels = ensemble_labels(members, narrow_case)
+            assert labels.dtype == np.uint8
+            assert (labels == ensemble_labels(members, wide_case)).all()
 
 
 def test_train_scans_no_case_for_finiteness(rng, monkeypatch):

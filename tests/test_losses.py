@@ -362,6 +362,23 @@ class TestLabelMap:
         with pytest.raises(ValueError):
             LabelMap(np.array([0, 4]), 4, (2,))
 
+    @pytest.mark.parametrize("labels, first", [([0, 0.5, 1.7, 2.2], "entry 1 is 0.5"),
+                                               ([1, 3, -0.5], "entry 2 is -0.5"),
+                                               ([2, np.nan], "entry 1 is nan")])
+    def test_non_integer_labels_are_refused_naming_the_first(self, labels, first):
+        with pytest.raises(ValueError, match=f"labels must be integers, {first}$"):
+            LabelMap(np.array(labels), 4, (len(labels),))
+
+    def test_integral_floats_are_accepted(self):
+        assert LabelMap(np.array([0.0, 3.0, 1.0]), 4, (3,)).labels.tolist() == [0, 3, 1]
+
+    @pytest.mark.parametrize("num_classes, dtype", [(1, np.uint8), (4, np.uint8),
+                                                    (256, np.uint8), (257, np.uint16)])
+    def test_labels_are_stored_in_the_narrowest_type_of_the_classes(self, num_classes, dtype):
+        raw = np.array([0, num_classes - 1], dtype=np.int64)
+        gt = LabelMap(raw, num_classes, (2,))
+        assert gt.labels.dtype == dtype and gt.labels.tolist() == raw.tolist()
+
     def test_labels_are_its_own_read_only_copy(self):
         raw = np.array([0, 1, 2, 3], dtype=np.int64)
         gt = LabelMap(raw, 4, (4,))

@@ -155,8 +155,9 @@ class TestEnsembleLabels:
         feats = rng.normal(size=(300, 3))
         mean = ensemble_mean_softmax([m.forward(feats) for m in models])
         want = np.argmax(mean.voxels, axis=1)
-        got = ensemble_labels(models, self.case(feats))
-        assert got.dtype == want.dtype
+        case = self.case(feats)
+        got = ensemble_labels(models, case)
+        assert got.dtype == case.labels.labels.dtype == np.uint8  # the LabelMap's dtype
         assert (got == want).all()
         assert len(set(got.tolist())) > 1
 

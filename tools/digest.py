@@ -9,7 +9,9 @@ and ``--optimizer radam`` runs with ``--population dro --loss gwdl_ce``, so
 every optimizer kind trains; a 3-D ``--model mlp --loss gwdl --population
 dro --optimizer ranger --batch-size 3`` run; a ``--loss dice --batch-size 3``
 run, whose last README batch holds 2 cases, and a 3-D ``--model mlp --loss
-ce`` run, so every loss kind trains;
+ce`` run, so every loss kind trains; a ``--model mlp`` run on a manifest that
+lists the README and the 8x8x6 cases together, so one run mixes two grids
+and its batches hold a lone case of one grid beside cases of the other;
 ``evaluate`` of the four ensemble members on both 2-D datasets, of the
 paper's three-network ensemble (the ranger, gwdl and dro members) on the
 README dataset, and of the MLP on the 3-D one;
@@ -20,8 +22,9 @@ threads, and ``evaluate`` of the four ensemble members on it, once as made
 (1 mm spacing) and once through a copy of its manifest that records the
 anisotropic spacing 0.7 x 1.3 x 2.5 mm; and three commands the CLI refuses,
 one an ensemble given a 3x3 matrix file.  Both matrix files are written into
-OUT before the commands run, the anisotropic manifest into vol32 right after
-the command that makes it.  ``run(out,
+OUT before the commands run, the mixed-grid manifest into OUT right after the
+command that makes the 8x8x6 dataset, and the anisotropic manifest into vol32
+right after the command that makes it.  ``run(out,
 tiny=True)`` shrinks the 2-D datasets, the epochs and the gradcheck
 trials and seeds, so the whole set runs in a few seconds.
 
@@ -64,6 +67,19 @@ m = brats_distance_matrix().m
 write_json("matrix.json", {"background_index": 0, "matrix": m.tolist()})
 write_json("matrix_3x3.json", {"background_index": 0, "matrix": m[:3, :3].tolist()})
 """
+# Writes mixed.json, a manifest that lists the readme and the vol cases, each
+# id and file name prefixed with its directory, under readme's header.
+MIXED = """
+from segopt.numerics import read_json, write_json
+docs = [read_json(f"{name}/manifest.json", "manifest", ["cases"]) for name in ("readme", "vol")]
+for name, doc in zip(("readme", "vol"), docs):
+    for case in doc["cases"]:
+        case["id"] = f"{name}_{case['id']}"
+        case["features"] = f"{name}/{case['features']}"
+        case["labels"] = f"{name}/{case['labels']}"
+docs[0]["cases"] += docs[1]["cases"]
+write_json("mixed.json", docs[0])
+"""
 # Writes a copy of vol32's manifest that records anisotropic spacing, beside
 # it, so that its case file names still resolve.
 ANISOTROPIC = """
@@ -72,6 +88,8 @@ doc = read_json("vol32/manifest.json", "manifest", ["spacing_mm"])
 doc["spacing_mm"] = [0.7, 1.3, 2.5]
 write_json("vol32/manifest_anisotropic.json", doc)
 """
+# The script run right after the synth command that makes each directory.
+AFTER_SYNTH = {"vol": MIXED, "vol32": ANISOTROPIC}
 
 
 def commands(tiny: bool = False) -> list:
@@ -100,6 +118,8 @@ def commands(tiny: bool = False) -> list:
                 "--batch-size", "3", "--epochs", epochs])
     out.append(["train", "--dataset", "vol", "--out", "train_ce", "--model", "mlp",
                 "--loss", "ce", "--epochs", epochs])
+    out.append(["train", "--dataset", "mixed.json", "--out", "train_mixed", "--model", "mlp",
+                "--epochs", epochs])
     members = [f"train_ensemble/model_{arm}.json" for arm in ARMS]
     for data in ("readme", "no_et"):
         out.append(["evaluate", *members, "--dataset", data, "--out", f"eval_{data}"])
@@ -143,8 +163,9 @@ def run(out: str, tiny: bool = False) -> dict:
                               capture_output=True, text=True)
         ran.append({"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
                     "stderr": proc.stderr})
-        if argv[:3] == ["synth", "--out", "vol32"]:
-            subprocess.run([sys.executable, "-c", ANISOTROPIC], cwd=out, env=env, check=True)
+        if argv[:2] == ["synth", "--out"] and argv[2] in AFTER_SYNTH:
+            subprocess.run([sys.executable, "-c", AFTER_SYNTH[argv[2]]], cwd=out, env=env,
+                           check=True)
     files = {}
     for dirpath, _, names in os.walk(out):
         for name in names:

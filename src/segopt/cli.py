@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 
 from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
@@ -23,8 +24,8 @@ from .metrics import (aggregate, evaluate_case, format_aggregate_table, postproc
 # Not called in this module, but kept as its attribute: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.cli.ensemble_mean_softmax.
 from .metrics import ensemble_mean_softmax  # noqa: F401
-from .model import (MODEL_KINDS, POPULATIONS, Model, ModelSpec, TrainConfig, TrainingDiverged,
-                    ensemble_labels, load_model, save_model, train, write_training_log)
+from .model import (MODEL_KINDS, POPULATIONS, Ensemble, Model, ModelSpec, TrainConfig,
+                    TrainingDiverged, load_model, save_model, train, write_training_log)
 from .numerics import write_json
 from .optim import OPTIMIZER_KINDS, Lookahead
 from .synthdata import MANIFEST_NAME, SynthConfig, generate, load, load_case, read_manifest
@@ -214,12 +215,17 @@ def cmd_evaluate(args) -> int:
         model.spec.check_fit(manifest.feature_width, manifest.num_classes,
                              f"model {path}", "the dataset")
         models.append(model)
+    # Each worker thread makes its Ensemble, and with it its buffers, on its
+    # first case and reuses them for every later one.
+    local = threading.local()
 
     def eval_one(entry):
         # The case lives only inside this call, so at most one case per
         # worker is in memory, and its read overlaps other workers' scoring.
         case = load_case(manifest, entry)
-        labels = ensemble_labels(models, case)
+        if not hasattr(local, "ensemble"):
+            local.ensemble = Ensemble(models)
+        labels = local.ensemble.labels(case)
         pred_map = LabelMap(labels, manifest.num_classes, case.labels.spatial_shape)
         return evaluate_case(postprocess_et(pred_map), case.labels, manifest.spacing_mm,
                              case_id=case.case_id)

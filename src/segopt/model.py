@@ -31,10 +31,20 @@ step.  Each synthdata.Case was checked when made and cannot change.
 A Case keeps its features and labels at the width they were read with
 (float32 and uint8 from a case file); they are widened to float64 and
 np.intp only where the kernel computes: _stack builds each step's
-block in those dtypes, ensemble_labels widens a case's features once,
-and Model.forward() and Model.backward() widen theirs through as_f64.
-Model.backward() is the same kernel on one case; Model.forward() runs
-only its forward half, _forward(), with no loss.
+block in those dtypes, and Model.forward() and Model.backward() widen
+theirs through as_f64.  Model.backward() is the same kernel on one case;
+Model.forward() runs only its forward half, _forward(), with no loss.
+_forward() allocates its outputs and writes them through _forward_into(),
+the one forward pass, which writes into buffers it is given.
+
+The ensemble that evaluate scores runs on per-worker buffers.  An
+Ensemble owns one set, sized for a block of ENSEMBLE_BLOCK_VOXELS voxels
+and made once; Ensemble.labels() runs the members over a case block by
+block, widening each block's features into a contiguous [F, n] float64
+block, and every step of the forward pass, the mean and the argmax
+writes into those buffers.  evaluate gives each worker thread its own
+Ensemble, so a case allocates only its labels; ensemble_labels() is the
+same code with an Ensemble made for one call.
 The loop wires in a loss kind, an epoch-level learning rate schedule,
 an optimizer, and a population: plain shuffling ("erm") or the
 hardness-weighted sampler ("dro").
@@ -54,7 +64,7 @@ from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
                      _check_shapes, _Loss)
 from .numerics import (Rng, as_f64, check_seed, json_int, parsing, read_array, read_json,
-                       require_finite, softmax_inplace, write_array, write_csv, write_json)
+                       require_finite, write_array, write_csv, write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
 # segopt.model.softmax.
@@ -73,6 +83,8 @@ __all__ = [
     "EpochRecord",
     "TrainedModel",
     "TrainingDiverged",
+    "ENSEMBLE_BLOCK_VOXELS",
+    "Ensemble",
     "ensemble_labels",
     "train",
     "save_model",
@@ -85,6 +97,19 @@ POPULATIONS = ("erm", "dro")
 # Every loss here is bounded for finite probabilities, so runaway steps
 # show up as exploding weights, and the loop polices their magnitude.
 PARAM_LIMIT = 1e8
+# Ensemble.labels runs the members over blocks of this many voxels, in
+# buffers that one worker makes once and reuses for every block and case.
+# evaluate of four linear members on 24 cases of 32x32x32, in process, by
+# block size (median over 6 fresh processes of the fastest of 12 calls;
+# peak RSS and minor page faults per call; 2-core VM, one BLAS thread):
+#   block    one thread               two threads
+#   8,192    306 ms  60.0 MB  9,550   208 ms  64.1 MB  5,119
+#   16,384   289 ms  60.9 MB  1,990   209 ms  65.7 MB  1,627
+#   32,768   298 ms  62.6 MB  1,267   194 ms  69.0 MB  2,391
+# Whole-case buffers (32,768 here) are a little faster on two threads but
+# raise the peak RSS above the unblocked ensemble's (66.3-66.9 MB on two
+# threads); 8,192-voxel blocks are no faster and fault more.
+ENSEMBLE_BLOCK_VOXELS = 16384
 
 
 class TrainingDiverged(RuntimeError):
@@ -194,64 +219,136 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Class-major probabilities [L, N] for the feature rows x [N, F].
+    """Class-major probabilities [L, N] for the feature rows x [N, F], in
+    new arrays; the first layer reads them transposed, as the view x.T.
 
     Also returns the MLP's ReLU activations [H, N], which backward needs
     (None for the linear model).  Inputs are trusted: finite parameters
     and features give finite logits.
     """
+    n = x.shape[0]
+    hidden = None if spec.kind == "linear" else np.empty((spec.hidden_width, n))
+    probs = _forward_into(spec, params, x.T, np.empty((spec.num_classes, n)), hidden,
+                          np.empty((1, n)))
+    return probs, hidden
+
+
+def _forward_into(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs: np.ndarray,
+                  hidden: np.ndarray | None, col: np.ndarray) -> np.ndarray:
+    """The forward pass of the features xt [F, N], written into the given
+    buffers: the probabilities into probs [L, N] (returned), the MLP's ReLU
+    activations into hidden [H, N] (None for the linear model), and each
+    column's max and then its sum into col [1, N].
+
+    The softmax runs down axis 0 with the arithmetic of
+    ``softmax_inplace(z, axis=0)``: subtract the column max, exponentiate,
+    divide by the column sum.
+    """
     if spec.kind == "linear":
         w, b = _unpack(spec, params)
-        hidden = None
-        z = w @ x.T
+        np.matmul(w, xt, out=probs)
     else:
         w1, b1, w2, b = _unpack(spec, params)
-        hidden = w1 @ x.T
+        np.matmul(w1, xt, out=hidden)
         hidden += b1[:, None]
         np.maximum(hidden, 0.0, out=hidden)
-        z = w2 @ hidden
-    z += b[:, None]
-    return softmax_inplace(z, axis=0), hidden
+        np.matmul(w2, hidden, out=probs)
+    probs += b[:, None]
+    np.max(probs, axis=0, keepdims=True, out=col)
+    probs -= col
+    np.exp(probs, out=probs)
+    np.sum(probs, axis=0, keepdims=True, out=col)
+    probs /= col
+    return probs
+
+
+class Ensemble:
+    """A mean-softmax ensemble of members with one worker's buffers.
+
+    labels() runs the members over blocks of ENSEMBLE_BLOCK_VOXELS voxels,
+    in buffers made here once and reused for every block of every case:
+    the block's features, widened once into a C-contiguous [F, n] float64
+    block; each member's [L, n] probabilities; their running [L, n] sum;
+    the [1, n] column max and sum; the MLP's [H, n] activations; and the
+    argmax's [n] comparison.  Every step writes into them, so a case
+    allocates only its labels.  An Ensemble is not thread-safe: each
+    thread that labels cases makes its own.
+    """
+
+    def __init__(self, models):
+        self.models = list(models)
+        if not self.models:
+            raise ValueError("ensemble needs at least one model")
+        specs = [model.spec for model in self.models]
+        n = ENSEMBLE_BLOCK_VOXELS
+        self._x = np.empty(max(s.input_features for s in specs) * n)
+        self._total = np.empty(max(s.num_classes for s in specs) * n)
+        self._probs = np.empty(self._total.size)
+        self._col = np.empty((1, n))
+        self._hidden = np.empty(max(s.hidden_width or 0 for s in specs) * n)
+        self._greater = np.empty(n, dtype=bool)
+
+    def labels(self, case: Case) -> np.ndarray:
+        """Per-voxel argmax [V] of the members' mean softmax on one checked
+        case, in the dtype of the case's LabelMap.
+
+        Each member's fit to the case is checked first.  Per block, the
+        members' [L, n] probabilities are summed in place, in member order,
+        and divided once by the member count, the arithmetic
+        ``metrics.ensemble_mean_softmax`` does, so the labels equal the
+        argmax of its rows.  The mean is checked: a member whose logits
+        overflow makes it non-finite, which raises ValueError.
+
+        The argmax runs over the L class rows, each a contiguous [n] row: a
+        voxel's label becomes k where row k beats the best of rows 0..k-1,
+        which then takes row k's larger values.  The comparison is strict,
+        so a tie goes to the lowest class, as with ``np.argmax``.
+        """
+        for i, model in enumerate(self.models):
+            model.spec.check_fit(case.features.shape[1], case.labels.num_classes,
+                                 f"ensemble member {i}", f"case {case.case_id!r}")
+        rows = case.features
+        labels = np.zeros(rows.shape[0], dtype=case.labels.labels.dtype)
+        for start in range(0, rows.shape[0], ENSEMBLE_BLOCK_VOXELS):
+            stop = start + ENSEMBLE_BLOCK_VOXELS
+            self._block(rows[start:stop], case.labels.num_classes, labels[start:stop])
+        return labels
+
+    def _block(self, rows: np.ndarray, num_classes: int, labels: np.ndarray) -> None:
+        """Write the labels of the feature rows [n, F] into labels [n]."""
+        n, f = rows.shape
+        # Flat buffers cut to n columns keep every block contiguous.
+        xt = self._x[:f * n].reshape(f, n)
+        np.copyto(xt, rows.T)
+        total = self._total[:num_classes * n].reshape(num_classes, n)
+        probs = self._probs[:num_classes * n].reshape(num_classes, n)
+        col = self._col[:, :n]
+        first, *rest = self.models
+        _forward_into(first.spec, first.params, xt, total, self._hidden_for(first, n), col)
+        for model in rest:
+            total += _forward_into(model.spec, model.params, xt, probs,
+                                   self._hidden_for(model, n), col)
+        total /= len(self.models)
+        require_finite(total, "ensemble probabilities")
+        # np.argmax(total, axis=0) walks the [L, n] block across its rows and
+        # took twice as long.
+        greater = self._greater[:n]
+        best = total[0]
+        for k in range(1, num_classes):
+            row = total[k]
+            np.greater(row, best, out=greater)
+            labels[greater] = k
+            np.maximum(best, row, out=best)
+
+    def _hidden_for(self, model: Model, n: int) -> np.ndarray | None:
+        h = model.spec.hidden_width
+        return None if h is None else self._hidden[:h * n].reshape(h, n)
 
 
 def ensemble_labels(models, case: Case) -> np.ndarray:
-    """Per-voxel argmax [V] of the members' mean softmax on one checked case.
-
-    Class-major from end to end: each member's [L, V] probabilities are
-    summed in place, in member order, and divided once by the member
-    count, the arithmetic ``metrics.ensemble_mean_softmax`` does, so the
-    labels equal the argmax of its rows.  The Case's checked features are
-    widened to float64 once per call, not once per member; each member's
-    fit to the case is checked, and the mean once: a member whose logits
-    overflow makes it non-finite, which raises ValueError.  The labels
-    come back in the dtype of the case's LabelMap.
-
-    The argmax runs over the L class rows, each a contiguous [V] row: a
-    voxel's label becomes k where row k beats the best of rows 0..k-1,
-    which then takes row k's larger values.  The comparison is strict, so
-    a tie goes to the lowest class, as with ``np.argmax``.
-    """
-    models = list(models)
-    if not models:
-        raise ValueError("ensemble needs at least one model")
-    for i, model in enumerate(models):
-        model.spec.check_fit(case.features.shape[1], case.labels.num_classes,
-                             f"ensemble member {i}", f"case {case.case_id!r}")
-    x = case.features.astype(np.float64, copy=False)
-    total, _ = _forward(models[0].spec, models[0].params, x)
-    for model in models[1:]:
-        total += _forward(model.spec, model.params, x)[0]
-    total /= len(models)
-    require_finite(total, "ensemble probabilities")
-    # np.argmax(total, axis=0) walks the [L, V] block across its rows and
-    # took twice as long.
-    labels = np.zeros(total.shape[1], dtype=case.labels.labels.dtype)
-    best = total[0]
-    for k in range(1, total.shape[0]):
-        row = total[k]
-        labels[row > best] = k
-        np.maximum(best, row, out=best)
-    return labels
+    """``Ensemble(models).labels(case)``: the argmax of the members' mean
+    softmax on one case, with buffers made for this call."""
+    return Ensemble(models).labels(case)
 
 
 def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray, loss: _Loss):

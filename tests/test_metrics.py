@@ -20,7 +20,7 @@ from segopt.metrics import (
     write_aggregate_csv,
     write_case_csv,
 )
-from segopt.metrics import BOX_MIN_VOXELS, _percentile95, _surface_distances
+from segopt.metrics import BOX_MIN_VOXELS, _column_stats, _percentile95, _surface_distances
 
 from conftest import bounded_probs, dyadic_probs, label_map, oracle_boundary, oracle_hd95
 
@@ -262,6 +262,32 @@ class TestPercentile95:
         before = x.copy()
         _percentile95(x)
         assert (x == before).all()
+
+
+class TestColumnStats:
+    """The aggregate's median and IQR are np.median and the difference of
+    np.percentile(vals, [75, 25]), to the byte."""
+
+    def check(self, vals):
+        stats = _column_stats(list(vals), 0)
+        q75, q25 = np.percentile(vals, [75, 25])
+        for got, want in ((stats.median, float(np.median(vals))), (stats.iqr, float(q75 - q25))):
+            assert type(got) is float
+            assert got.hex() == want.hex(), vals.size
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_columns_of_1_to_60_values(self, rng, n):
+        for _ in range(10):
+            self.check(rng.random(n))
+            # Ties: few distinct values, as Dice fractions and hd95 distances have.
+            self.check(rng.integers(0, 4, n) / 3.0)
+            self.check(np.sqrt(rng.integers(0, 6, n).astype(np.float64)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 44, 60])
+    def test_all_equal_column(self, n):
+        for value in (0.0, 1.0, 0.1, 373.13):
+            self.check(np.full(n, value))
+            assert _column_stats([value] * n, 0).iqr == 0.0
 
 
 def transformed_sizes(monkeypatch):

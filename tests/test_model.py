@@ -10,6 +10,8 @@ from scipy import stats
 from segopt.losses import LabelMap, brats_distance_matrix, composite_loss
 from segopt.metrics import ensemble_mean_softmax
 from segopt.model import (
+    ENSEMBLE_BLOCK_VOXELS,
+    Ensemble,
     Model,
     ModelSpec,
     TrainConfig,
@@ -192,6 +194,68 @@ class TestEnsembleLabels:
     def test_empty_ensemble_is_value_error(self, rng):
         with pytest.raises(ValueError, match="at least one"):
             ensemble_labels([], self.case(rng.normal(size=(10, 3))))
+
+
+BLOCK = ENSEMBLE_BLOCK_VOXELS
+BLOCK_EDGE_VOXELS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+class TestEnsembleBlocks:
+    """Ensemble.labels runs the members block by block in one worker's
+    buffers; the labels are those of the whole-case oracle at every block
+    edge, and do not depend on what the buffers held before."""
+
+    MEMBERS = {"linear": [("linear", None)] * 3, "mlp": [("mlp", 5), ("mlp", 7)],
+               "mixed": [("linear", None), ("mlp", 5), ("linear", None), ("mlp", 3)]}
+
+    def members(self, kinds):
+        out = []
+        for i, (kind, hidden) in enumerate(kinds):
+            model = Model.init(ModelSpec(kind=kind, hidden_width=hidden, seed=30 + i,
+                                         input_features=3, num_classes=4))
+            out.append(Model(model.spec, 40.0 * model.params))
+        return out
+
+    def case(self, features):
+        n = len(features)
+        return Case("probe", features.astype(np.float32),
+                    LabelMap(np.zeros(n, dtype=np.int64), 4, (n,)))
+
+    def oracle(self, models, case):
+        mean = ensemble_mean_softmax([m.forward(case.features) for m in models])
+        return np.argmax(mean.voxels, axis=1)
+
+    @pytest.mark.parametrize("kinds", sorted(MEMBERS))
+    @pytest.mark.parametrize("voxels", BLOCK_EDGE_VOXELS)
+    def test_labels_equal_the_oracle_at_block_edges(self, rng, kinds, voxels):
+        models = self.members(self.MEMBERS[kinds])
+        case = self.case(rng.normal(size=(voxels, 3)))
+        got = ensemble_labels(models, case)
+        assert got.shape == (voxels,) and got.dtype == np.uint8
+        assert (got == self.oracle(models, case)).all()
+
+    @pytest.mark.parametrize("kinds", sorted(MEMBERS))
+    def test_reused_buffers_give_the_labels_of_fresh_ones(self, rng, kinds):
+        models = self.members(self.MEMBERS[kinds])
+        worker = Ensemble(models)
+        # Falling, then rising: each case finds what the last one left.
+        for voxels in [*BLOCK_EDGE_VOXELS[::-1], *BLOCK_EDGE_VOXELS]:
+            case = self.case(rng.normal(size=(voxels, 3)))
+            got = worker.labels(case)
+            assert (got == Ensemble(models).labels(case)).all()
+            assert (got == self.oracle(models, case)).all()
+
+    def test_non_finite_mean_in_a_later_block_is_value_error(self, rng):
+        models = self.members(self.MEMBERS["linear"])
+        huge = Model(models[1].spec, np.full(models[1].spec.param_count(), 1e308))
+        # Zero features keep every voxel finite but the last, which overflows.
+        features = np.zeros((BLOCK + 5, 3))
+        features[-1] = 10.0
+        worker = Ensemble([models[0], huge])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                worker.labels(self.case(features))
+        assert str(info.value) == "non-finite values in ensemble probabilities"
 
 
 class TestBackward:

@@ -100,7 +100,7 @@ def fd_param_gradient(model: Model, features: np.ndarray, gt: LabelMap, kind: st
     stepped = np.repeat(model.params[None, :], 2 * P, axis=0)
     stepped[2 * i, i] += FD_STEP
     stepped[2 * i + 1, i] -= FD_STEP
-    stack = np.stack([_forward(model.spec, params, x)[0] for params in stepped], axis=1)
+    stack = np.stack([_forward(model.spec, params, x.T)[0] for params in stepped], axis=1)
     return _pair_differences(loss, stack, gt)
 
 

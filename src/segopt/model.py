@@ -34,8 +34,8 @@ np.intp only where the kernel computes: _stack builds each step's
 block in those dtypes, and Model.forward() and Model.backward() widen
 theirs through as_f64.  Model.backward() is the same kernel on one case;
 Model.forward() runs only its forward half, _forward(), with no loss.
-_forward() allocates its outputs and writes them through _forward_into(),
-the one forward pass, which writes into buffers it is given.
+_forward() is the one forward pass: training and Model.forward() let it
+allocate its outputs, the ensemble hands it buffers.
 
 The ensemble that evaluate scores runs on per-worker buffers.  An
 Ensemble owns one set, sized for a block of ENSEMBLE_BLOCK_VOXELS voxels
@@ -194,7 +194,7 @@ class Model:
         return x
 
     def forward(self, features) -> ProbMap:
-        probs, _ = _forward(self.spec, self.params, self._features(features))
+        probs, _ = _forward(self.spec, self.params, self._features(features).T)
         return ProbMap(probs.T)
 
     def backward(self, features, gt: LabelMap, loss_kind: str,
@@ -218,50 +218,35 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
             params[o3:])
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Class-major probabilities [L, N] for the feature rows x [N, F], in
-    new arrays; the first layer reads them transposed, as the view x.T.
+def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hidden=None,
+             col=None):
+    """Class-major probabilities [L, N] for the features xt [F, N], and the
+    MLP's ReLU activations [H, N], which backward needs (None for the
+    linear model).
 
-    Also returns the MLP's ReLU activations [H, N], which backward needs
-    (None for the linear model).  Inputs are trusted: finite parameters
-    and features give finite logits.
-    """
-    n = x.shape[0]
-    hidden = None if spec.kind == "linear" else np.empty((spec.hidden_width, n))
-    probs = _forward_into(spec, params, x.T, np.empty((spec.num_classes, n)), hidden,
-                          np.empty((1, n)))
-    return probs, hidden
-
-
-def _forward_into(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs: np.ndarray,
-                  hidden: np.ndarray | None, col: np.ndarray) -> np.ndarray:
-    """The forward pass of the features xt [F, N], written into the given
-    buffers: the probabilities into probs [L, N] (returned), the MLP's ReLU
-    activations into hidden [H, N] (None for the linear model), and each
-    column's max and then its sum into col [1, N].
-
-    The softmax runs down axis 0 with the arithmetic of
-    ``softmax_inplace(z, axis=0)``: subtract the column max, exponentiate,
-    divide by the column sum.
+    Each goes into the buffer given for it, as numpy's ``out=``, or into a
+    new array when that is None: probs [L, N], hidden [H, N], and col
+    [1, N], each column's max and then its sum.  The softmax runs down
+    axis 0: subtract the column max, exponentiate, divide by the column
+    sum.  Inputs are trusted: finite parameters and features give finite
+    logits.
     """
     if spec.kind == "linear":
         w, b = _unpack(spec, params)
-        np.matmul(w, xt, out=probs)
+        probs = np.matmul(w, xt, out=probs)
     else:
         w1, b1, w2, b = _unpack(spec, params)
-        np.matmul(w1, xt, out=hidden)
+        hidden = np.matmul(w1, xt, out=hidden)
         hidden += b1[:, None]
         np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(w2, hidden, out=probs)
+        probs = np.matmul(w2, hidden, out=probs)
     probs += b[:, None]
     # The ufuncs' own reductions: np.max and np.sum add about 3 us of
     # Python per call, which shows in training's many small steps.
-    np.maximum.reduce(probs, axis=0, keepdims=True, out=col)
-    probs -= col
+    probs -= np.maximum.reduce(probs, axis=0, keepdims=True, out=col)
     np.exp(probs, out=probs)
-    np.add.reduce(probs, axis=0, keepdims=True, out=col)
-    probs /= col
-    return probs
+    probs /= np.add.reduce(probs, axis=0, keepdims=True, out=col)
+    return probs, hidden
 
 
 class Ensemble:
@@ -326,10 +311,10 @@ class Ensemble:
         probs = self._probs[:num_classes * n].reshape(num_classes, n)
         col = self._col[:, :n]
         first, *rest = self.models
-        _forward_into(first.spec, first.params, xt, total, self._hidden_for(first, n), col)
+        _forward(first.spec, first.params, xt, total, self._hidden_for(first, n), col)
         for model in rest:
-            total += _forward_into(model.spec, model.params, xt, probs,
-                                   self._hidden_for(model, n), col)
+            total += _forward(model.spec, model.params, xt, probs, self._hidden_for(model, n),
+                              col)[0]
         total /= len(self.models)
         require_finite(total, "ensemble probabilities")
         # np.argmax(total, axis=0) walks the [L, n] block across its rows and
@@ -362,7 +347,7 @@ def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarr
     spec's class count when made; the shapes are the callers' contract.
     """
     num_cases, num_voxels = labels.shape
-    probs, hidden = _forward(spec, params, x)
+    probs, hidden = _forward(spec, params, x.T)
     values, prob_grad = _batch_terms(loss, probs.reshape(-1, num_cases, num_voxels), labels,
                                      want_gradient=True)
     # Softmax Jacobian, column by column: dz = p * (g - coldot(g, p)),

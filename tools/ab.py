@@ -55,8 +55,10 @@ def export(revision: str, into: str) -> str:
 
 
 def checkout_commit() -> str:
-    """HEAD, marked ``-dirty`` when the working tree differs from it."""
-    return git("rev-parse", "HEAD") + ("-dirty" if git("status", "--porcelain") else "")
+    """HEAD, marked ``-dirty`` when what the benchmark runs, ``src/`` or
+    ``perfbench/``, differs from it in the working tree."""
+    dirty = git("status", "--porcelain", "--", "src", "perfbench")
+    return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
 
 
 def machine() -> str:

@@ -302,7 +302,7 @@ def _column_stats(values, n_excluded: int) -> MetricStats:
         std=float(vals.std()),  # population std
         median=median,
         iqr=_linear_quantile(ordered, (n - 1) * 0.75) - _linear_quantile(ordered, (n - 1) * 0.25),
-        n_used=int(n),
+        n_used=n,
         n_excluded=n_excluded,
     )
 

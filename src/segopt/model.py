@@ -64,7 +64,7 @@ from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
                      _check_shapes, _Loss)
 from .numerics import (Rng, as_f64, check_seed, json_int, parsing, read_array, read_json,
-                       require_finite, write_array, write_csv, write_json)
+                       require_finite, softmax_inplace, write_array, write_csv, write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
 # segopt.model.softmax.
@@ -227,9 +227,8 @@ def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hi
     Each goes into the buffer given for it, as numpy's ``out=``, or into a
     new array when that is None: probs [L, N], hidden [H, N], and col
     [1, N], each column's max and then its sum.  The softmax runs down
-    axis 0: subtract the column max, exponentiate, divide by the column
-    sum.  Inputs are trusted: finite parameters and features give finite
-    logits.
+    axis 0, in numerics.softmax_inplace.  Inputs are trusted: finite
+    parameters and features give finite logits.
     """
     if spec.kind == "linear":
         w, b = _unpack(spec, params)
@@ -241,12 +240,7 @@ def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hi
         np.maximum(hidden, 0.0, out=hidden)
         probs = np.matmul(w2, hidden, out=probs)
     probs += b[:, None]
-    # The ufuncs' own reductions: np.max and np.sum add about 3 us of
-    # Python per call, which shows in training's many small steps.
-    probs -= np.maximum.reduce(probs, axis=0, keepdims=True, out=col)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=0, keepdims=True, out=col)
-    return probs, hidden
+    return softmax_inplace(probs, 0, col), hidden
 
 
 class Ensemble:
@@ -283,7 +277,10 @@ class Ensemble:
         members' [L, n] probabilities are summed in place, in member order,
         and divided once by the member count, the arithmetic
         ``metrics.ensemble_mean_softmax`` does, so the labels equal the
-        argmax of its rows.  The mean is checked: a member whose logits
+        argmax of its rows.  BLAS may compute a short last block through
+        another kernel than the same columns of a whole-case matmul, so
+        those voxels' means can differ from it in the last bits.  The mean
+        is checked: a member whose logits
         overflow makes it non-finite, which raises ValueError.
 
         The argmax runs over the L class rows, each a contiguous [n] row: a
@@ -303,6 +300,21 @@ class Ensemble:
 
     def _block(self, rows: np.ndarray, num_classes: int, labels: np.ndarray) -> None:
         """Write the labels of the feature rows [n, F] into labels [n]."""
+        total = self._mean(rows, num_classes)
+        n = rows.shape[0]
+        # np.argmax(total, axis=0) walks the [L, n] block across its rows and
+        # took twice as long.
+        greater = self._greater[:n]
+        best = total[0]
+        for k in range(1, num_classes):
+            row = total[k]
+            np.greater(row, best, out=greater)
+            labels[greater] = k
+            np.maximum(best, row, out=best)
+
+    def _mean(self, rows: np.ndarray, num_classes: int) -> np.ndarray:
+        """The members' checked mean probabilities [L, n] on the feature rows
+        [n, F], a view of this Ensemble's buffer."""
         n, f = rows.shape
         # Flat buffers cut to n columns keep every block contiguous.
         xt = self._x[:f * n].reshape(f, n)
@@ -317,15 +329,7 @@ class Ensemble:
                               col)[0]
         total /= len(self.models)
         require_finite(total, "ensemble probabilities")
-        # np.argmax(total, axis=0) walks the [L, n] block across its rows and
-        # took twice as long.
-        greater = self._greater[:n]
-        best = total[0]
-        for k in range(1, num_classes):
-            row = total[k]
-            np.greater(row, best, out=greater)
-            labels[greater] = k
-            np.maximum(best, row, out=best)
+        return total
 
     def _hidden_for(self, model: Model, n: int) -> np.ndarray | None:
         h = model.spec.hidden_width

@@ -46,7 +46,7 @@ def fake_runs(values):
 def test_one_pair_against_head_prints_and_records_every_metric(tmp_path):
     record = tmp_path / "BENCH.json"
     proc = subprocess.run(
-        [sys.executable, TOOL, "HEAD", "train-2d-presets", "--pairs", "1", "--seeds", "2-2",
+        [sys.executable, TOOL, "HEAD", "train-2d-presets", "--seeds", "2-2",
          "--seconds", "0.5", "--record", str(record)],
         capture_output=True, text=True, timeout=600, env={**os.environ, "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
@@ -90,13 +90,6 @@ def test_summary_counts_wins_by_the_metrics_direction():
         assert row["wins"] == (2 if higher else 1)
         # A median gain of 1.0 against a parent quartile distance of 1.0 does not clear it.
         assert row["clears_parent_iqr"] is False
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 11])
-def test_quantiles_are_numpys_linear_ones(rng, n):
-    values = rng.random(n).tolist()
-    for q in (0.25, 0.5, 0.75):
-        assert ab.quantile(values, q) == pytest.approx(np.quantile(values, q), rel=1e-15)
 
 
 @pytest.mark.parametrize("text", ["3-1", "a-b", "-1-2"])

@@ -206,7 +206,9 @@ class TestEnsembleBlocks:
     edge, and do not depend on what the buffers held before."""
 
     MEMBERS = {"linear": [("linear", None)] * 3, "mlp": [("mlp", 5), ("mlp", 7)],
-               "mixed": [("linear", None), ("mlp", 5), ("linear", None), ("mlp", 3)]}
+               "mixed": [("linear", None), ("mlp", 5), ("linear", None), ("mlp", 3)],
+               # evaluate's default hidden width.
+               "mlp16": [("mlp", 16), ("linear", None)]}
 
     def members(self, kinds):
         out = []
@@ -233,6 +235,22 @@ class TestEnsembleBlocks:
         got = ensemble_labels(models, case)
         assert got.shape == (voxels,) and got.dtype == np.uint8
         assert (got == self.oracle(models, case)).all()
+
+    @pytest.mark.parametrize("kinds", sorted(MEMBERS))
+    @pytest.mark.parametrize("voxels", [BLOCK + 1, 2 * BLOCK + 3])
+    def test_mean_probabilities_match_the_whole_case_mean_to_rounding(self, rng, kinds,
+                                                                       voxels):
+        # Not bit for bit: BLAS may take a short last block through another
+        # kernel (gemv for one column) than the same columns of the
+        # whole-case call, which moves the last bits of those few voxels.
+        models = self.members(self.MEMBERS[kinds])
+        case = self.case(rng.normal(size=(voxels, 3)))
+        whole = ensemble_mean_softmax([m.forward(case.features) for m in models]).voxels
+        worker = Ensemble(models)
+        for start in range(0, voxels, BLOCK):
+            rows = case.features[start:start + BLOCK]
+            assert_allclose(worker._mean(rows, 4), whole[start:start + BLOCK].T,
+                            rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kinds", sorted(MEMBERS))
     def test_reused_buffers_give_the_labels_of_fresh_ones(self, rng, kinds):

@@ -1,11 +1,11 @@
 """Compare the checkout's benchmark against a parent commit's, in alternating pairs.
 
-    python tools/ab.py PARENT WORKLOAD --pairs N --seeds A-B [--seconds S]
+    python tools/ab.py PARENT WORKLOAD --seeds A-B [--seconds S]
 
 PARENT is any git revision.  Its tree is exported with ``git archive``
 into a temporary directory, and ``perfbench/run.py --workload WORKLOAD
 --seed SEED --seconds S --trace 0`` runs there and in this checkout (its
-working tree), one seed of A..B per pair: the change first on odd seeds,
+working tree), one pair of runs per seed of A..B: the change first on odd seeds,
 the parent first on even ones.  Both sides run the checkout's Python.
 
 For each end-to-end metric that BENCHMARK.json names it prints both
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import platform
 import subprocess
@@ -33,6 +32,8 @@ import sys
 import tarfile
 import tempfile
 from importlib.metadata import version
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNNER = os.path.join("perfbench", "run.py")
@@ -87,16 +88,6 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def quantile(values: list, q: float) -> float:
-    """The quantile ``q`` of ``values`` by linear interpolation, numpy's default."""
-    ordered = sorted(values)
-    index = (len(ordered) - 1) * q
-    lo = math.floor(index)
-    if lo + 1 == len(ordered):
-        return ordered[lo]
-    return ordered[lo] + (ordered[lo + 1] - ordered[lo]) * (index - lo)
-
-
 def summarize(runs: list, metrics: list) -> list:
     """One row per end-to-end metric: both sides' quartiles, the ratio,
     the change's wins and whether its median gain clears the parent's spread."""
@@ -107,7 +98,7 @@ def summarize(runs: list, metrics: list) -> list:
         value = {(run["seed"], run["side"]): run["result"]["metrics"][name]["value"]
                  for run in runs}
         side = {s: [value[(seed, s)] for seed in seeds] for s in ("parent", "change")}
-        q = {s: [quantile(v, p) for p in (0.25, 0.5, 0.75)] for s, v in side.items()}
+        q = {s: np.percentile(v, [25, 50, 75]).tolist() for s, v in side.items()}
         gain = sign * (q["change"][1] - q["parent"][1])
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
@@ -146,9 +137,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git revision to compare against")
     parser.add_argument("workload", help="a workload BENCHMARK.json names")
-    parser.add_argument("--pairs", type=int, required=True, help="number of pairs")
     parser.add_argument("--seeds", type=parse_seeds, required=True,
-                        help="A-B, one seed per pair")
+                        help="A-B, one pair of runs per seed")
     parser.add_argument("--seconds", type=float, default=None,
                         help="each run's timed phase (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--record", default=None,
@@ -158,8 +148,6 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         parser.error(f"unknown workload {args.workload!r}")
-    if args.pairs < 1 or len(args.seeds) != args.pairs:
-        parser.error(f"--seeds must name one seed per pair, {args.pairs} pairs")
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     record = args.record or os.path.join(ROOT, f"BENCH_{args.workload}.json")
 
@@ -178,7 +166,7 @@ def main(argv=None) -> int:
                                  for k, v in sorted(result["metrics"].items()))
                       + f" failed={result['failed']}/{result['attempted']}", flush=True)
     rows = summarize(runs, bench["end_to_end"])
-    print(f"{args.workload}: change {commit} against parent {parent}, {args.pairs} pairs")
+    print(f"{args.workload}: change {commit} against parent {parent}, {len(args.seeds)} pairs")
     for row in rows:
         (p25, p50, p75), (c25, c50, c75) = row["parent"], row["change"]
         print(f"{row['metric']} ({row['unit']}, {row['better']} is better): "

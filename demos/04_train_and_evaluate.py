@@ -9,17 +9,8 @@ aggregate table.
 
 import tempfile
 
-import numpy as np
-
-from segopt.losses import LabelMap
-from segopt.metrics import (
-    aggregate,
-    ensemble_mean_softmax,
-    evaluate_case,
-    format_aggregate_table,
-    postprocess_et,
-)
-from segopt.model import Model, ModelSpec, TrainConfig, train
+from segopt.metrics import aggregate, evaluate_case, format_aggregate_table, postprocess_et
+from segopt.model import Ensemble, Model, ModelSpec, TrainConfig, train
 from segopt.synthdata import SynthConfig, generate, load
 
 
@@ -52,13 +43,10 @@ def main():
     # threshold down; rerun with the default to watch it swallow every
     # borderline prediction, which is exactly what it is for.
     min_et = 20
+    ensemble = Ensemble([t.model for t in models])
     results = []
     for case in cases:
-        preds = [t.model.forward(case.features) for t in models]
-        ens = ensemble_mean_softmax(preds)
-        decoded = LabelMap(np.argmax(ens.voxels, axis=1), 4,
-                           case.labels.spatial_shape)
-        cleaned = postprocess_et(decoded, min_et_voxels=min_et)
+        cleaned = postprocess_et(ensemble.labels(case), min_et_voxels=min_et)
         results.append(evaluate_case(cleaned, case.labels,
                                      case_id=case.case_id))
 

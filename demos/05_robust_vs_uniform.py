@@ -12,21 +12,18 @@ import tempfile
 
 import numpy as np
 
-from segopt.losses import LabelMap
 from segopt.metrics import evaluate_case
-from segopt.model import Model, ModelSpec, TrainConfig, train
+from segopt.model import Ensemble, Model, ModelSpec, TrainConfig, train
 from segopt.synthdata import SynthConfig, generate, load
 
 
 def subgroup_wt_dice(trained, cases, subgroup):
+    single = Ensemble([trained.model])
     vals = []
     for case in cases:
         if case.subgroup != subgroup:
             continue
-        probs = trained.model.forward(case.features)
-        decoded = LabelMap(np.argmax(probs.voxels, axis=1), 4,
-                           case.labels.spatial_shape)
-        vals.append(evaluate_case(decoded, case.labels).dice["WT"])
+        vals.append(evaluate_case(single.labels(case), case.labels).dice["WT"])
     return float(np.mean(vals))
 
 

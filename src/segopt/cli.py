@@ -18,7 +18,7 @@ import threading
 
 from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
-from .losses import LOSS_KINDS, LabelMap, _Loss, brats_distance_matrix, load_distance_matrix
+from .losses import LOSS_KINDS, _Loss, brats_distance_matrix, load_distance_matrix
 from .metrics import (aggregate, evaluate_case, format_aggregate_table, postprocess_et,
                       write_aggregate_csv, write_case_csv)
 # Not called in this module, but kept as its attribute: the benchmark's
@@ -225,10 +225,8 @@ def cmd_evaluate(args) -> int:
         case = load_case(manifest, entry)
         if not hasattr(local, "ensemble"):
             local.ensemble = Ensemble(models)
-        labels = local.ensemble.labels(case)
-        pred_map = LabelMap(labels, manifest.num_classes, case.labels.spatial_shape)
-        return evaluate_case(postprocess_et(pred_map), case.labels, manifest.spacing_mm,
-                             case_id=case.case_id)
+        return evaluate_case(postprocess_et(local.ensemble.labels(case)), case.labels,
+                             manifest.spacing_mm, case_id=case.case_id)
 
     # Results come back in manifest order whatever the worker count, so the
     # first faulty case file or failing case raises first, and the output

@@ -329,7 +329,9 @@ def aggregate(metrics) -> dict:
 
 
 def ensemble_mean_softmax(preds) -> ProbMap:
-    """Elementwise mean of probability maps; rows stay on the simplex."""
+    """Elementwise mean of probability maps; rows stay on the simplex.  Cases
+    are labelled through model.Ensemble; this stays because perfbench/tracer.py
+    patches cli's import of it and the ensemble tests take it as their reference."""
     preds = list(preds)
     if not preds:
         raise ValueError("ensemble needs at least one probability map")

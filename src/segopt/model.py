@@ -37,14 +37,13 @@ Model.forward() runs only its forward half, _forward(), with no loss.
 _forward() is the one forward pass: training and Model.forward() let it
 allocate its outputs, the ensemble hands it buffers.
 
-The ensemble that evaluate scores runs on per-worker buffers.  An
-Ensemble owns one set, sized for a block of ENSEMBLE_BLOCK_VOXELS voxels
-and made once; Ensemble.labels() runs the members over a case block by
-block, widening each block's features into a contiguous [F, n] float64
-block, and every step of the forward pass, the mean and the argmax
-writes into those buffers.  evaluate gives each worker thread its own
-Ensemble, so a case allocates only its labels; ensemble_labels() is the
-same code with an Ensemble made for one call.
+Ensemble is the one way to label a case: Ensemble(models).labels(case)
+returns its LabelMap.  The members are checked against each other once,
+when the Ensemble is made.  It owns one set of buffers, sized for a block
+of ENSEMBLE_BLOCK_VOXELS voxels; labels() runs the members over a case
+block by block, and every step of the forward pass, the mean and the
+argmax writes into those buffers.  evaluate gives each worker thread its
+own Ensemble, so a case allocates only its labels.
 The loop wires in a loss kind, an epoch-level learning rate schedule,
 an optimizer, and a population: plain shuffling ("erm") or the
 hardness-weighted sampler ("dro").
@@ -85,7 +84,6 @@ __all__ = [
     "TrainingDiverged",
     "ENSEMBLE_BLOCK_VOXELS",
     "Ensemble",
-    "ensemble_labels",
     "train",
     "save_model",
     "load_model",
@@ -194,6 +192,9 @@ class Model:
         return x
 
     def forward(self, features) -> ProbMap:
+        """Probabilities [V, L] on feature rows [V, F].  Cases are labelled
+        through Ensemble; this stays because perfbench/tracer.py patches it
+        and the ensemble tests take it as their reference."""
         probs, _ = _forward(self.spec, self.params, self._features(features).T)
         return ProbMap(probs.T)
 
@@ -246,6 +247,9 @@ def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hi
 class Ensemble:
     """A mean-softmax ensemble of members with one worker's buffers.
 
+    Members are checked once, here: each must have member 0's feature width
+    and class count, or ValueError names it; hidden widths may differ.
+
     labels() runs the members over blocks of ENSEMBLE_BLOCK_VOXELS voxels,
     in buffers made here once and reused for every block of every case:
     the block's features, widened once into a C-contiguous [F, n] float64
@@ -260,62 +264,65 @@ class Ensemble:
         self.models = list(models)
         if not self.models:
             raise ValueError("ensemble needs at least one model")
-        specs = [model.spec for model in self.models]
+        self.spec = self.models[0].spec
+        for i, model in enumerate(self.models[1:], start=1):
+            self.spec.check_fit(model.spec.input_features, model.spec.num_classes,
+                                "ensemble member 0", f"ensemble member {i}")
         n = ENSEMBLE_BLOCK_VOXELS
-        self._x = np.empty(max(s.input_features for s in specs) * n)
-        self._total = np.empty(max(s.num_classes for s in specs) * n)
+        self._x = np.empty(self.spec.input_features * n)
+        self._total = np.empty(self.spec.num_classes * n)
         self._probs = np.empty(self._total.size)
         self._col = np.empty((1, n))
-        self._hidden = np.empty(max(s.hidden_width or 0 for s in specs) * n)
+        self._hidden = np.empty(max(m.spec.hidden_width or 0 for m in self.models) * n)
         self._greater = np.empty(n, dtype=bool)
 
-    def labels(self, case: Case) -> np.ndarray:
-        """Per-voxel argmax [V] of the members' mean softmax on one checked
-        case, in the dtype of the case's LabelMap.
+    def labels(self, case: Case) -> LabelMap:
+        """The per-voxel argmax of the members' mean softmax on one checked
+        case, as a LabelMap on the case's grid.
 
-        Each member's fit to the case is checked first.  Per block, the
-        members' [L, n] probabilities are summed in place, in member order,
-        and divided once by the member count, the arithmetic
+        The case's fit to the members is checked first, once.  Per block,
+        the members' [L, n] probabilities are summed in place, in member
+        order, and divided once by the member count, the arithmetic
         ``metrics.ensemble_mean_softmax`` does, so the labels equal the
         argmax of its rows.  BLAS may compute a short last block through
         another kernel than the same columns of a whole-case matmul, so
         those voxels' means can differ from it in the last bits.  The mean
-        is checked: a member whose logits
-        overflow makes it non-finite, which raises ValueError.
+        is checked: a member whose logits overflow makes it non-finite,
+        which raises ValueError.
 
         The argmax runs over the L class rows, each a contiguous [n] row: a
         voxel's label becomes k where row k beats the best of rows 0..k-1,
         which then takes row k's larger values.  The comparison is strict,
         so a tie goes to the lowest class, as with ``np.argmax``.
         """
-        for i, model in enumerate(self.models):
-            model.spec.check_fit(case.features.shape[1], case.labels.num_classes,
-                                 f"ensemble member {i}", f"case {case.case_id!r}")
+        gt = case.labels
+        self.spec.check_fit(case.features.shape[1], gt.num_classes, "the ensemble",
+                            f"case {case.case_id!r}")
         rows = case.features
-        labels = np.zeros(rows.shape[0], dtype=case.labels.labels.dtype)
+        labels = np.zeros(rows.shape[0], dtype=gt.labels.dtype)
         for start in range(0, rows.shape[0], ENSEMBLE_BLOCK_VOXELS):
             stop = start + ENSEMBLE_BLOCK_VOXELS
-            self._block(rows[start:stop], case.labels.num_classes, labels[start:stop])
-        return labels
+            self._block(rows[start:stop], labels[start:stop])
+        return LabelMap(labels, gt.num_classes, gt.spatial_shape)
 
-    def _block(self, rows: np.ndarray, num_classes: int, labels: np.ndarray) -> None:
+    def _block(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Write the labels of the feature rows [n, F] into labels [n]."""
-        total = self._mean(rows, num_classes)
-        n = rows.shape[0]
+        total = self._mean(rows)
         # np.argmax(total, axis=0) walks the [L, n] block across its rows and
         # took twice as long.
-        greater = self._greater[:n]
+        greater = self._greater[:rows.shape[0]]
         best = total[0]
-        for k in range(1, num_classes):
+        for k in range(1, total.shape[0]):
             row = total[k]
             np.greater(row, best, out=greater)
             labels[greater] = k
             np.maximum(best, row, out=best)
 
-    def _mean(self, rows: np.ndarray, num_classes: int) -> np.ndarray:
+    def _mean(self, rows: np.ndarray) -> np.ndarray:
         """The members' checked mean probabilities [L, n] on the feature rows
         [n, F], a view of this Ensemble's buffer."""
         n, f = rows.shape
+        num_classes = self.spec.num_classes
         # Flat buffers cut to n columns keep every block contiguous.
         xt = self._x[:f * n].reshape(f, n)
         np.copyto(xt, rows.T)
@@ -334,12 +341,6 @@ class Ensemble:
     def _hidden_for(self, model: Model, n: int) -> np.ndarray | None:
         h = model.spec.hidden_width
         return None if h is None else self._hidden[:h * n].reshape(h, n)
-
-
-def ensemble_labels(models, case: Case) -> np.ndarray:
-    """``Ensemble(models).labels(case)``: the argmax of the members' mean
-    softmax on one case, with buffers made for this call."""
-    return Ensemble(models).labels(case)
 
 
 def _kernel(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray, loss: _Loss):
@@ -398,10 +399,6 @@ def _gradient(spec: ModelSpec, params: np.ndarray, cases, batch, loss: _Loss):
 def _stack(members):
     """Feature rows [B*V, F] float64 and labels [B, V] np.intp of same-size
     cases, back to back: the cases' narrow copies, widened here."""
-    if len(members) == 1:
-        case = members[0]
-        return (case.features.astype(np.float64, copy=False),
-                case.labels.labels.astype(np.intp)[None, :])
     return (np.concatenate([case.features for case in members], dtype=np.float64),
             np.concatenate([case.labels.labels for case in members],
                            dtype=np.intp).reshape(len(members), -1))

@@ -69,8 +69,9 @@ class Case:
     C-contiguous copy, at the width they were read with: float32 features,
     as every case file holds, stay float32, and any other input is stored
     as float64.  Training and ensembling widen them to float64 where they
-    compute (model._stack, ensemble_labels), an exact conversion.  The case
-    and its LabelMap are frozen, so train() need not check it again.
+    compute (model._stack, model.Ensemble), an exact conversion.  The case
+    and its LabelMap are frozen, so train() need not check it again, and
+    Ensemble.labels() returns its prediction as a LabelMap on the same grid.
 
     The subgroup tag is carried through for reporting only; nothing in
     training may condition on it.

@@ -10,6 +10,7 @@ import pytest
 import scipy
 
 from segopt.cli import PARALLEL_MIN_VOXELS, parse_grid
+from segopt.model import ENSEMBLE_BLOCK_VOXELS
 from segopt.numerics import read_json
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -48,7 +49,8 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
     for name in ("model.json", "model.params.bin", "training_log.csv"):
         # the builtin matrix, given as a file, trains the builtin's bytes
         assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
-    for data in ("readme", "no_et", "readme_paper", "vol", "vol32", "vol32_anisotropic"):
+    for data in ("readme", "no_et", "readme_paper", "vol", "vol32", "vol32_anisotropic",
+                 "vol_odd"):
         assert f"eval_{data}/metrics.csv" in doc["files"]
 
 
@@ -89,3 +91,16 @@ def test_one_evaluate_scores_cases_large_enough_for_threads():
         assert math.prod(grid) >= PARALLEL_MIN_VOXELS
         assert any(argv[0] == "evaluate" and argv[-3:] == ["vol32", "--out", "eval_vol32"]
                    for argv in digest.commands(tiny))
+
+
+def test_one_evaluate_ends_its_cases_in_a_short_ensemble_block():
+    # Each vol_odd case fills one ensemble block and spills into a second,
+    # shorter one, which BLAS may compute through another kernel.
+    members = [f"train_ensemble/model_{arm}.json" for arm in digest.ARMS]
+    for tiny in (False, True):
+        synth = next(argv for argv in digest.commands(tiny)
+                     if argv[:3] == ["synth", "--out", "vol_odd"])
+        voxels = math.prod(parse_grid(synth[synth.index("--grid") + 1]))
+        assert ENSEMBLE_BLOCK_VOXELS < voxels < 2 * ENSEMBLE_BLOCK_VOXELS
+        assert ["evaluate", *members, "--dataset", "vol_odd", "--out",
+                "eval_vol_odd"] in digest.commands(tiny)

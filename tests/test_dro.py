@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from segopt.dro import DEFAULT_BETA, HardnessWeightedSampler
+from segopt.model import Model, ModelSpec, TrainConfig, train
+from segopt.synthdata import SynthConfig, generate, load
 
 
 class TestConstruction:
@@ -173,3 +175,44 @@ class TestEntropy:
         s = HardnessWeightedSampler(n=8, beta=1e6)
         s.update_loss(0, 2.0)
         assert s.entropy() < 1e-3
+
+
+# ROADMAP item 3: the DRO arm as arXiv:2001.02658 (Fidon et al.) describes it.
+# Both tests fail today and are kept as strict xfails until the sampler is
+# fixed; the fix moves DRO output bytes.
+@pytest.fixture(scope="module")
+def readme_cases(tmp_path_factory):
+    """The README dataset: synth --grid 24x24 --subgroups common:40,rare:4 --seed 0."""
+    out = tmp_path_factory.mktemp("readme")
+    generate(SynthConfig(grid=(24, 24), subgroup_cases={"common": 40, "rare": 4}, seed=0), out)
+    return load(out / "manifest.json")
+
+
+def train_dro(cases, epochs):
+    """The dro population at every other TrainConfig default, model seed 2."""
+    spec = ModelSpec(kind="linear", input_features=cases[0].features.shape[1],
+                     num_classes=cases[0].labels.num_classes, seed=2)
+    return train(Model.init(spec), cases, TrainConfig(population="dro", epochs=epochs))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: an unvisited case keeps INIT_LOSS = 1.0, "
+                   "below every visited case's first dice_ce loss, so 19 of 44 cases are "
+                   "never drawn in epoch 1")
+def test_dro_visits_every_case_in_the_first_epoch(readme_cases):
+    sampler = train_dro(readme_cases, epochs=1).sampler
+    assert sampler.initialized.all(), f"{int((~sampler.initialized).sum())} cases unvisited"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: train draws a whole epoch's indices in "
+                   "one sample_batch(n) call, before the epoch's first step")
+def test_dro_draws_each_batch_from_the_current_estimates(readme_cases, monkeypatch):
+    sizes = []
+    real = HardnessWeightedSampler.sample_batch
+
+    def spy(self, batch_size):
+        sizes.append(batch_size)
+        return real(self, batch_size)
+
+    monkeypatch.setattr(HardnessWeightedSampler, "sample_batch", spy)
+    train_dro(readme_cases, epochs=2)
+    assert sizes and max(sizes) <= TrainConfig().batch_size, f"draw sizes {sizes}"

@@ -23,8 +23,8 @@ import pytest
 
 import segopt
 from segopt.losses import LOSS_KINDS, LabelMap, _Loss, brats_distance_matrix
-from segopt.model import (MODEL_KINDS, Model, ModelSpec, TrainConfig, TrainingDiverged, _gradient,
-                          ensemble_labels, train)
+from segopt.model import (MODEL_KINDS, Ensemble, Model, ModelSpec, TrainConfig, TrainingDiverged,
+                          _gradient, train)
 from segopt.numerics import Rng
 from segopt.optim import DEFAULT_LR, OPTIMIZER_KINDS, PolySchedule, make_optimizer
 from segopt.synthdata import Case, SynthConfig, generate, load, load_case
@@ -236,9 +236,9 @@ def test_narrow_cases_train_and_ensemble_to_the_bytes_of_wide_ones(model_kind, r
         assert got.training_log == want.training_log
         members = [model, got.model]
         for narrow_case, wide_case in zip(narrow, wide):
-            labels = ensemble_labels(members, narrow_case)
+            labels = Ensemble(members).labels(narrow_case).labels
             assert labels.dtype == np.uint8
-            assert (labels == ensemble_labels(members, wide_case)).all()
+            assert (labels == Ensemble(members).labels(wide_case).labels).all()
 
 
 def test_train_scans_no_case_for_finiteness(rng, monkeypatch):

@@ -18,7 +18,6 @@ from segopt.model import (
     TrainedModel,
     TrainingDiverged,
     _unpack,
-    ensemble_labels,
     load_model,
     save_model,
     train,
@@ -131,7 +130,8 @@ class TestForward:
 
 
 class TestEnsembleLabels:
-    """ensemble_labels is the argmax of the mean softmax of Model.forward."""
+    """Ensemble(models).labels(case) is the argmax of the mean softmax of
+    Model.forward, as a LabelMap on the case's grid."""
 
     SPEC = dict(input_features=3, num_classes=4)
 
@@ -146,8 +146,8 @@ class TestEnsembleLabels:
         return out
 
     def case(self, features):
-        """A stand-in Case around ``features``; ensemble_labels reads its
-        features, class count and id."""
+        """A stand-in Case around ``features``; Ensemble.labels reads its
+        features, class count, grid and id."""
         n = len(features)
         return Case("probe", features, LabelMap(np.zeros(n, dtype=np.int64), 4, (n,)))
 
@@ -158,7 +158,7 @@ class TestEnsembleLabels:
         mean = ensemble_mean_softmax([m.forward(feats) for m in models])
         want = np.argmax(mean.voxels, axis=1)
         case = self.case(feats)
-        got = ensemble_labels(models, case)
+        got = Ensemble(models).labels(case).labels
         assert got.dtype == case.labels.labels.dtype == np.uint8  # the LabelMap's dtype
         assert (got == want).all()
         assert len(set(got.tolist())) > 1
@@ -175,7 +175,7 @@ class TestEnsembleLabels:
         feats = rng.normal(size=(300, 3))
         mean = ensemble_mean_softmax([m.forward(feats) for m in models]).voxels
         assert (mean[:, 1] == mean[:, 2]).all() and (mean[:, 0] == mean[:, 3]).all()
-        got = ensemble_labels(models, self.case(feats))
+        got = Ensemble(models).labels(self.case(feats)).labels
         assert (got == np.argmax(mean, axis=1)).all()
         assert set(got.tolist()) == {0, 1}
 
@@ -184,16 +184,55 @@ class TestEnsembleLabels:
         huge = Model(models[1].spec, np.full(models[1].spec.param_count(), 1e300))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                ensemble_labels([models[0], huge], self.case(rng.normal(size=(10, 3))))
+                Ensemble([models[0], huge]).labels(self.case(rng.normal(size=(10, 3))))
 
     def test_mismatched_member_is_value_error(self, rng):
         other = Model.init(ModelSpec(kind="linear", input_features=3, num_classes=2, seed=0))
         with pytest.raises(ValueError, match="member 1"):
-            ensemble_labels([self.members(1)[0], other], self.case(rng.normal(size=(10, 3))))
+            Ensemble([self.members(1)[0], other]).labels(self.case(rng.normal(size=(10, 3))))
 
     def test_empty_ensemble_is_value_error(self, rng):
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_labels([], self.case(rng.normal(size=(10, 3))))
+            Ensemble([]).labels(self.case(rng.normal(size=(10, 3))))
+
+    @pytest.mark.parametrize("fields", [dict(input_features=2, num_classes=4),
+                                        dict(input_features=3, num_classes=3)])
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_members_that_disagree_are_refused_when_made(self, fields, position):
+        models = self.members(3)
+        models[position] = Model.init(ModelSpec(kind="linear", seed=0, **fields))
+        with pytest.raises(ValueError) as info:
+            Ensemble(models)
+        assert str(info.value) == (
+            f"ensemble member 0 expects 3 features and 4 classes, ensemble member "
+            f"{position} has {fields['input_features']} and {fields['num_classes']}")
+
+    def test_members_of_different_hidden_widths_label_as_the_oracle(self, rng):
+        models = [Model.init(ModelSpec(kind=kind, hidden_width=hidden, seed=40 + i, **self.SPEC))
+                  for i, (kind, hidden) in enumerate([("mlp", 9), ("linear", None), ("mlp", 2)])]
+        models = [Model(m.spec, 40.0 * m.params) for m in models]
+        feats = rng.normal(size=(300, 3))
+        mean = ensemble_mean_softmax([m.forward(feats) for m in models]).voxels
+        got = Ensemble(models).labels(self.case(feats)).labels
+        assert (got == np.argmax(mean, axis=1)).all()
+        assert len(set(got.tolist())) > 1
+
+    def test_labels_are_a_label_map_on_the_case_grid(self, rng):
+        models = self.members(2)
+        gt = LabelMap(np.zeros(12, dtype=np.int64), 4, (3, 4))
+        case = Case("grid", rng.normal(size=(12, 3)), gt)
+        got = Ensemble(models).labels(case)
+        assert isinstance(got, LabelMap)
+        assert (got.num_classes, got.spatial_shape) == (4, (3, 4))
+        assert not got.labels.flags.writeable
+
+    def test_a_case_that_does_not_fit_is_refused_naming_it(self, rng):
+        case = Case("narrow", rng.normal(size=(10, 2)),
+                    LabelMap(np.zeros(10, dtype=np.int64), 4, (10,)))
+        with pytest.raises(ValueError) as info:
+            Ensemble(self.members(2)).labels(case)
+        assert str(info.value) == ("the ensemble expects 3 features and 4 classes, "
+                                   "case 'narrow' has 2 and 4")
 
 
 BLOCK = ENSEMBLE_BLOCK_VOXELS
@@ -232,7 +271,7 @@ class TestEnsembleBlocks:
     def test_labels_equal_the_oracle_at_block_edges(self, rng, kinds, voxels):
         models = self.members(self.MEMBERS[kinds])
         case = self.case(rng.normal(size=(voxels, 3)))
-        got = ensemble_labels(models, case)
+        got = Ensemble(models).labels(case).labels
         assert got.shape == (voxels,) and got.dtype == np.uint8
         assert (got == self.oracle(models, case)).all()
 
@@ -249,7 +288,7 @@ class TestEnsembleBlocks:
         worker = Ensemble(models)
         for start in range(0, voxels, BLOCK):
             rows = case.features[start:start + BLOCK]
-            assert_allclose(worker._mean(rows, 4), whole[start:start + BLOCK].T,
+            assert_allclose(worker._mean(rows), whole[start:start + BLOCK].T,
                             rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kinds", sorted(MEMBERS))
@@ -259,8 +298,8 @@ class TestEnsembleBlocks:
         # Falling, then rising: each case finds what the last one left.
         for voxels in [*BLOCK_EDGE_VOXELS[::-1], *BLOCK_EDGE_VOXELS]:
             case = self.case(rng.normal(size=(voxels, 3)))
-            got = worker.labels(case)
-            assert (got == Ensemble(models).labels(case)).all()
+            got = worker.labels(case).labels
+            assert (got == Ensemble(models).labels(case).labels).all()
             assert (got == self.oracle(models, case)).all()
 
     def test_non_finite_mean_in_a_later_block_is_value_error(self, rng):

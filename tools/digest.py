@@ -20,7 +20,10 @@ the builtin matrix as a ``--distance-matrix`` file; a 32x32x8 dataset,
 whose cases are large enough for ``evaluate`` to score them on several
 threads, and ``evaluate`` of the four ensemble members on it, once as made
 (1 mm spacing) and once through a copy of its manifest that records the
-anisotropic spacing 0.7 x 1.3 x 2.5 mm; and three commands the CLI refuses,
+anisotropic spacing 0.7 x 1.3 x 2.5 mm; a 31x23x23 dataset, whose cases of
+16,399 voxels fill one ensemble block of model.ENSEMBLE_BLOCK_VOXELS (16,384)
+and leave a short last block of 15, and ``evaluate`` of the four ensemble
+members on it; and three commands the CLI refuses,
 one an ensemble given a 3x3 matrix file.  Both matrix files are written into
 OUT before the commands run, the mixed-grid manifest into OUT right after the
 command that makes the 8x8x6 dataset, and the anisotropic manifest into vol32
@@ -134,6 +137,9 @@ def commands(tiny: bool = False) -> list:
     out.append(["evaluate", *members, "--dataset", "vol32", "--out", "eval_vol32"])
     out.append(["evaluate", *members, "--dataset", "vol32/manifest_anisotropic.json",
                 "--out", "eval_vol32_anisotropic"])
+    out.append(["synth", "--out", "vol_odd", "--grid", "31x23x23",
+                "--subgroups", "common:2,rare:1", "--no-et-frac", "0.5", "--seed", "3"])
+    out.append(["evaluate", *members, "--dataset", "vol_odd", "--out", "eval_vol_odd"])
     out += [
         ["train", "--dataset", "readme", "--out", "refused_beta", "--preset", "baseline",
          "--beta", "5"],

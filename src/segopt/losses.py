@@ -1,8 +1,8 @@
 """Per-sample segmentation losses with analytic gradients.
 
 composite_loss(kind, ...) is the one per-case entry point, for every kind
-in LOSS_KINDS.  It takes a soft prediction of shape [V, L] (V voxels,
-L classes, each row a probability vector) against an integer label map,
+in LOSS_KINDS.  It takes a soft prediction, a plain [V, L] array (V voxels,
+L classes, each row a probability vector), against an integer label map,
 and returns the scalar value and, on request, the gradient with respect
 to the predicted probabilities.  Gradients are taken in probability space;
 composing with the softmax Jacobian is the model's job, which keeps the
@@ -37,7 +37,6 @@ __all__ = [
     "CE_CLAMP",
     "MAX_LOSS",
     "LOSS_KINDS",
-    "ProbMap",
     "LabelMap",
     "DistanceMatrix",
     "LossValue",
@@ -63,28 +62,6 @@ LOSS_KINDS = ("ce", "dice", "gwdl", "dice_ce", "gwdl_ce")
 
 # The background class of every label map, prediction and distance matrix.
 BACKGROUND = 0
-
-
-@dataclass
-class ProbMap:
-    """Soft prediction: one probability vector per voxel, shape [V, L]."""
-
-    voxels: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.voxels, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"probability map must be [V, L], got shape {v.shape}")
-        require_finite(v, "probability map")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("probability entries must lie in [0, 1]")
-        # A mat-vec, not v.sum(axis=1): a reduction over the short contiguous
-        # class axis runs a tiny inner loop per row and costs several times more.
-        rowsums = v @ np.ones(v.shape[1])
-        if np.any(np.abs(rowsums - 1.0) > 1e-9):
-            worst = int(np.argmax(np.abs(rowsums - 1.0)))
-            raise ValueError(f"row {worst} sums to {rowsums[worst]}, not 1")
-        self.voxels = v
 
 
 @dataclass(frozen=True)
@@ -220,8 +197,7 @@ class LossValue:
 
 
 def _pred_array(pred) -> np.ndarray:
-    if isinstance(pred, ProbMap):
-        return pred.voxels
+    """The one check on a prediction from outside: its shape, not its values."""
     arr = np.asarray(pred, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"prediction must be [V, L], got shape {arr.shape}")
@@ -246,7 +222,8 @@ def wasserstein_voxel(pred_row, gt_class: int, m: DistanceMatrix) -> float:
 
     With the ground truth concentrated on ``gt_class`` the transport plan is
     forced, so the distance collapses to the inner product of the matrix row
-    for ``gt_class`` with the predicted distribution.
+    for ``gt_class`` with the predicted distribution.  Kept here, with
+    wasserstein_per_voxel, as the acceptance suite tests both directly.
     """
     row = np.asarray(pred_row, dtype=np.float64)
     if row.shape != (m.num_classes,):
@@ -475,7 +452,7 @@ def composite_loss(
     """One case's loss: "ce", "dice", "gwdl" (needs ``m``), or the sums
     "dice_ce" and "gwdl_ce", which add the parts value- and gradient-wise.
 
-    ``pred`` is a ProbMap or a [V, L] array; it runs through the batched
+    ``pred`` is a [V, L] probability array; it runs through the batched
     core as one class-major case, and the gradient comes back as [V, L].
     """
     p = _pred_array(pred)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LabelMap, ProbMap
+from .losses import LabelMap
 from .numerics import write_csv
 
 __all__ = [
@@ -328,21 +328,19 @@ def aggregate(metrics) -> dict:
     return out
 
 
-def ensemble_mean_softmax(preds) -> ProbMap:
-    """Elementwise mean of probability maps; rows stay on the simplex.  Cases
-    are labelled through model.Ensemble; this stays because perfbench/tracer.py
-    patches cli's import of it and the ensemble tests take it as their reference."""
+def ensemble_mean_softmax(preds) -> np.ndarray:
+    """Mean of [V, L] probability maps, a new float64 C-contiguous [V, L] array.  Cases
+    are labelled through model.Ensemble; this stays because perfbench/tracer.py patches
+    cli's import of it and the ensemble tests take it as their reference."""
     preds = list(preds)
     if not preds:
         raise ValueError("ensemble needs at least one probability map")
-    arrays = [p.voxels if isinstance(p, ProbMap) else np.asarray(p, dtype=np.float64)
-              for p in preds]
+    arrays = [np.asarray(p, dtype=np.float64) for p in preds]
     shape = arrays[0].shape
     for i, arr in enumerate(arrays[1:], start=1):
         if arr.shape != shape:
             raise ValueError(f"probability map {i} has shape {arr.shape}, expected {shape}")
-    mean = np.mean(np.stack(arrays, axis=0), axis=0)
-    return ProbMap(mean)
+    return np.mean(np.stack(arrays, axis=0), axis=0)
 
 
 def postprocess_et(labels: LabelMap, min_et_voxels: int = 50) -> LabelMap:

@@ -60,8 +60,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
-from .losses import (DistanceMatrix, LabelMap, ProbMap, _batch_terms, _check_kind,
-                     _check_shapes, _Loss)
+from .losses import DistanceMatrix, LabelMap, _batch_terms, _check_kind, _check_shapes, _Loss
 from .numerics import (Rng, as_f64, check_seed, json_int, parsing, read_array, read_json,
                        require_finite, softmax_inplace, write_array, write_csv, write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
@@ -191,12 +190,12 @@ class Model:
             )
         return x
 
-    def forward(self, features) -> ProbMap:
-        """Probabilities [V, L] on feature rows [V, F].  Cases are labelled
-        through Ensemble; this stays because perfbench/tracer.py patches it
-        and the ensemble tests take it as their reference."""
+    def forward(self, features) -> np.ndarray:
+        """Softmax probabilities [V, L] on feature rows [V, F], a new float64
+        C-contiguous array.  Cases are labelled through Ensemble; this stays because
+        perfbench/tracer.py patches it and the ensemble tests take it as their reference."""
         probs, _ = _forward(self.spec, self.params, self._features(features).T)
-        return ProbMap(probs.T)
+        return np.ascontiguousarray(probs.T)
 
     def backward(self, features, gt: LabelMap, loss_kind: str,
                  m: DistanceMatrix | None = None):

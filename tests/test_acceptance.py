@@ -19,7 +19,6 @@ from segopt.losses import (
     DistanceMatrix,
     LabelMap,
     LOSS_KINDS,
-    ProbMap,
     brats_distance_matrix,
     composite_loss,
     wasserstein_per_voxel,
@@ -256,22 +255,21 @@ def test_mean_softmax_ensembling_identity_permutation_and_normalization(rng):
     """Averaging identical probability maps returns the input exactly
     for 2 and 4 members (power-of-two sums round nowhere), member order
     never matters, and output rows stay normalized within 1e-9."""
-    base = ProbMap(bounded_probs(rng, 50, 4))
+    base = bounded_probs(rng, 50, 4)
     for m_count in (2, 4):
         out = ensemble_mean_softmax([base] * m_count)
-        assert (out.voxels == base.voxels).all()
+        assert (out == base).all()
 
-    a = ProbMap(bounded_probs(rng, 50, 4))
-    b = ProbMap(bounded_probs(rng, 50, 4))
-    c = ProbMap(bounded_probs(rng, 50, 4))
-    assert (ensemble_mean_softmax([a, b]).voxels
-            == ensemble_mean_softmax([b, a]).voxels).all()
+    a = bounded_probs(rng, 50, 4)
+    b = bounded_probs(rng, 50, 4)
+    c = bounded_probs(rng, 50, 4)
+    assert (ensemble_mean_softmax([a, b]) == ensemble_mean_softmax([b, a])).all()
     # three-member sums associate differently per order, so only to 1e-15
-    assert np.abs(ensemble_mean_softmax([a, b, c]).voxels
-                  - ensemble_mean_softmax([c, a, b]).voxels).max() <= 1e-15
+    assert np.abs(ensemble_mean_softmax([a, b, c])
+                  - ensemble_mean_softmax([c, a, b])).max() <= 1e-15
 
-    members = [ProbMap(bounded_probs(rng, 50, 4)) for _ in range(5)]
-    sums = ensemble_mean_softmax(members).voxels.sum(axis=1)
+    members = [bounded_probs(rng, 50, 4) for _ in range(5)]
+    sums = ensemble_mean_softmax(members).sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-9
     print("[PASS] ensembling: identical-member identity exact for 2 and 4, "
           "order-invariant, rows normalized")
@@ -293,8 +291,7 @@ def test_hardness_weighted_sampling_improves_rare_subgroup_dice(tmp_path):
             if case.subgroup != "rare":
                 continue
             probs = trained.model.forward(case.features)
-            pred = LabelMap(np.argmax(probs.voxels, axis=1), 4,
-                            case.labels.spatial_shape)
+            pred = LabelMap(np.argmax(probs, axis=1), 4, case.labels.spatial_shape)
             vals.append(evaluate_case(pred, case.labels).dice["WT"])
         return float(np.mean(vals))
 

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from segopt.losses import (
     DistanceMatrix,
     LabelMap,
-    ProbMap,
     brats_distance_matrix,
     composite_loss,
     load_distance_matrix,
@@ -316,6 +315,13 @@ class TestComposite:
         with pytest.raises(ValueError):
             composite_loss("ce", pred, label_map(rng.integers(0, 4, size=5)))
 
+    @pytest.mark.parametrize("shape", [(16,), (4, 4, 1)])
+    def test_prediction_that_is_not_two_dimensional_is_refused(self, rng, shape):
+        pred = bounded_probs(rng, 4, 4).reshape(shape)
+        with pytest.raises(ValueError) as info:
+            composite_loss("ce", pred, label_map(rng.integers(0, 4, size=4)))
+        assert str(info.value) == f"prediction must be [V, L], got shape {shape}"
+
 
 @pytest.mark.parametrize("kind", ["ce", "dice", "gwdl", "dice_ce", "gwdl_ce"])
 def test_gradient_matches_finite_differences(kind, rng):
@@ -336,21 +342,6 @@ def test_gradient_matches_finite_differences(kind, rng):
         differenced = fd_loss_gradient(kind, pred, gt, m)
         worst = max(worst, rel_err_excluding(analytic, differenced))
     assert worst <= 1e-5
-
-
-class TestProbMap:
-    def test_rows_must_sum_to_one(self):
-        bad = np.array([[0.5, 0.4]])
-        with pytest.raises(ValueError, match=r"row 0 sums to 0\.9, not 1$"):
-            ProbMap(bad)
-
-    def test_entries_must_be_probabilities(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ProbMap(np.array([[1.5, -0.5]]))
-
-    def test_valid_map_accepted(self, rng):
-        pm = ProbMap(bounded_probs(rng, 5, 4))
-        assert pm.voxels.shape == (5, 4)
 
 
 class TestLabelMap:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from segopt.losses import ProbMap
 from segopt.metrics import (
     REGIONS,
     CaseMetrics,
@@ -482,42 +481,50 @@ class TestEnsemble:
     def test_identical_maps_mean_is_input(self, rng):
         # with 2 or 4 addends the pairwise sum is p*M exactly, so the
         # mean reproduces the input bit for bit
-        p = ProbMap(bounded_probs(rng, 30, 4))
+        p = bounded_probs(rng, 30, 4)
         for m_count in (1, 2, 4):
             out = ensemble_mean_softmax([p] * m_count)
-            assert (out.voxels == p.voxels).all()
+            assert (out == p).all()
 
     def test_three_identical_maps_within_ulp(self, rng):
-        p = ProbMap(bounded_probs(rng, 30, 4))
+        p = bounded_probs(rng, 30, 4)
         out = ensemble_mean_softmax([p, p, p])
-        assert np.abs(out.voxels - p.voxels).max() < 1e-15
+        assert np.abs(out - p).max() < 1e-15
 
     def test_midpoint(self):
-        a = ProbMap(np.array([[1.0, 0.0]]))
-        b = ProbMap(np.array([[0.0, 1.0]]))
+        a = np.array([[1.0, 0.0]])
+        b = np.array([[0.0, 1.0]])
         out = ensemble_mean_softmax([a, b])
-        assert (out.voxels == np.array([[0.5, 0.5]])).all()
+        assert (out == np.array([[0.5, 0.5]])).all()
 
     def test_pair_order_invariance(self, rng):
-        a = ProbMap(bounded_probs(rng, 12, 4))
-        b = ProbMap(bounded_probs(rng, 12, 4))
-        assert (ensemble_mean_softmax([a, b]).voxels
-                == ensemble_mean_softmax([b, a]).voxels).all()
+        a = bounded_probs(rng, 12, 4)
+        b = bounded_probs(rng, 12, 4)
+        assert (ensemble_mean_softmax([a, b]) == ensemble_mean_softmax([b, a])).all()
 
     def test_order_invariance_three_maps(self, rng):
-        maps = [ProbMap(bounded_probs(rng, 12, 4)) for _ in range(3)]
-        base = ensemble_mean_softmax(maps).voxels
-        shuffled = ensemble_mean_softmax(maps[::-1]).voxels
+        maps = [bounded_probs(rng, 12, 4) for _ in range(3)]
+        base = ensemble_mean_softmax(maps)
+        shuffled = ensemble_mean_softmax(maps[::-1])
         assert np.abs(base - shuffled).max() < 1e-15
 
     def test_rows_stay_normalized(self, rng):
-        maps = [ProbMap(bounded_probs(rng, 25, 4)) for _ in range(5)]
-        out = ensemble_mean_softmax(maps)  # ProbMap enforces 1e-9 on rows
-        assert np.abs(out.voxels.sum(axis=1) - 1.0).max() < 1e-9
+        maps = [bounded_probs(rng, 25, 4) for _ in range(5)]
+        out = ensemble_mean_softmax(maps)  # nothing rescales the mean's rows
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
+
+    def test_mean_is_a_new_plain_contiguous_float64_array(self, rng):
+        # Members of any dtype and layout, e.g. the float32 transpose of a [L, V] block.
+        a = bounded_probs(rng, 7, 4)
+        b = np.ascontiguousarray(bounded_probs(rng, 7, 4).T, dtype=np.float32).T
+        out = ensemble_mean_softmax([a, b])
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == (7, 4) and out.flags.c_contiguous
+        assert not np.shares_memory(out, a)
 
     def test_shape_mismatch(self, rng):
-        a = ProbMap(bounded_probs(rng, 5, 4))
-        b = ProbMap(bounded_probs(rng, 6, 4))
+        a = bounded_probs(rng, 5, 4)
+        b = bounded_probs(rng, 6, 4)
         with pytest.raises(ValueError, match="shape"):
             ensemble_mean_softmax([a, b])
 

@@ -89,7 +89,7 @@ class TestForward:
     def test_zero_params_give_uniform(self, rng):
         model = Model(LINEAR, np.zeros(LINEAR.param_count()))
         probs = model.forward(rng.normal(size=(10, 2)))
-        assert (probs.voxels == 0.5).all()
+        assert (probs == 0.5).all()
 
     def test_saturated_weights_give_one_hot(self):
         # class-1 logit 1000 * feature 0; everything else zero
@@ -98,14 +98,22 @@ class TestForward:
         w[1, 0] = 1000.0
         params = np.concatenate([w.reshape(-1), np.zeros(3)])
         probs = Model(spec, params).forward(np.array([[1.0, 0.3]]))
-        assert_allclose(probs.voxels[0], [0.0, 1.0, 0.0], atol=1e-300)
+        assert_allclose(probs[0], [0.0, 1.0, 0.0], atol=1e-300)
 
     def test_rows_sum_to_one(self, rng):
         spec = ModelSpec(kind="mlp", input_features=3, num_classes=4,
                          hidden_width=6, seed=2)
         model = Model.init(spec)
         probs = model.forward(rng.normal(size=(40, 3)))
-        assert np.abs(probs.voxels.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_probabilities_are_a_plain_contiguous_float64_array(self, rng, kind):
+        spec = ModelSpec(kind=kind, input_features=3, num_classes=4, seed=2,
+                         hidden_width=6 if kind == "mlp" else None)
+        probs = Model.init(spec).forward(rng.normal(size=(40, 3)).astype(np.float32))
+        assert type(probs) is np.ndarray and probs.dtype == np.float64
+        assert probs.shape == (40, 4) and probs.flags.c_contiguous
 
     def test_feature_width_mismatch(self, rng):
         model = Model.init(LINEAR)
@@ -156,7 +164,7 @@ class TestEnsembleLabels:
         models = self.members(count)
         feats = rng.normal(size=(300, 3))
         mean = ensemble_mean_softmax([m.forward(feats) for m in models])
-        want = np.argmax(mean.voxels, axis=1)
+        want = np.argmax(mean, axis=1)
         case = self.case(feats)
         got = Ensemble(models).labels(case).labels
         assert got.dtype == case.labels.labels.dtype == np.uint8  # the LabelMap's dtype
@@ -173,7 +181,7 @@ class TestEnsembleLabels:
             w[2], b[2] = w[1], b[1]
             w[3], b[3] = w[0], b[0]
         feats = rng.normal(size=(300, 3))
-        mean = ensemble_mean_softmax([m.forward(feats) for m in models]).voxels
+        mean = ensemble_mean_softmax([m.forward(feats) for m in models])
         assert (mean[:, 1] == mean[:, 2]).all() and (mean[:, 0] == mean[:, 3]).all()
         got = Ensemble(models).labels(self.case(feats)).labels
         assert (got == np.argmax(mean, axis=1)).all()
@@ -212,7 +220,7 @@ class TestEnsembleLabels:
                   for i, (kind, hidden) in enumerate([("mlp", 9), ("linear", None), ("mlp", 2)])]
         models = [Model(m.spec, 40.0 * m.params) for m in models]
         feats = rng.normal(size=(300, 3))
-        mean = ensemble_mean_softmax([m.forward(feats) for m in models]).voxels
+        mean = ensemble_mean_softmax([m.forward(feats) for m in models])
         got = Ensemble(models).labels(self.case(feats)).labels
         assert (got == np.argmax(mean, axis=1)).all()
         assert len(set(got.tolist())) > 1
@@ -264,7 +272,7 @@ class TestEnsembleBlocks:
 
     def oracle(self, models, case):
         mean = ensemble_mean_softmax([m.forward(case.features) for m in models])
-        return np.argmax(mean.voxels, axis=1)
+        return np.argmax(mean, axis=1)
 
     @pytest.mark.parametrize("kinds", sorted(MEMBERS))
     @pytest.mark.parametrize("voxels", BLOCK_EDGE_VOXELS)
@@ -284,7 +292,7 @@ class TestEnsembleBlocks:
         # whole-case call, which moves the last bits of those few voxels.
         models = self.members(self.MEMBERS[kinds])
         case = self.case(rng.normal(size=(voxels, 3)))
-        whole = ensemble_mean_softmax([m.forward(case.features) for m in models]).voxels
+        whole = ensemble_mean_softmax([m.forward(case.features) for m in models])
         worker = Ensemble(models)
         for start in range(0, voxels, BLOCK):
             rows = case.features[start:start + BLOCK]
@@ -357,7 +365,7 @@ class TestBackward:
         model = Model(spec, params)
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]] * 4)
         probs = model.forward(feats)
-        own_labels = label_map(np.argmax(probs.voxels, axis=1), num_classes=3)
+        own_labels = label_map(np.argmax(probs, axis=1), num_classes=3)
         _, grad = model.backward(feats, own_labels, "ce")
         assert np.linalg.norm(grad) < 1e-6
 

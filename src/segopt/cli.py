@@ -20,7 +20,7 @@ from .dro import DEFAULT_BETA
 from .gradcheck import run_gradcheck
 from .losses import LOSS_KINDS, _Loss, brats_distance_matrix, load_distance_matrix
 from .metrics import (aggregate, evaluate_case, format_aggregate_table, postprocess_et,
-                      write_aggregate_csv, write_case_csv)
+                      write_aggregate_csv, write_case_csv, write_subgroup_csv)
 # Not called in this module, but kept as its attribute: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.cli.ensemble_mean_softmax.
 from .metrics import ensemble_mean_softmax  # noqa: F401
@@ -241,16 +241,26 @@ def cmd_evaluate(args) -> int:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_case = list(pool.map(eval_one, manifest.cases))
+    # Each subgroup's cases, in order of the subgroup's first case.
+    subgroups = {}
+    for entry, result in zip(manifest.cases, per_case):
+        subgroups.setdefault(entry.subgroup, []).append(result)
     # Made only once every case has scored, so a refused run writes nothing.
     os.makedirs(args.out, exist_ok=True)
     stats = aggregate(per_case)
+    by_subgroup = {name: aggregate(results) for name, results in subgroups.items()}
     write_case_csv(per_case, os.path.join(args.out, "metrics.csv"))
     write_aggregate_csv(stats, os.path.join(args.out, "aggregate.csv"))
+    write_subgroup_csv(by_subgroup, os.path.join(args.out, "aggregate_by_subgroup.csv"))
     table = format_aggregate_table(stats)
     with open(os.path.join(args.out, "aggregate.txt"), "w") as fh:
         fh.write(table)
     _write_run_config(args)
     print(table, end="")
+    if len(by_subgroup) > 1:
+        for name, sub in by_subgroup.items():
+            print(f"\nsubgroup {name} ({len(subgroups[name])} cases)")
+            print(format_aggregate_table(sub), end="")
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "postprocess_et",
     "write_case_csv",
     "write_aggregate_csv",
+    "write_subgroup_csv",
     "format_aggregate_table",
 ]
 
@@ -377,11 +378,24 @@ def write_case_csv(metrics, path) -> None:
                for m in metrics for region in REGIONS))
 
 
+AGGREGATE_COLUMNS = ["region", "metric", "mean", "std", "median", "iqr", "n_used", "n_excluded"]
+
+
+def _aggregate_rows(agg: dict):
+    return ([region, metric, _fmt(s.mean), _fmt(s.std), _fmt(s.median), _fmt(s.iqr),
+             s.n_used, s.n_excluded] for (region, metric), s in agg.items())
+
+
 def write_aggregate_csv(agg: dict, path) -> None:
     """One row per entry of aggregate()'s dict, in its order."""
-    write_csv(path, ["region", "metric", "mean", "std", "median", "iqr", "n_used", "n_excluded"],
-              ([region, metric, _fmt(s.mean), _fmt(s.std), _fmt(s.median), _fmt(s.iqr),
-                s.n_used, s.n_excluded] for (region, metric), s in agg.items()))
+    write_csv(path, AGGREGATE_COLUMNS, _aggregate_rows(agg))
+
+
+def write_subgroup_csv(by_subgroup: dict, path) -> None:
+    """write_aggregate_csv's rows for each ``{subgroup: aggregate()}`` entry,
+    in the dict's order, each led by a subgroup column."""
+    write_csv(path, ["subgroup", *AGGREGATE_COLUMNS],
+              ([name, *row] for name, agg in by_subgroup.items() for row in _aggregate_rows(agg)))
 
 
 def format_aggregate_table(agg: dict) -> str:

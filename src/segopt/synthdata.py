@@ -73,8 +73,8 @@ class Case:
     and its LabelMap are frozen, so train() need not check it again, and
     Ensemble.labels() returns its prediction as a LabelMap on the same grid.
 
-    The subgroup tag is carried through for reporting only; nothing in
-    training may condition on it.
+    evaluate reports each subgroup's scores apart, in aggregate_by_subgroup.csv;
+    nothing in training may condition on the subgroup tag.
     """
 
     case_id: str

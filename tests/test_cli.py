@@ -19,9 +19,12 @@ import pytest
 from segopt import gradcheck, optim, synthdata
 from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
-from segopt.model import Model, ModelSpec, TrainConfig, save_model
+from segopt.losses import LabelMap
+from segopt.metrics import (aggregate, evaluate_case, format_aggregate_table, postprocess_et,
+                            write_aggregate_csv)
+from segopt.model import Ensemble, Model, ModelSpec, TrainConfig, load_model, save_model, train
 from segopt.optim import Lookahead
-from segopt.synthdata import FEATURE_WIDTH, SynthConfig, load, read_manifest
+from segopt.synthdata import FEATURE_WIDTH, SynthConfig, generate, load, read_manifest
 
 
 def read_json(path):
@@ -642,7 +645,8 @@ class TestEvaluateWorkers:
             assert pools == want_pools
             outputs[cpus] = (tree_bytes(out), captured.out)
         assert outputs[1] == outputs[8]
-        assert set(outputs[1][0]) == {"metrics.csv", "aggregate.csv", "aggregate.txt"}
+        assert set(outputs[1][0]) == {"metrics.csv", "aggregate.csv", "aggregate.txt",
+                                      "aggregate_by_subgroup.csv"}
 
     # The overflow warnings come from worker threads, outside any errstate.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1033,3 +1037,102 @@ def test_default_evaluate_keeps_the_et_of_an_exact_model(exact_model_run, tmp_pa
     dice = evaluated_dice_means(*exact_model_run, str(tmp_path / "eval"))
     capsys.readouterr()
     assert dice["ET"] == 1.0
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def two_subgroup_run(tmp_path_factory):
+    """An 8x8 dataset of two subgroups, common:4 and rare:2, and the path of
+    one model trained on it for a few epochs."""
+    root = tmp_path_factory.mktemp("subgroups")
+    data, run = str(root / "data"), str(root / "run")
+    assert main(["synth", "--out", data, "--grid", "8x8",
+                 "--subgroups", "common:4,rare:2"]) == 0
+    assert main(["train", "--dataset", data, "--out", run, "--epochs", "5"]) == 0
+    return data, os.path.join(run, "model.json")
+
+
+def test_evaluate_reports_each_subgroup_as_the_library_scores_it(two_subgroup_run, tmp_path,
+                                                                 capsys):
+    data, model = two_subgroup_run
+    out = str(tmp_path / "eval")
+    capsys.readouterr()
+    assert main(["evaluate", model, "--dataset", data, "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    manifest = read_manifest(os.path.join(data, "manifest.json"))
+    ensemble = Ensemble([load_model(model)])
+    scored = {}
+    for case in load(manifest):
+        labels = postprocess_et(ensemble.labels(case))
+        scored.setdefault(case.subgroup, []).append(
+            evaluate_case(labels, case.labels, manifest.spacing_mm, case_id=case.case_id))
+    assert [(name, len(results)) for name, results in scored.items()] == [("common", 4),
+                                                                          ("rare", 2)]
+    want, tables = [], ""
+    for name, results in scored.items():
+        path = str(tmp_path / f"{name}.csv")
+        write_aggregate_csv(aggregate(results), path)
+        want += [{"subgroup": name, **row} for row in csv_rows(path)]
+        tables += f"\nsubgroup {name} ({len(results)} cases)\n"
+        tables += format_aggregate_table(aggregate(results))
+    got = csv_rows(os.path.join(out, "aggregate_by_subgroup.csv"))
+    pooled = csv_rows(os.path.join(out, "aggregate.csv"))
+    assert list(got[0]) == ["subgroup", *pooled[0]]
+    assert got == want
+    pooled_wt, *subgroup_wt = [row["mean"] for row in (*pooled, *got)
+                               if (row["region"], row["metric"]) == ("WT", "dice")]
+    assert any(mean != pooled_wt for mean in subgroup_wt)
+    # aggregate.txt keeps the pooled table alone; stdout adds one table per subgroup.
+    with open(os.path.join(out, "aggregate.txt")) as fh:
+        assert stdout == fh.read() + tables
+
+
+def test_one_subgroup_report_repeats_the_pooled_rows(two_subgroup_run, tmp_path, capsys):
+    data, out = str(tmp_path / "data"), str(tmp_path / "eval")
+    assert main(["synth", "--out", data, "--grid", "8x8", "--subgroups", "common:3",
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", two_subgroup_run[1], "--dataset", data, "--out", out]) == 0
+    rows = csv_rows(os.path.join(out, "aggregate_by_subgroup.csv"))
+    assert [row.pop("subgroup") for row in rows] == ["common"] * len(rows)
+    assert rows == csv_rows(os.path.join(out, "aggregate.csv"))
+    # One subgroup adds nothing to stdout: it is the pooled table, as written.
+    with open(os.path.join(out, "aggregate.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_rare_wt_dice_of_the_acceptance_erm_arm_reads_from_the_subgroup_report(tmp_path,
+                                                                                capsys):
+    """The rare whole-tumor Dice that
+    test_acceptance.py::test_hardness_weighted_sampling_improves_rare_subgroup_dice
+    computes through the library, for its uniform arm at seed 0, is the rare
+    WT Dice mean that evaluate writes.  postprocess_et leaves WT alone."""
+    data = tmp_path / "data"
+    generate(SynthConfig(grid=(24, 24), subgroup_cases={"common": 40, "rare": 4},
+                         sigma=0.3, seed=0), data)
+    cases = load(data / "manifest.json")
+    spec = ModelSpec(kind="linear", input_features=4, num_classes=4, seed=2)
+    config = TrainConfig(loss="dice_ce", population="erm", beta=100.0, optimizer="sgd",
+                         lr=0.05, epochs=150, batch_size=2, seed=0)
+    trained = train(Model.init(spec), cases, config)
+    vals = []
+    for case in cases:
+        if case.subgroup != "rare":
+            continue
+        probs = trained.model.forward(case.features)
+        pred = LabelMap(np.argmax(probs, axis=1), 4, case.labels.spatial_shape)
+        vals.append(evaluate_case(pred, case.labels).dice["WT"])
+    rare_wt = float(np.mean(vals))
+
+    model, out = str(tmp_path / "erm.json"), str(tmp_path / "eval")
+    save_model(trained.model, model)
+    capsys.readouterr()
+    assert main(["evaluate", model, "--dataset", str(data), "--out", out]) == 0
+    rows = csv_rows(os.path.join(out, "aggregate_by_subgroup.csv"))
+    means = [float(row["mean"]) for row in rows
+             if (row["subgroup"], row["region"], row["metric"]) == ("rare", "WT", "dice")]
+    assert means == [rare_wt]

@@ -51,7 +51,8 @@ def test_every_command_runs_and_only_the_refused_ones_fail(two_runs):
         assert doc["files"][f"train_matrix/{name}"] == doc["files"][f"train_gwdl/{name}"]
     for data in ("readme", "no_et", "readme_paper", "vol", "vol32", "vol32_anisotropic",
                  "vol_odd"):
-        assert f"eval_{data}/metrics.csv" in doc["files"]
+        for name in ("metrics.csv", "aggregate_by_subgroup.csv"):
+            assert f"eval_{data}/{name}" in doc["files"]
 
 
 def test_one_evaluate_scores_the_vol32_cases_at_anisotropic_spacing(two_runs):

@@ -1074,11 +1074,10 @@ def test_evaluate_reports_each_subgroup_as_the_library_scores_it(two_subgroup_ru
                                                                           ("rare", 2)]
     want, tables = [], ""
     for name, results in scored.items():
-        path = str(tmp_path / f"{name}.csv")
-        write_aggregate_csv(aggregate(results), path)
+        stats, path = aggregate(results), str(tmp_path / f"{name}.csv")
+        write_aggregate_csv(stats, path)
         want += [{"subgroup": name, **row} for row in csv_rows(path)]
-        tables += f"\nsubgroup {name} ({len(results)} cases)\n"
-        tables += format_aggregate_table(aggregate(results))
+        tables += f"\nsubgroup {name} ({len(results)} cases)\n{format_aggregate_table(stats)}"
     got = csv_rows(os.path.join(out, "aggregate_by_subgroup.csv"))
     pooled = csv_rows(os.path.join(out, "aggregate.csv"))
     assert list(got[0]) == ["subgroup", *pooled[0]]

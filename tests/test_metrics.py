@@ -19,7 +19,14 @@ from segopt.metrics import (
     write_aggregate_csv,
     write_case_csv,
 )
-from segopt.metrics import BOX_MIN_VOXELS, _column_stats, _percentile95, _surface_distances
+from segopt import metrics
+from segopt.metrics import (
+    BOX_MIN_VOXELS,
+    _column_stats,
+    _percentile95,
+    _row_distances,
+    _surface_distances,
+)
 
 from conftest import bounded_probs, dyadic_probs, label_map, oracle_boundary, oracle_hd95
 
@@ -395,6 +402,91 @@ class TestSurfaceDistanceBox:
         assert src.size == BOX_MIN_VOXELS
         _surface_distances(src, ~src, (1.0, 1.0))
         assert sizes == [src.size]
+
+
+def oracle_row_distances(src, dst, spacing):
+    """Nearest ``dst`` voxel in each ``src`` voxel's own last-axis row, in
+    mm, by scanning the row; inf when the row holds none."""
+    out = []
+    for index in np.argwhere(src):
+        row = np.flatnonzero(dst[tuple(index[:-1])])
+        out.append(np.abs(row - index[-1]).min() * spacing[-1] if row.size else np.inf)
+    return np.array(out, dtype=np.float64)
+
+
+class TestHd95RowBound:
+    """hd95 transforms b->a only when the b->a row distances cannot prove
+    that direction no larger than a->b."""
+
+    SPACINGS = TestSurfaceDistanceBox.SPACINGS
+    spacing = TestSurfaceDistanceBox.spacing
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_row_distances_match_the_row_scan_oracle(self, rng, ndim):
+        for _ in range(60):
+            shape = tuple(int(s) for s in rng.integers(1, 12, size=ndim))
+            src = rng.uniform(size=shape) < rng.uniform(0.05, 0.8)
+            dst = rng.uniform(size=shape) < rng.uniform(0.0, 0.5)
+            spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=ndim))
+            got = _row_distances(src, dst, spacing)
+            want = oracle_row_distances(src, dst, spacing)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    def test_3d_speckled_prediction_is_symmetric_bit_for_bit(self, rng, monkeypatch, kind):
+        calls = []
+        original = metrics._surface_distances
+
+        def spy(src, dst, spacing):
+            calls.append(src.sum())
+            return original(src, dst, spacing)
+
+        monkeypatch.setattr(metrics, "_surface_distances", spy)
+        z, y, x = np.ogrid[:16, :16, :14]
+        truth = (z - 7) ** 2 + (y - 8) ** 2 + (x - 6) ** 2 <= 20
+        assert truth.size > BOX_MIN_VOXELS
+        for _ in range(5):
+            pred = truth | (rng.uniform(size=truth.shape) < 0.03)
+            spacing = self.spacing(kind, 3, rng)
+            surf_p, surf_t = boundary_mask(pred), boundary_mask(truth)
+            want = max(_percentile95(full_transform(surf_p, surf_t, spacing)),
+                       _percentile95(full_transform(surf_t, surf_p, spacing)))
+            del calls[:]
+            assert hd95(pred, truth, truth.shape, spacing) == want
+            assert len(calls) == 1
+            del calls[:]
+            assert hd95(truth, pred, truth.shape, spacing) == want
+            assert len(calls) == 2
+
+    def test_speckled_prediction_takes_one_transform(self, monkeypatch):
+        sizes = transformed_sizes(monkeypatch)
+        truth = np.zeros((12, 12), dtype=bool)
+        truth[3:8, 3:8] = True
+        pred = truth.copy()
+        pred[0, 11] = pred[11, 0] = pred[11, 11] = True
+        assert hd95(pred, truth, truth.shape) == oracle_hd95(pred, truth, truth.shape)
+        assert sizes == [truth.size]
+
+    def test_missed_far_lobe_takes_both_transforms(self, monkeypatch):
+        truth = np.zeros((12, 12), dtype=bool)
+        truth[1:4, 1:4] = truth[8:11, 7:11] = True
+        pred = np.zeros_like(truth)
+        pred[1:4, 1:5] = True
+        # pred->truth is not zero, but truth->pred is larger.
+        d_pt = _percentile95(full_transform(boundary_mask(pred), boundary_mask(truth), (1.0, 1.0)))
+        sizes = transformed_sizes(monkeypatch)
+        assert 0 < d_pt < hd95(pred, truth, truth.shape) == oracle_hd95(pred, truth, truth.shape)
+        assert sizes == [truth.size, truth.size]
+
+    def test_tie_between_bound_and_a_to_b_takes_both_transforms(self, monkeypatch):
+        sizes = transformed_sizes(monkeypatch)
+        a = np.zeros((3, 8), dtype=bool)
+        b = np.zeros_like(a)
+        a[1, 1] = b[1, 4] = True
+        assert _percentile95(_row_distances(b, a, (1.0, 1.0))) == 3.0
+        assert hd95(a, b, a.shape) == 3.0
+        assert sizes == [a.size, a.size]
 
 
 class TestEvaluateCase:

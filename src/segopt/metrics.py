@@ -205,6 +205,8 @@ def _row_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.ndarr
     column = at % row
     to_left = at - targets[right - 1]
     to_right = targets[right] - at
+    # A gap of ``row``, longer than any within a row, marks a side whose
+    # nearest target lies in another row.
     gap = np.minimum(np.where(to_left <= column, to_left, row),
                      np.where(to_right < row - column, to_right, row))
     distances = gap * spacing[-1]

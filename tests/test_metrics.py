@@ -439,7 +439,7 @@ class TestHd95RowBound:
         original = metrics._surface_distances
 
         def spy(src, dst, spacing):
-            calls.append(src.sum())
+            calls.append(src)
             return original(src, dst, spacing)
 
         monkeypatch.setattr(metrics, "_surface_distances", spy)

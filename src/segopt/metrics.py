@@ -19,9 +19,13 @@ larger; the result is the same float either way.  Callers pass the
 prediction as ``a``: its spurious voxels usually make a->b the larger
 direction.  Both masks empty gives 0; exactly one empty is
 undefined (None) and excluded from aggregation, with the exclusion count
-reported.  The aggregate's median and quartiles come from one sort of each
-column, with the same arithmetic and the bytes of ``np.median`` and
-``np.percentile``.
+reported.  ``evaluate_case`` cuts both label maps once to the case's
+tumour box, the bounding box of the voxels either map labels WT, and
+scores every region on that cut: since ET ⊆ TC ⊆ WT, every voxel outside
+it is background in each region mask, so the scores are the whole grid's
+and each distance transform covers the box only.  The aggregate's median
+and quartiles come from one sort of each column, with the same arithmetic
+and the bytes of ``np.median`` and ``np.percentile``.
 """
 
 from __future__ import annotations
@@ -55,17 +59,6 @@ __all__ = [
 
 # Each region's labels, in the report tables' order: ET, WT, TC.
 REGIONS = {"ET": (1,), "WT": (1, 2, 3), "TC": (1, 3)}
-
-# _surface_distances transforms a box around the source surface only on
-# grids of more than this many voxels.  On smaller grids the transform's
-# fixed cost per call outweighs its per-voxel cost, so the box's own work
-# (bounding box, counts, index shift) costs more than the voxels it leaves
-# out save.  Per call, box against whole grid, over every call of one
-# evaluate of four ensemble members (fastest of 31 passes, 2-core VM):
-# 1.42x the time at 8x8x6, 1.16x at 24x24, 1.05x at 32x32, 0.97x at
-# 10x10x10, 0.98x at 8x8x16, 0.93x at 12x12x8, 0.86x at 12x12x12, 0.67x at
-# 32x32x8 and 0.58x at 32x32x32.
-BOX_MIN_VOXELS = 1024
 
 
 @dataclass
@@ -249,81 +242,59 @@ def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.n
     ``dst`` voxel: ``distance_transform_edt(~dst, sampling=spacing)[src]``.
 
     Only the feature transform (each voxel's nearest zero of ``~dst``) runs,
-    and on a grid of more than BOX_MIN_VOXELS voxels only on a box: the
-    bounding box of ``src`` grown by ``margin[k]`` voxels on both sides of
-    each axis k, clipped to the grid, every margin 1 at first.  The
-    distances are then taken at the source voxels alone, with the
-    transform's own arithmetic (float64 offsets scaled per axis, squared,
-    summed over the axes, square-rooted), so they are bit-identical to the
-    full transform's when the box holds every ``src`` voxel's nearest
-    ``dst`` voxel.  It does when no ``dst`` voxel lies outside the box, or
-    when every box side not at the grid edge lies farther from ``src`` than
-    the largest distance found, ``(margin[k] + 1) * spacing[k] > largest``:
-    a ``dst`` voxel beyond that side is at least that far from every
-    ``src`` voxel.  Otherwise each margin grows to ``max(margin[k],
-    ceil(largest / spacing[k]))`` and the box is transformed again, which
-    passes by construction, since a larger box finds no larger distance.
-    A box holding no ``dst`` voxel is replaced by the whole grid.
+    on the whole array given.  The distances are then taken at the source
+    voxels alone, with the transform's own arithmetic (float64 offsets
+    scaled per axis, squared, summed over the axes, square-rooted), so they
+    are bit-identical to the full transform's.  ``evaluate_case`` passes
+    surfaces cut to the case's tumour box, which holds every target voxel.
     """
     # Imported here, not at module level: importing scipy.ndimage takes
     # 0.3-0.4 s and 27 MB of RSS, which every command would pay at start-up
     # although only evaluation needs it.
     from scipy import ndimage
 
+    nearest = ndimage.distance_transform_edt(~dst, sampling=spacing,
+                                             return_distances=False, return_indices=True)
     # One flat scan and an unravel: np.nonzero on a 3-D grid took 6x as long.
-    flat = np.flatnonzero(src)
-    coords = np.array(np.unravel_index(flat, src.shape))
-    scale = np.asarray(spacing, dtype=np.float64)[:, None]
-    boxed = src.size > BOX_MIN_VOXELS and flat.size > 0
-    if boxed:
-        first = coords.min(axis=1).tolist()
-        last = coords.max(axis=1).tolist()
-        dst_count = np.count_nonzero(dst)
-    margin = [1] * src.ndim
-    while True:
-        box = ()
-        if boxed:
-            box = tuple(slice(max(a - m, 0), min(b + 1 + m, n))
-                        for a, b, m, n in zip(first, last, margin, src.shape))
-            inside = np.count_nonzero(dst[box])
-            if not inside:
-                box = ()
-        nearest = ndimage.distance_transform_edt(~dst[box], sampling=spacing,
-                                                 return_distances=False, return_indices=True)
-        # The source voxels' coordinates and flat positions in the box.
-        local, at = coords, flat
-        if box:
-            local = coords - np.array([[side.start] for side in box])
-            at = np.ravel_multi_index(local, nearest.shape[1:])
-        offsets = nearest.reshape(src.ndim, -1)[:, at] - local
-        offsets = offsets.astype(np.float64)
-        offsets *= scale
-        np.multiply(offsets, offsets, out=offsets)
-        distances = np.sqrt(np.add.reduce(offsets, axis=0))
-        if not box or inside == dst_count:
-            return distances
-        largest = distances.max()
-        if all((m + 1) * s > largest or (side.start == 0 and side.stop == n)
-               for m, s, side, n in zip(margin, spacing, box, src.shape)):
-            return distances
-        margin = [max(m, math.ceil(largest / s)) for m, s in zip(margin, spacing)]
+    at = np.flatnonzero(src)
+    offsets = nearest.reshape(src.ndim, -1)[:, at] - np.array(np.unravel_index(at, src.shape))
+    offsets = offsets.astype(np.float64)
+    offsets *= np.asarray(spacing, dtype=np.float64)[:, None]
+    np.multiply(offsets, offsets, out=offsets)
+    return np.sqrt(np.add.reduce(offsets, axis=0))
 
 
 def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,
                   case_id: str = "") -> CaseMetrics:
-    """Dice and HD95 for each of ET/WT/TC on one case."""
+    """Dice and HD95 for each of ET/WT/TC on one case.
+
+    Both maps are cut once to the tumour box, the bounding box of every
+    voxel that either map labels WT, and every region is scored on the
+    cut.  Every region lies inside WT, so each voxel outside the box is
+    background in all six region masks: the cut has the same surfaces
+    (out-of-grid counts as outside, as background does), the same target
+    voxels for each distance transform, and so the same scores as the
+    whole grid.  A case with no tumour voxel cuts to a box of size zero.
+    """
     if pred_labels.spatial_shape != gt_labels.spatial_shape:
         raise ValueError(
             f"prediction grid {pred_labels.spatial_shape} does not match "
             f"ground truth {gt_labels.spatial_shape}"
         )
+    shape = pred_labels.spatial_shape
+    tumour = np.flatnonzero(region_mask(pred_labels, "WT") | region_mask(gt_labels, "WT"))
+    box = tuple(slice(int(c.min()), int(c.max()) + 1) if tumour.size else slice(0, 0)
+                for c in np.unravel_index(tumour, shape))
+    cut = tuple(side.stop - side.start for side in box)
+    pred = pred_labels.labels.reshape(shape)[box].ravel()
+    gt = gt_labels.labels.reshape(shape)[box].ravel()
     dice = {}
     hausdorff = {}
     for region in REGIONS:
-        pm = region_mask(pred_labels, region)
-        gm = region_mask(gt_labels, region)
+        pm = region_mask(pred, region)
+        gm = region_mask(gt, region)
         dice[region] = dice_score(pm, gm)
-        hausdorff[region] = hd95(pm, gm, pred_labels.spatial_shape, spacing)
+        hausdorff[region] = hd95(pm, gm, cut, spacing)
     return CaseMetrics(case_id=case_id, dice=dice, hd95=hausdorff)
 
 

@@ -21,7 +21,6 @@ from segopt.metrics import (
 )
 from segopt import metrics
 from segopt.metrics import (
-    BOX_MIN_VOXELS,
     _column_stats,
     _percentile95,
     _row_distances,
@@ -317,93 +316,6 @@ def full_transform(src, dst, spacing):
     return ndimage.distance_transform_edt(~dst, sampling=spacing)[src]
 
 
-class TestSurfaceDistanceBox:
-    """_surface_distances on grids above BOX_MIN_VOXELS, where it transforms
-    a box around ``src`` only."""
-
-    SPACINGS = ["unit", "0.7", "anisotropic"]
-
-    def spacing(self, kind, ndim, rng):
-        if kind == "unit":
-            return (1.0,) * ndim
-        if kind == "0.7":
-            return (0.7,) * ndim
-        return tuple(float(s) for s in rng.uniform(0.3, 3.0, size=ndim))
-
-    @pytest.mark.parametrize("kind", SPACINGS)
-    @pytest.mark.parametrize("ndim", [2, 3])
-    def test_compact_source_equals_the_full_transform_bit_for_bit(
-            self, rng, monkeypatch, ndim, kind):
-        sizes = transformed_sizes(monkeypatch)
-        boxed = 0
-        for _ in range(60):
-            shape = tuple(int(s) for s in rng.integers(*((34, 48) if ndim == 2 else (11, 17)),
-                                                       size=ndim))
-            assert math.prod(shape) > BOX_MIN_VOXELS
-            start = [int(rng.integers(0, n - 3)) for n in shape]
-            block = tuple(slice(a, a + int(rng.integers(2, n // 3 + 2)))
-                          for a, n in zip(start, shape))
-            src = np.zeros(shape, dtype=bool)
-            src[block] = rng.uniform(size=src[block].shape) < rng.uniform(0.3, 1.0)
-            src[tuple(start)] = True
-            dst = rng.uniform(size=shape) < rng.uniform(0.001, 0.05)
-            dst.flat[int(rng.integers(dst.size))] = True
-            spacing = self.spacing(kind, ndim, rng)
-            del sizes[:]
-            got = _surface_distances(src, dst, spacing)
-            want = full_transform(src, dst, spacing)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            boxed += sizes[0] < src.size
-        assert boxed > 30
-
-    @pytest.mark.parametrize("kind", SPACINGS)
-    def test_box_without_a_target_voxel_becomes_the_grid(self, rng, monkeypatch, kind):
-        sizes = transformed_sizes(monkeypatch)
-        src = np.zeros((40, 40), dtype=bool)
-        src[2:6, 3:8] = True
-        dst = np.zeros_like(src)
-        dst[30, 35] = dst[38, 2] = True
-        spacing = self.spacing(kind, 2, rng)
-        got = _surface_distances(src, dst, spacing)
-        assert sizes == [src.size]
-        assert got.tobytes() == full_transform(src, dst, spacing).tobytes()
-
-    @pytest.mark.parametrize("kind", SPACINGS)
-    def test_box_regrows_when_a_nearer_voxel_may_lie_outside_it(self, rng, monkeypatch, kind):
-        sizes = transformed_sizes(monkeypatch)
-        src = np.zeros((12, 12, 12), dtype=bool)
-        src[2:9, 6, 6] = True
-        dst = np.zeros_like(src)
-        # In the first box (axis 0 in [1, 10), axes 1 and 2 in [5, 8)) lies
-        # only a target 7 voxels from src's far end; one 3 voxels from that
-        # end lies outside it.
-        dst[1, 6, 6] = dst[8, 6, 9] = True
-        spacing = self.spacing(kind, 3, rng)
-        got = _surface_distances(src, dst, spacing)
-        assert len(sizes) == 2 and sizes[0] == 9 * 3 * 3 < sizes[1]
-        assert got.tobytes() == full_transform(src, dst, spacing).tobytes()
-
-    def test_compact_source_on_a_32_cube_transforms_fewer_voxels_than_the_grid(
-            self, monkeypatch):
-        sizes = transformed_sizes(monkeypatch)
-        z, y, x = np.ogrid[:32, :32, :32]
-        gt = (z - 12) ** 2 + (y - 14) ** 2 + (x - 16) ** 2 <= 36
-        pred = (z - 13) ** 2 + (y - 14) ** 2 + (x - 17) ** 2 <= 30
-        src, dst = boundary_mask(gt), boundary_mask(pred)
-        got = _surface_distances(src, dst, (1.0, 1.0, 1.0))
-        assert sum(sizes) < src.size
-        assert got.tobytes() == full_transform(src, dst, (1.0, 1.0, 1.0)).tobytes()
-
-    def test_small_grids_are_transformed_whole(self, monkeypatch):
-        sizes = transformed_sizes(monkeypatch)
-        src = np.zeros((32, 32), dtype=bool)
-        src[4:8, 4:8] = True
-        assert src.size == BOX_MIN_VOXELS
-        _surface_distances(src, ~src, (1.0, 1.0))
-        assert sizes == [src.size]
-
-
 def oracle_row_distances(src, dst, spacing):
     """Nearest ``dst`` voxel in each ``src`` voxel's own last-axis row, in
     mm, by scanning the row; inf when the row holds none."""
@@ -418,8 +330,14 @@ class TestHd95RowBound:
     """hd95 transforms b->a only when the b->a row distances cannot prove
     that direction no larger than a->b."""
 
-    SPACINGS = TestSurfaceDistanceBox.SPACINGS
-    spacing = TestSurfaceDistanceBox.spacing
+    SPACINGS = ["unit", "0.7", "anisotropic"]
+
+    def spacing(self, kind, ndim, rng):
+        if kind == "unit":
+            return (1.0,) * ndim
+        if kind == "0.7":
+            return (0.7,) * ndim
+        return tuple(float(s) for s in rng.uniform(0.3, 3.0, size=ndim))
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_row_distances_match_the_row_scan_oracle(self, rng, ndim):
@@ -445,7 +363,6 @@ class TestHd95RowBound:
         monkeypatch.setattr(metrics, "_surface_distances", spy)
         z, y, x = np.ogrid[:16, :16, :14]
         truth = (z - 7) ** 2 + (y - 8) ** 2 + (x - 6) ** 2 <= 20
-        assert truth.size > BOX_MIN_VOXELS
         for _ in range(5):
             pred = truth | (rng.uniform(size=truth.shape) < 0.03)
             spacing = self.spacing(kind, 3, rng)
@@ -487,6 +404,148 @@ class TestHd95RowBound:
         assert _percentile95(_row_distances(b, a, (1.0, 1.0))) == 3.0
         assert hd95(a, b, a.shape) == 3.0
         assert sizes == [a.size, a.size]
+
+
+def whole_grid_scores(pred, gt, spacing):
+    """Each region's (dice, hd95) on the uncropped grid: hd95 itself, and
+    the larger directed percentile of the two full transforms."""
+    shape = pred.spatial_shape
+    out = {}
+    for region in REGIONS:
+        pm, gm = region_mask(pred, region), region_mask(gt, region)
+        got = hd95(pm, gm, shape, spacing)
+        if pm.any() and gm.any():
+            surf_p = boundary_mask(pm.reshape(shape))
+            surf_g = boundary_mask(gm.reshape(shape))
+            want = max(_percentile95(full_transform(surf_p, surf_g, spacing)),
+                       _percentile95(full_transform(surf_g, surf_p, spacing)))
+            assert got.hex() == want.hex()
+        out[region] = (dice_score(pm, gm), got)
+    return out
+
+
+def assert_case_matches_the_whole_grid(pred, gt, spacing):
+    got = evaluate_case(pred, gt, spacing)
+    for region, (dice, distance) in whole_grid_scores(pred, gt, spacing).items():
+        assert got.dice[region].hex() == dice.hex()
+        if distance is None:
+            assert got.hd95[region] is None
+        else:
+            assert got.hd95[region].hex() == distance.hex()
+
+
+class TestTumourBox:
+    """evaluate_case scores each case on the bounding box of both maps'
+    whole tumour, with the bytes of the whole grid."""
+
+    SPACINGS = TestHd95RowBound.SPACINGS
+    spacing = TestHd95RowBound.spacing
+
+    def random_map(self, rng, shape, faces=False):
+        """A block of random labels 0-3 somewhere in the grid, plus a few
+        stray tumour voxels; with ``faces`` the block spans from one face
+        of the grid to the opposite one on a random axis."""
+        grid = np.zeros(shape, dtype=np.int64)
+        start = [int(rng.integers(0, n)) for n in shape]
+        stop = [int(rng.integers(a + 1, n + 1)) for a, n in zip(start, shape)]
+        if faces:
+            axis = int(rng.integers(len(shape)))
+            start[axis], stop[axis] = 0, shape[axis]
+        block = tuple(slice(a, b) for a, b in zip(start, stop))
+        grid[block] = rng.integers(0, 4, size=grid[block].shape)
+        for _ in range(int(rng.integers(0, 3))):
+            grid[tuple(int(rng.integers(n)) for n in shape)] = int(rng.integers(1, 4))
+        return label_map(grid, shape=shape)
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    @pytest.mark.parametrize("grids", ["2d-small", "2d-large", "3d"])
+    def test_random_cases_equal_the_whole_grid_bit_for_bit(self, rng, grids, kind):
+        low, high, ndim = {"2d-small": (6, 31, 2), "2d-large": (34, 48, 2),
+                           "3d": (6, 15, 3)}[grids]
+        cropped = 0
+        for trial in range(30):
+            shape = tuple(int(s) for s in rng.integers(low, high, size=ndim))
+            if ndim == 2:
+                assert (math.prod(shape) < 1024) == (grids == "2d-small")
+            pred = self.random_map(rng, shape, faces=trial % 3 == 0)
+            gt = self.random_map(rng, shape, faces=trial % 3 == 1)
+            assert_case_matches_the_whole_grid(pred, gt, self.spacing(kind, ndim, rng))
+            corners = np.argwhere(((pred.labels > 0) | (gt.labels > 0)).reshape(shape))
+            cropped += (corners.max(axis=0) - corners.min(axis=0) + 1 < shape).any()
+        assert cropped > 10
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    def test_tumour_filling_the_grid_corner_to_corner(self, rng, kind):
+        gt = np.zeros((10, 12), dtype=np.int64)
+        gt[0, 0] = gt[9, 11] = 1
+        gt[3:7, 4:9] = 3
+        pred = np.zeros_like(gt)
+        pred[0, :] = 2
+        pred[1:9, 5] = 1
+        assert_case_matches_the_whole_grid(label_map(pred, shape=gt.shape),
+                                           label_map(gt, shape=gt.shape),
+                                           self.spacing(kind, 2, rng))
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    def test_nearer_target_outside_the_source_box(self, rng, kind):
+        gt = np.zeros((12, 12, 12), dtype=np.int64)
+        gt[2:9, 6, 6] = 2
+        pred = np.zeros_like(gt)
+        # A box around gt's line grown by one voxel holds only the target 7
+        # voxels from its far end; the one 3 voxels away lies outside it.
+        pred[1, 6, 6] = pred[8, 6, 9] = 1
+        assert_case_matches_the_whole_grid(label_map(pred, shape=gt.shape),
+                                           label_map(gt, shape=gt.shape),
+                                           self.spacing(kind, 3, rng))
+
+    @pytest.mark.parametrize("kind", SPACINGS)
+    def test_source_box_holding_no_target(self, rng, kind):
+        gt = np.zeros((40, 40), dtype=np.int64)
+        gt[2:6, 3:8] = 3
+        pred = np.zeros_like(gt)
+        pred[30, 35] = pred[38, 2] = 3
+        assert_case_matches_the_whole_grid(label_map(pred, shape=gt.shape),
+                                           label_map(gt, shape=gt.shape),
+                                           self.spacing(kind, 2, rng))
+
+    @pytest.mark.parametrize("shape", [(4,), (9, 7), (5, 6, 4)])
+    def test_no_tumour_in_either_map(self, shape):
+        empty = label_map(np.zeros(math.prod(shape), dtype=np.int64), shape=shape)
+        out = evaluate_case(empty, empty, (0.7,) * len(shape))
+        assert out.dice == {region: 1.0 for region in REGIONS}
+        assert out.hd95 == {region: 0.0 for region in REGIONS}
+
+    def test_tumour_in_only_one_map(self):
+        tumour = np.zeros((8, 8, 8), dtype=np.int64)
+        tumour[2:5, 3:6, 1:4] = 1
+        tumour[3, 4, 2] = 3
+        empty = label_map(np.zeros_like(tumour), shape=tumour.shape)
+        tumour = label_map(tumour, shape=tumour.shape)
+        for pred, gt in ((tumour, empty), (empty, tumour)):
+            out = evaluate_case(pred, gt)
+            assert out.dice == {region: 0.0 for region in REGIONS}
+            assert out.hd95 == {region: None for region in REGIONS}
+
+    def test_all_background_case_refuses_a_wrong_rank_spacing(self):
+        empty = label_map(np.zeros(27, dtype=np.int64), shape=(3, 3, 3))
+        with pytest.raises(ValueError, match="does not match grid rank"):
+            evaluate_case(empty, empty, (1.0, 1.0))
+
+    def test_every_transform_of_a_32_cube_covers_the_tumour_box(self, monkeypatch):
+        z, y, x = np.ogrid[:32, :32, :32]
+        gt = np.where((z - 12) ** 2 + (y - 14) ** 2 + (x - 16) ** 2 <= 36, 2, 0)
+        gt[(z - 12) ** 2 + (y - 14) ** 2 + (x - 16) ** 2 <= 9] = 1
+        pred = np.where((z - 13) ** 2 + (y - 14) ** 2 + (x - 17) ** 2 <= 30, 3, 0)
+        pred[(z - 13) ** 2 + (y - 14) ** 2 + (x - 18) ** 2 <= 6] = 1
+        corners = np.argwhere((gt > 0) | (pred > 0))
+        box = math.prod(corners.max(axis=0) - corners.min(axis=0) + 1)
+        pred, gt = label_map(pred, shape=gt.shape), label_map(gt, shape=gt.shape)
+        want = whole_grid_scores(pred, gt, None)
+        sizes = transformed_sizes(monkeypatch)
+        out = evaluate_case(pred, gt)
+        assert sizes and set(sizes) == {box} and box < 32 ** 3
+        for region, (dice, distance) in want.items():
+            assert out.dice[region] == dice and out.hd95[region] == distance
 
 
 class TestEvaluateCase:

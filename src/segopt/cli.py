@@ -12,6 +12,7 @@ of each arm it trains.  gradcheck writes no files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import threading
@@ -43,19 +44,22 @@ EXIT_NUMERIC = 3
 # 1.19x at 8,192, 1.46x at 12,288 and 1.92x at 32,768.
 PARALLEL_MIN_VOXELS = 8192
 
-# The four experiment arms: default ingredients, a better optimizer, a
-# semantically informed loss, and robust sampling.  "ensemble" trains all
-# four so their mean-softmax combination can be evaluated in one go.
+# The four experiment arms, each TrainConfig's defaults with one ingredient
+# changed: none, a better optimizer, a semantically informed loss, and
+# robust sampling.  "ensemble" trains all four so their mean-softmax
+# combination can be evaluated in one go.
 PRESETS = {
-    "baseline": {"loss": "dice_ce", "population": "erm", "optimizer": "sgd"},
-    "ranger": {"loss": "dice_ce", "population": "erm", "optimizer": "ranger"},
-    "gwdl": {"loss": "gwdl_ce", "population": "erm", "optimizer": "sgd"},
-    "dro": {"loss": "dice_ce", "population": "dro", "optimizer": "sgd"},
+    "baseline": {},
+    "ranger": {"optimizer": "ranger"},
+    "gwdl": {"loss": "gwdl_ce"},
+    "dro": {"population": "dro"},
 }
 
-# The train flags that are TrainConfig fields of the same name: passed from
-# the flags when given, and recorded per arm at the config's resolved value.
-SHARED_SETTINGS = ("beta", "lr", "epochs", "batch_size", "seed")
+# The TrainConfig fields that train flags of the same name set, over the
+# preset's, and that each arm records at its resolved value.  The
+# --distance-matrix flag names a file; the matrix is read from it.
+TRAIN_SETTINGS = tuple(f.name for f in dataclasses.fields(TrainConfig)
+                       if f.name != "distance_matrix")
 
 # Hidden width of the mlp when --hidden is not given.
 DEFAULT_HIDDEN = 16
@@ -136,9 +140,8 @@ def _train_one(args, spec: ModelSpec, config: TrainConfig, cases, tag: str | Non
     final = trained.training_log[-1].loss if trained.training_log else float("nan")
     print(f"trained {tag or 'model'}: {config.epochs} epochs, final mean loss {final:.6f}")
     return {
-        **{key: getattr(config, key) for key in ("loss", "population", "optimizer",
-                                                  *SHARED_SETTINGS)},
-        # Lookahead's constants, recorded for every arm as the shared settings are.
+        **{key: getattr(config, key) for key in TRAIN_SETTINGS},
+        # Lookahead's constants, recorded for every arm as its settings are.
         "lookahead_k": Lookahead.k,
         "lookahead_alpha": Lookahead.alpha,
         "model_kind": spec.kind,
@@ -154,16 +157,14 @@ def cmd_train(args) -> int:
     manifest = read_manifest(_dataset_path(args.dataset))
     cases = load(manifest)
     # Every arm is configured, and so checked, before the first one trains.
+    # The flags given override the preset's settings.
     tags = tuple(PRESETS) if args.preset == "ensemble" else (None,)
-    # Explicit --loss/--population/--optimizer flags override the preset's.
-    arms = {tag: {key: getattr(args, key) or value
-                  for key, value in PRESETS.get(tag or args.preset, PRESETS["baseline"]).items()}
-            for tag in tags}
+    given = {key: getattr(args, key) for key in TRAIN_SETTINGS if getattr(args, key) is not None}
     matrix = (load_distance_matrix(args.distance_matrix)
               if args.distance_matrix else brats_distance_matrix())
-    shared = {key: getattr(args, key) for key in SHARED_SETTINGS if getattr(args, key) is not None}
-    configs = {tag: TrainConfig(**arm, distance_matrix=matrix, **shared)
-               for tag, arm in arms.items()}
+    configs = {tag: TrainConfig(**{**PRESETS.get(tag or args.preset, {}), **given},
+                                distance_matrix=matrix)
+               for tag in tags}
     if args.distance_matrix and all(c.distance_matrix is None for c in configs.values()):
         raise ValueError(f"no arm's loss uses --distance-matrix {args.distance_matrix}")
     if args.beta is not None and all(c.population != "dro" for c in configs.values()):

@@ -41,9 +41,8 @@ Ensemble is the one way to label a case: Ensemble(models).labels(case)
 returns its LabelMap.  The members are checked against each other once,
 when the Ensemble is made.  It owns one set of buffers, sized for a block
 of ENSEMBLE_BLOCK_VOXELS voxels; labels() runs the members over a case
-block by block, and every step of the forward pass, the mean and the
-argmax writes into those buffers.  evaluate gives each worker thread its
-own Ensemble, so a case allocates only its labels.
+block by block, and the layers, the mean and the argmax write into those
+buffers.  evaluate gives each worker thread its own Ensemble.
 The loop wires in a loss kind, an epoch-level learning rate schedule,
 an optimizer, and a population: plain shuffling ("erm") or the
 hardness-weighted sampler ("dro").
@@ -218,16 +217,14 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
             params[o3:])
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hidden=None,
-             col=None):
+def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hidden=None):
     """Class-major probabilities [L, N] for the features xt [F, N], and the
     MLP's ReLU activations [H, N], which backward needs (None for the
     linear model).
 
     Each goes into the buffer given for it, as numpy's ``out=``, or into a
-    new array when that is None: probs [L, N], hidden [H, N], and col
-    [1, N], each column's max and then its sum.  The softmax runs down
-    axis 0, in numerics.softmax_inplace.  Inputs are trusted: finite
+    new array when that is None: probs [L, N] and hidden [H, N].  The
+    softmax runs down axis 0, in numerics.softmax_inplace.  Inputs are trusted: finite
     parameters and features give finite logits.
     """
     if spec.kind == "linear":
@@ -240,7 +237,7 @@ def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hi
         np.maximum(hidden, 0.0, out=hidden)
         probs = np.matmul(w2, hidden, out=probs)
     probs += b[:, None]
-    return softmax_inplace(probs, 0, col), hidden
+    return softmax_inplace(probs, 0), hidden
 
 
 class Ensemble:
@@ -253,10 +250,10 @@ class Ensemble:
     in buffers made here once and reused for every block of every case:
     the block's features, widened once into a C-contiguous [F, n] float64
     block; each member's [L, n] probabilities; their running [L, n] sum;
-    the [1, n] column max and sum; the MLP's [H, n] activations; and the
-    argmax's [n] comparison.  Every step writes into them, so a case
-    allocates only its labels.  An Ensemble is not thread-safe: each
-    thread that labels cases makes its own.
+    the MLP's [H, n] activations; and the argmax's [n] comparison.  Beyond
+    its labels, a case allocates only the softmax's [1, n] column max and
+    sum.  An Ensemble is not thread-safe: each thread that labels cases
+    makes its own.
     """
 
     def __init__(self, models):
@@ -271,7 +268,6 @@ class Ensemble:
         self._x = np.empty(self.spec.input_features * n)
         self._total = np.empty(self.spec.num_classes * n)
         self._probs = np.empty(self._total.size)
-        self._col = np.empty((1, n))
         self._hidden = np.empty(max(m.spec.hidden_width or 0 for m in self.models) * n)
         self._greater = np.empty(n, dtype=bool)
 
@@ -327,12 +323,10 @@ class Ensemble:
         np.copyto(xt, rows.T)
         total = self._total[:num_classes * n].reshape(num_classes, n)
         probs = self._probs[:num_classes * n].reshape(num_classes, n)
-        col = self._col[:, :n]
         first, *rest = self.models
-        _forward(first.spec, first.params, xt, total, self._hidden_for(first, n), col)
+        _forward(first.spec, first.params, xt, total, self._hidden_for(first, n))
         for model in rest:
-            total += _forward(model.spec, model.params, xt, probs, self._hidden_for(model, n),
-                              col)[0]
+            total += _forward(model.spec, model.params, xt, probs, self._hidden_for(model, n))[0]
         total /= len(self.models)
         require_finite(total, "ensemble probabilities")
         return total

@@ -85,21 +85,18 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     return softmax_inplace(z, axis)
 
 
-def softmax_inplace(z: np.ndarray, axis: int = -1, col=None) -> np.ndarray:
+def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """softmax() without input checks, overwriting the float64 array ``z``.
 
     For callers whose logits are finite by construction (validated inputs
     and parameters); non-finite logits come out as NaN probabilities.
-    ``col``, when given, takes the max and then the sum along ``axis``
-    (``z``'s shape with that axis of length 1) as numpy's ``out=``;
-    otherwise they go into a new array.
     """
     # The ufuncs' own reductions: z.max and z.sum, the same bytes, add
     # about 3 us of Python per call, which shows in training's many
     # small steps.
-    z -= np.maximum.reduce(z, axis=axis, keepdims=True, out=col)
+    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=axis, keepdims=True, out=col)
+    z /= np.add.reduce(z, axis=axis, keepdims=True)
     return z
 
 

@@ -154,7 +154,6 @@ class CaseEntry:
 
 @dataclass
 class DatasetManifest:
-    version: int
     num_classes: int
     feature_width: int
     spacing_mm: tuple[float, ...]
@@ -164,7 +163,7 @@ class DatasetManifest:
     def to_doc(self) -> dict:
         """The manifest file's JSON document."""
         return {
-            "version": self.version,
+            "version": MANIFEST_VERSION,
             "num_classes": self.num_classes,
             "feature_width": self.feature_width,
             "spacing_mm": list(self.spacing_mm),
@@ -271,7 +270,6 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
     rng = Rng(config.seed)
     contrasts = config.contrasts()
     manifest = DatasetManifest(
-        version=MANIFEST_VERSION,
         num_classes=NUM_CLASSES,
         feature_width=FEATURE_WIDTH,
         spacing_mm=(1.0,) * len(config.grid),
@@ -316,7 +314,6 @@ def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest
         if any(type(s) not in (int, float) or not 0 < s < math.inf for s in spacing):
             raise ValueError(f"spacing must be finite and positive numbers, got {spacing!r}")
         manifest = DatasetManifest(
-            version=MANIFEST_VERSION,
             num_classes=json_int(doc["num_classes"], "num_classes"),
             feature_width=json_int(doc["feature_width"], "feature_width"),
             spacing_mm=tuple(float(s) for s in spacing),

@@ -7,6 +7,7 @@ one trained run are shared module-wide to keep the suite fast.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from segopt import gradcheck, optim, synthdata
-from segopt.cli import PARALLEL_MIN_VOXELS, build_parser, case_workers, main
+from segopt.cli import PARALLEL_MIN_VOXELS, PRESETS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
 from segopt.losses import LabelMap
 from segopt.metrics import (aggregate, evaluate_case, format_aggregate_table, postprocess_et,
@@ -49,13 +50,25 @@ def tree_bytes(root, skip=("run_config.json",)):
     return out
 
 
-def parsed_flags(argv):
-    """Each destination of argv's subcommand, and "command", at its parsed value."""
+def flag_dests(command):
+    """The destination of each flag and argument of ``command``."""
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in sub.choices[argv[0]]._actions if a.default != argparse.SUPPRESS}
-    args = parser.parse_args(argv)
-    return {dest: getattr(args, dest) for dest in dests | {"command"}}
+    return {a.dest for a in sub.choices[command]._actions if a.default != argparse.SUPPRESS}
+
+
+def parsed_flags(argv):
+    """Each destination of argv's subcommand, and "command", at its parsed value."""
+    args = build_parser().parse_args(argv)
+    return {dest: getattr(args, dest) for dest in flag_dests(argv[0]) | {"command"}}
+
+
+def unflagged_fields(config_cls):
+    """The fields of ``config_cls``, but the matrix that --distance-matrix
+    reads from a file, that no train flag of the same dest sets."""
+    dests = flag_dests("train")
+    return [f.name for f in dataclasses.fields(config_cls)
+            if f.name != "distance_matrix" and f.name not in dests]
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +396,28 @@ class TestTrain:
         assert args.beta is None
         assert defaults.beta == DEFAULT_BETA
         assert (Lookahead.k, Lookahead.alpha) == (6, 0.5)
+
+    def test_every_train_config_field_is_a_flag_of_the_same_dest(self):
+        assert unflagged_fields(TrainConfig) == []
+        # A field added without its flag is caught.
+        grown = dataclasses.make_dataclass("Grown", [("warmup", int, 0)], bases=(TrainConfig,))
+        assert unflagged_fields(grown) == ["warmup"]
+
+    def test_presets_are_changes_to_the_train_config_defaults(self, dataset, tmp_path):
+        assert PRESETS["baseline"] == {}
+        defaults = TrainConfig()
+        for tag, change in PRESETS.items():
+            assert len(change) == (tag != "baseline"), tag
+            assert all(value != getattr(defaults, key) for key, value in change.items()), tag
+        out = str(tmp_path / "run")
+        assert main(["train", "--dataset", dataset, "--out", out, "--preset", "ensemble",
+                     "--epochs", "1"]) == 0
+        arms = read_json(os.path.join(out, "run_config.json"))["arms"]
+        want = {f.name for f in dataclasses.fields(TrainConfig)} | {
+            "lookahead_k", "lookahead_alpha", "model_kind", "hidden_width", "model_file"}
+        for tag, arm in arms.items():
+            assert set(arm) == want, tag
+            assert {key: arm[key] for key in PRESETS[tag]} == PRESETS[tag], tag
 
     @pytest.mark.parametrize("flag", [["--lookahead-k", "3"], ["--lookahead-alpha", "0.9"]],
                              ids=["k", "alpha"])
@@ -1135,3 +1170,4 @@ def test_rare_wt_dice_of_the_acceptance_erm_arm_reads_from_the_subgroup_report(t
     means = [float(row["mean"]) for row in rows
              if (row["subgroup"], row["region"], row["metric"]) == ("rare", "WT", "dice")]
     assert means == [rare_wt]
+

@@ -60,8 +60,9 @@ import numpy as np
 
 from .dro import DEFAULT_BETA, HardnessWeightedSampler, _check_beta
 from .losses import DistanceMatrix, LabelMap, _batch_terms, _check_kind, _check_shapes, _Loss
-from .numerics import (Rng, as_f64, check_seed, json_int, parsing, read_array, read_json,
-                       require_finite, softmax_inplace, write_array, write_csv, write_json)
+from .numerics import (Rng, as_f64, check_seed, json_int, json_str, parsing, read_array,
+                       read_json, require_finite, softmax_inplace, write_array, write_csv,
+                       write_json)
 # Not called in this module, but kept as its attributes: the benchmark's
 # tracer (perfbench/tracer.py) patches segopt.model.composite_loss and
 # segopt.model.softmax.
@@ -563,7 +564,7 @@ def load_model(path) -> Model:
         fields = doc["spec"]
         hidden = fields["hidden_width"]
         spec = ModelSpec(
-            kind=str(fields["kind"]),
+            kind=json_str(fields["kind"], "kind"),
             input_features=json_int(fields["input_features"], "input_features"),
             num_classes=json_int(fields["num_classes"], "num_classes"),
             hidden_width=None if hidden is None else json_int(hidden, "hidden_width"),

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 __all__ = ["Rng", "check_seed", "softmax", "softmax_inplace", "require_finite", "as_f64",
-           "read_json", "json_int", "parsing", "read_array", "write_json", "write_csv",
+           "read_json", "json_int", "json_str", "parsing", "read_array", "write_json", "write_csv",
            "write_array"]
 
 
@@ -106,6 +106,14 @@ def json_int(value, name: str, only: int | None = None) -> int:
     if type(value) is not int or (only is not None and value != only):
         want = "an integer" if only is None else f"the integer {only}"
         raise ValueError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
+def json_str(value, name: str) -> str:
+    """Return a JSON file's string field, refusing a number, bool, null,
+    list or object, which str() would pass as its text."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 

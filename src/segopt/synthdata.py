@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import LabelMap
-from .numerics import (Rng, json_int, parsing, read_array, read_json, require_finite,
-                       write_array, write_json)
+from .numerics import (Rng, json_int, json_str, parsing, read_array, read_json,
+                       require_finite, write_array, write_json)
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -298,10 +298,11 @@ def _write_dataset(config: SynthConfig, out_dir) -> DatasetManifest:
 
 def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest:
     """Parse and validate a manifest file without touching the case files:
-    at least one case, each id once, integer fields JSON integers, class
-    count, feature width and grid extents >= 1, spacing finite positive
-    numbers and, with ``check_spacing`` (evaluate's; train uses none), one
-    spacing entry per axis of every case's grid."""
+    at least one case, each id once, integer fields JSON integers, each
+    case's id, subgroup and file names JSON strings, class count, feature
+    width and grid extents >= 1, spacing finite positive numbers and, with
+    ``check_spacing`` (evaluate's; train uses none), one spacing entry per
+    axis of every case's grid."""
     manifest_path = str(manifest_path)
     doc = read_json(manifest_path, "manifest",
                     ("version", "num_classes", "feature_width", "spacing_mm", "cases"))
@@ -317,8 +318,8 @@ def read_manifest(manifest_path, check_spacing: bool = False) -> DatasetManifest
             num_classes=json_int(doc["num_classes"], "num_classes"),
             feature_width=json_int(doc["feature_width"], "feature_width"),
             spacing_mm=tuple(float(s) for s in spacing),
-            cases=[CaseEntry(str(e["id"]), str(e["subgroup"]), str(e["features"]),
-                             str(e["labels"]),
+            cases=[CaseEntry(*(json_str(e[key], key)
+                               for key in ("id", "subgroup", "features", "labels")),
                              tuple(json_int(g, "grid extent") for g in e["grid"]))
                    for e in doc["cases"]],
             root=os.path.dirname(manifest_path),

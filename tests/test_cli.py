@@ -926,6 +926,32 @@ def test_bad_manifest_is_refused_before_any_output(dataset, trained_run, tmp_pat
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("field, value", [("id", 1.5), ("subgroup", True), ("features", 7),
+                                          ("labels", None), ("id", []), ("subgroup", {})],
+                         ids=["id-float", "subgroup-bool", "features-int", "labels-null",
+                              "id-list", "subgroup-object"])
+def test_non_string_case_field_is_refused_naming_the_file_and_the_field(
+        dataset, trained_run, tmp_path, capsys, command, field, value):
+    data = str(tmp_path / "data")
+    shutil.copytree(dataset, data)
+    manifest = os.path.join(data, "manifest.json")
+    doc = read_json(manifest)
+    doc["cases"][0][field] = value
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--dataset", data, "--out", out, "--epochs", "1"]
+    else:
+        argv = ["evaluate", os.path.join(trained_run, "model.json"), "--dataset", data,
+                "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: malformed manifest {manifest}: "
+                                       f"{field} must be a string, got {value!r}\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("loss, code, message", [
     ("dice", 2, "dice loss needs at least one foreground class"),
     ("dice_ce", 2, "dice loss needs at least one foreground class"),

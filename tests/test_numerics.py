@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import segopt
-from segopt.numerics import (Rng, as_f64, check_seed, parsing, read_array, read_json,
+from segopt.numerics import (Rng, as_f64, check_seed, json_str, parsing, read_array, read_json,
                              require_finite, softmax, write_array, write_csv, write_json)
 
 
@@ -93,6 +93,14 @@ class TestValidation:
     def test_require_finite_names_field(self):
         with pytest.raises(ValueError, match="field"):
             require_finite(np.array([np.nan]), "field")
+
+    def test_json_str_passes_a_string_unchanged(self):
+        assert json_str("case_000", "id") == "case_000"
+
+    @pytest.mark.parametrize("value", [1.5, 0, True, None, [], {}])
+    def test_json_str_refuses_any_other_json_value(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"id must be a string, got {value!r}")):
+            json_str(value, "id")
 
 
 class TestFileLayer:

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 import threading
 import weakref
@@ -848,6 +849,7 @@ MALFORMED = {
                                                                     "seed": 0.5}}),
     "model-param-count-float": ("model", lambda doc: {**doc,
                                                       "param_count": float(doc["param_count"])}),
+    "model-spec-kind-number": ("model", lambda doc: {**doc, "spec": {**doc["spec"], "kind": 5}}),
     "manifest-version-float": ("manifest", lambda doc: {**doc, "version": 1.0}),
     "manifest-version-bool": ("manifest", lambda doc: {**doc, "version": True}),
     "manifest-classes-float": ("manifest", lambda doc: {**doc,
@@ -1091,6 +1093,18 @@ def test_exact_model_scores_whole_and_core_tumor_dice_1(exact_model_run, tmp_pat
     assert dice["WT"] == dice["TC"] == 1.0
 
 
+def test_evaluate_prints_how_many_cases_postprocess_et_relabelled(exact_model_run, tmp_path,
+                                                                  capsys):
+    data, model = exact_model_run
+    out = str(tmp_path / "eval")
+    capsys.readouterr()
+    assert main(["evaluate", model, "--dataset", data, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "postprocess_et relabelled the ET of 7 of 8 cases"
+    with open(os.path.join(out, "aggregate.txt")) as fh:
+        assert "\n".join(lines[:-1]) + "\n" == fh.read()
+
+
 # 7 of the 8 cases have 17-38 ET voxels, which the cleanup rewrites: ET Dice 0.125.
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: postprocess_et's 50-voxel default "
                                        "relabels the ET of most 24x24 cases")
@@ -1126,9 +1140,11 @@ def test_evaluate_reports_each_subgroup_as_the_library_scores_it(two_subgroup_ru
     stdout = capsys.readouterr().out
     manifest = read_manifest(os.path.join(data, "manifest.json"))
     ensemble = Ensemble([load_model(model)])
-    scored = {}
+    scored, relabelled = {}, 0
     for case in load(manifest):
-        labels = postprocess_et(ensemble.labels(case))
+        raw = ensemble.labels(case)
+        labels = postprocess_et(raw)
+        relabelled += labels is not raw
         scored.setdefault(case.subgroup, []).append(
             evaluate_case(labels, case.labels, manifest.spacing_mm, case_id=case.case_id))
     assert [(name, len(results)) for name, results in scored.items()] == [("common", 4),
@@ -1146,9 +1162,11 @@ def test_evaluate_reports_each_subgroup_as_the_library_scores_it(two_subgroup_ru
     pooled_wt, *subgroup_wt = [row["mean"] for row in (*pooled, *got)
                                if (row["region"], row["metric"]) == ("WT", "dice")]
     assert any(mean != pooled_wt for mean in subgroup_wt)
-    # aggregate.txt keeps the pooled table alone; stdout adds one table per subgroup.
+    # aggregate.txt keeps the pooled table alone; stdout adds one table per
+    # subgroup, then the relabel count.
     with open(os.path.join(out, "aggregate.txt")) as fh:
-        assert stdout == fh.read() + tables
+        assert stdout == (fh.read() + tables
+                          + f"postprocess_et relabelled the ET of {relabelled} of 6 cases\n")
 
 
 def test_one_subgroup_report_repeats_the_pooled_rows(two_subgroup_run, tmp_path, capsys):
@@ -1160,9 +1178,14 @@ def test_one_subgroup_report_repeats_the_pooled_rows(two_subgroup_run, tmp_path,
     rows = csv_rows(os.path.join(out, "aggregate_by_subgroup.csv"))
     assert [row.pop("subgroup") for row in rows] == ["common"] * len(rows)
     assert rows == csv_rows(os.path.join(out, "aggregate.csv"))
-    # One subgroup adds nothing to stdout: it is the pooled table, as written.
+    # One subgroup adds no table to stdout: it is the pooled table, as
+    # written, then the relabel count.
     with open(os.path.join(out, "aggregate.txt")) as fh:
-        assert capsys.readouterr().out == fh.read()
+        table = fh.read()
+    stdout = capsys.readouterr().out
+    assert stdout.startswith(table)
+    assert re.fullmatch(r"postprocess_et relabelled the ET of [0-3] of 3 cases\n",
+                        stdout[len(table):])
 
 
 def test_rare_wt_dice_of_the_acceptance_erm_arm_reads_from_the_subgroup_report(tmp_path,
@@ -1197,3 +1220,28 @@ def test_rare_wt_dice_of_the_acceptance_erm_arm_reads_from_the_subgroup_report(t
              if (row["subgroup"], row["region"], row["metric"]) == ("rare", "WT", "dice")]
     assert means == [rare_wt]
 
+
+def test_readme_walkthrough_reproduces_the_numbers_it_quotes(tmp_path, capsys):
+    """The README's command-line walkthrough, run in process: its held-out
+    evaluate of the 300-epoch dro model gives the WT and ET Dice means the
+    README quotes, at their four decimals."""
+    data, heldout = str(tmp_path / "data"), str(tmp_path / "heldout")
+    run, out = str(tmp_path / "run"), str(tmp_path / "eval_heldout")
+    synth = ["synth", "--grid", "24x24", "--subgroups", "common:40,rare:4", "--sigma", "0.3"]
+    assert main([*synth, "--out", data]) == 0
+    assert main([*synth, "--out", heldout, "--seed", "1"]) == 0
+    assert main(["train", "--dataset", data, "--out", run, "--preset", "dro",
+                 "--epochs", "300"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", os.path.join(run, "model.json"), "--dataset", heldout,
+                 "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    rows = ([{"subgroup": "all", **row} for row in csv_rows(os.path.join(out, "aggregate.csv"))]
+            + csv_rows(os.path.join(out, "aggregate_by_subgroup.csv")))
+    dice = {(row["subgroup"], row["region"]): f"{float(row['mean']):.4f}" for row in rows
+            if row["metric"] == "dice"}
+    assert {name: dice[name, "WT"] for name in ("all", "common", "rare")} == {
+        "all": "0.8911", "common": "0.8941", "rare": "0.8614"}
+    assert {name: dice[name, "ET"] for name in ("all", "common", "rare")} == {
+        "all": "0.0000", "common": "0.0000", "rare": "0.0000"}
+    assert stdout.endswith("postprocess_et relabelled the ET of 44 of 44 cases\n")

@@ -225,8 +225,8 @@ def _forward(spec: ModelSpec, params: np.ndarray, xt: np.ndarray, probs=None, hi
 
     Each goes into the buffer given for it, as numpy's ``out=``, or into a
     new array when that is None: probs [L, N] and hidden [H, N].  The
-    softmax runs down axis 0, in numerics.softmax_inplace.  Inputs are trusted: finite
-    parameters and features give finite logits.
+    softmax runs down axis 0, in numerics.softmax_inplace.  Inputs are
+    trusted: finite parameters and features give finite logits.
     """
     if spec.kind == "linear":
         w, b = _unpack(spec, params)

@@ -252,8 +252,8 @@ class Ensemble:
     the block's features, widened once into a C-contiguous [F, n] float64
     block; each member's [L, n] probabilities; their running [L, n] sum;
     the MLP's [H, n] activations; and the argmax's [n] comparison.  Beyond
-    its labels, a case allocates only the softmax's [1, n] column max and
-    sum.  An Ensemble is not thread-safe: each thread that labels cases
+    its labels, a case allocates only each member's softmax column max and
+    sum, [1, n] per block.  An Ensemble is not thread-safe: each thread that labels cases
     makes its own.
     """
 

@@ -36,13 +36,14 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # evaluate scores cases on threads only when they are at least this large on
-# average.  The distance transforms and matmuls release the GIL, but smaller
-# cases spend most of their time in Python and numpy call overhead, where two
-# threads fight over it.  On a 2-core VM (24 cases, four members; the median
-# of three sessions, each the median of nine runs), two threads against one
-# ran evaluate at 0.82x the speed at 576 voxels per case, 0.95x at 4,096,
-# 1.19x at 8,192, 1.46x at 12,288 and 1.92x at 32,768.
-PARALLEL_MIN_VOXELS = 8192
+# average.  The matmuls release the GIL, but hd95's passes are many numpy
+# calls on small arrays, and below this size two threads spend more time
+# handing the GIL over than they gain.  On a 2-core VM (24 cases, four
+# members; the median of three sessions, each the median of nine alternating
+# runs), two threads against one ran evaluate at 0.38x the speed at 576
+# voxels per case, 0.60x at 4,096, 0.61x at 8,192, 0.76x at 12,288, 0.78x at
+# 16,384, 0.87x at 24,576 and 1.16x at 32,768.
+PARALLEL_MIN_VOXELS = 32768
 
 # The four experiment arms, each TrainConfig's defaults with one ingredient
 # changed: none, a better optimizer, a semantically informed loss, and

@@ -12,10 +12,14 @@ mask, where out-of-grid counts as outside.  Percentiles use linear
 interpolation.  Each directed 95th percentile is computed by one
 ``np.partition`` at the two order statistics it reads, interpolated with
 ``np.percentile``'s own linear-method arithmetic, so it has the bytes of
-``np.percentile(x, 95)``.  ``hd95(a, b)`` transforms a->b first, and b->a
-only when an upper bound on it, each ``b`` surface voxel's distance to the
-nearest ``a`` surface voxel in its own last-axis row, cannot prove it no
-larger; the result is the same float either way.  Callers pass the
+``np.percentile(x, 95)``.  Each directed distance set comes from
+``_surface_distances``: the float minimum over the target surface, found
+by separable passes (Felzenszwalb & Huttenlocher) over the target's
+bounding box, one axis at a time, and along the last axis at the source
+voxels only.  ``hd95(a, b)`` finds a->b first, and b->a only when an upper
+bound on it, each ``b`` surface voxel's distance to the nearest ``a``
+surface voxel in its own last-axis row, cannot prove it no larger; the
+result is the same float either way.  Callers pass the
 prediction as ``a``: its spurious voxels usually make a->b the larger
 direction.  Both masks empty gives 0; exactly one empty is
 undefined (None) and excluded from aggregation, with the exclusion count
@@ -23,7 +27,7 @@ reported.  ``evaluate_case`` cuts both label maps once to the case's
 tumour box, the bounding box of the voxels either map labels WT, and
 scores every region on that cut: since ET ⊆ TC ⊆ WT, every voxel outside
 it is background in each region mask, so the scores are the whole grid's
-and each distance transform covers the box only.  The aggregate's median
+and each surface distance pass covers the box only.  The aggregate's median
 and quartiles come from one sort of each column, with the same arithmetic
 and the bytes of ``np.median`` and ``np.percentile``.
 """
@@ -59,6 +63,10 @@ __all__ = [
 
 # Each region's labels, in the report tables' order: ET, WT, TC.
 REGIONS = {"ET": (1,), "WT": (1, 2, 3), "TC": (1, 3)}
+
+# Whether each label lies in WT.  Its last entry is outside WT, so a lookup
+# with mode="clip" maps every larger label there too.
+_IN_WT = np.isin(np.arange(max(REGIONS["WT"]) + 2), REGIONS["WT"])
 
 
 @dataclass
@@ -109,10 +117,11 @@ def dice_score(a, b) -> float:
     b = _flat_mask(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"mask lengths differ: {a.size} vs {b.size}")
-    total = int(a.sum()) + int(b.sum())
+    # count_nonzero takes a quarter of a bool sum's time on a 576-voxel mask.
+    total = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
     if total == 0:
         return 1.0
-    return 2.0 * int((a & b).sum()) / total
+    return 2.0 * int(np.count_nonzero(a & b)) / total
 
 
 def boundary_mask(grid: np.ndarray) -> np.ndarray:
@@ -139,11 +148,11 @@ def hd95(a, b, spatial_shape, spacing=None) -> float | None:
     """95th-percentile symmetric surface distance in mm.
 
     Returns 0.0 when both masks are empty and None (undefined) when
-    exactly one is empty.  The a->b distances are transformed first; b->a
-    is transformed only when the 95th percentile of its row distances
-    (``_row_distances``) does not lie below a->b's.  Pass the prediction
-    as ``a``: its spurious voxels usually make a->b the larger direction,
-    and then one transform decides the value.
+    exactly one is empty.  The a->b distances are found first; b->a only
+    when the 95th percentile of its row distances (``_row_distances``)
+    does not lie below a->b's.  Pass the prediction as ``a``: its spurious
+    voxels usually make a->b the larger direction, and then one search
+    decides the value.
     """
     spatial_shape = tuple(int(s) for s in spatial_shape)
     a = _flat_mask(a, "a")
@@ -171,29 +180,35 @@ def hd95(a, b, spatial_shape, spacing=None) -> float | None:
 
     surf_a = boundary_mask(ga)
     surf_b = boundary_mask(gb)
-    d_ab = _percentile95(_surface_distances(surf_a, surf_b, spacing))
+    at_a, at_b = np.flatnonzero(surf_a), np.flatnonzero(surf_b)
+    d_ab = _percentile95(_surface_distances(surf_a, surf_b, spacing, at_a, at_b))
     # Each row distance is at least the exact b->a distance, and the 95th
     # percentile is monotone, so a row-bound percentile below d_ab proves
-    # d_ba <= d_ab.  The margin covers the few ulps by which the
-    # transform's sum of squares may differ from the row product; an inf or
-    # NaN percentile never skips.
-    if _percentile95(_row_distances(surf_b, surf_a, spacing)) < d_ab * (1 - 1e-9):
+    # d_ba <= d_ab.  The margin covers the few ulps by which a distance's
+    # sum of squares may differ from the row product; an inf or NaN
+    # percentile never skips.
+    if _percentile95(_row_distances(surf_b, surf_a, spacing, at_b, at_a)) < d_ab * (1 - 1e-9):
         return d_ab
-    d_ba = _percentile95(_surface_distances(surf_b, surf_a, spacing))
+    d_ba = _percentile95(_surface_distances(surf_b, surf_a, spacing, at_b, at_a))
     return max(d_ab, d_ba)
 
 
-def _row_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.ndarray:
+def _row_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple,
+                   at: np.ndarray | None = None,
+                   targets: np.ndarray | None = None) -> np.ndarray:
     """Distance in mm from each ``src`` voxel, in C order, to the nearest
     ``dst`` voxel in its own last-axis row, inf where the row holds none:
     an upper bound on ``_surface_distances(src, dst, spacing)``, taken
-    from one ``np.searchsorted`` of the flat indices instead of a
-    transform."""
+    from one ``np.searchsorted`` of the flat indices ``at`` and
+    ``targets`` (``np.flatnonzero`` of ``src`` and ``dst`` when not given)."""
     row = src.shape[-1]
-    at = np.flatnonzero(src)
+    if at is None:
+        at = np.flatnonzero(src)
+    if targets is None:
+        targets = np.flatnonzero(dst)
     # Sentinels one row beyond either end keep every lookup in range and
     # out of every row.
-    targets = np.concatenate(([-row], np.flatnonzero(dst), [src.size + row]))
+    targets = np.concatenate(([-row], targets, [src.size + row]))
     right = np.searchsorted(targets, at)
     column = at % row
     to_left = at - targets[right - 1]
@@ -237,31 +252,99 @@ def _linear_quantile(part: np.ndarray, index: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple) -> np.ndarray:
-    """Distance in mm from each ``src`` voxel, in C order, to the nearest
-    ``dst`` voxel: ``distance_transform_edt(~dst, sampling=spacing)[src]``.
+def _surface_distances(src: np.ndarray, dst: np.ndarray, spacing: tuple,
+                       at: np.ndarray | None = None,
+                       targets: np.ndarray | None = None) -> np.ndarray:
+    """Distance in mm from each ``src`` voxel ``p``, in C order, to the
+    nearest ``dst`` voxel ``q``: the float minimum over ``dst`` of
+    ``sqrt(((o0*s0)**2 + (o1*s1)**2) + ...)``, where ``o_k = float(q_k - p_k)``
+    and ``s_k = spacing[k]``, summed over the axes in order.
 
-    Only the feature transform (each voxel's nearest zero of ``~dst``) runs,
-    on the whole array given.  The distances are then taken at the source
-    voxels alone, with the transform's own arithmetic (float64 offsets
-    scaled per axis, squared, summed over the axes, square-rooted), so they
-    are bit-identical to the full transform's.  ``evaluate_case`` passes
-    surfaces cut to the case's tumour box, which holds every target voxel.
+    ``at`` and ``targets`` are ``np.flatnonzero(src)`` and
+    ``np.flatnonzero(dst)``, taken here when not given.  The minimum is
+    separable (Felzenszwalb & Huttenlocher, Theory of Computing 8, 2012):
+    float addition, multiplication and the square root are monotone, so
+    minimising over one axis of the targets at a time, in the order the sum
+    adds them, gives the same float as the minimum over all targets.  The
+    passes run over the bounding box of ``dst``:
+
+    - axis 0: each voxel's nearest target in its own pillar (the targets
+      sharing its other coordinates), from a running max and min of the
+      target rows;
+    - each middle axis: a min-plus of ``(offset*spacing)**2`` from the
+      box's rows onto the whole axis, one shift at a time;
+    - the last axis: taken at the ``src`` voxels only, over the box's
+      columns, then square-rooted.
+
+    A rank-1 grid has the last pass only.  The result is
+    ``scipy.ndimage.distance_transform_edt(~dst, sampling=spacing)[src]``
+    except where that transform's nearest target is not the float minimum:
+    at near-ties at a non-integer spacing (5 of 23,864 random 2-D and 3-D
+    checks at isotropic spacings of 0.3 to 1.3 mm) this value is 1 ulp
+    smaller.  At 1 mm spacing every value is exact.
     """
-    # Imported here, not at module level: importing scipy.ndimage takes
-    # 0.3-0.4 s and 27 MB of RSS, which every command would pay at start-up
-    # although only evaluation needs it.
-    from scipy import ndimage
-
-    nearest = ndimage.distance_transform_edt(~dst, sampling=spacing,
-                                             return_distances=False, return_indices=True)
-    # One flat scan and an unravel: np.nonzero on a 3-D grid took 6x as long.
-    at = np.flatnonzero(src)
-    offsets = nearest.reshape(src.ndim, -1)[:, at] - np.array(np.unravel_index(at, src.shape))
-    offsets = offsets.astype(np.float64)
-    offsets *= np.asarray(spacing, dtype=np.float64)[:, None]
+    if at is None:
+        at = np.flatnonzero(src)
+    if targets is None:
+        targets = np.flatnonzero(dst)
+    # The box of dst: along axis 0 from its first and last flat index, which
+    # are sorted, along the other axes from the targets' coordinates.
+    shape = dst.shape
+    stride = math.prod(shape[1:])
+    starts, stops = [int(targets[0]) // stride], [int(targets[-1]) // stride + 1]
+    for coords in np.unravel_index(targets, shape)[1:]:
+        starts.append(int(coords.min()))
+        stops.append(int(coords.max()) + 1)
+    if dst.ndim == 1:
+        squares = np.where(dst[starts[0]:stops[0]], 0.0, np.inf)
+    else:
+        squares = _pillar_squares(dst[(slice(None), *map(slice, starts[1:], stops[1:]))],
+                                  spacing[0])
+        for axis in range(1, dst.ndim - 1):
+            squares = _min_plus(squares, axis, starts[axis], stops[axis], shape[axis],
+                                spacing[axis])
+    # The last pass, at the sources only: a [columns, sources] block of the
+    # sums so far plus each column's square, reduced over the columns.
+    rows, columns = np.divmod(at, shape[-1])
+    block = np.take(squares.reshape(-1, squares.shape[-1]).T, rows, axis=1)
+    offsets = np.subtract(columns.astype(np.float64),
+                          np.arange(starts[-1], stops[-1], dtype=np.float64)[:, None])
+    offsets *= spacing[-1]
     np.multiply(offsets, offsets, out=offsets)
-    return np.sqrt(np.add.reduce(offsets, axis=0))
+    block += offsets
+    return np.sqrt(np.minimum.reduce(block, axis=0))
+
+
+def _pillar_squares(cut: np.ndarray, step: float) -> np.ndarray:
+    """``(o*step)**2`` for each voxel's offset ``o`` along axis 0 to the
+    nearest ``cut`` voxel in its pillar, inf in a pillar with none."""
+    rows = np.arange(cut.shape[0], dtype=np.float64).reshape((-1,) + (1,) * (cut.ndim - 1))
+    before = np.maximum.accumulate(np.where(cut, rows, -np.inf), axis=0)
+    after = np.minimum.accumulate(np.where(cut[::-1], rows[::-1], np.inf), axis=0)[::-1]
+    np.subtract(rows, before, out=before)
+    np.subtract(after, rows, out=after)
+    squares = np.minimum(before, after, out=before)
+    squares *= step
+    return np.multiply(squares, squares, out=squares)
+
+
+def _min_plus(squares: np.ndarray, axis: int, start: int, stop: int, length: int,
+              step: float) -> np.ndarray:
+    """The minimum over ``axis`` of ``squares + (offset*step)**2``, for every
+    row of that axis of ``length`` rows; ``squares`` holds its rows
+    ``start:stop``.  The axis is moved to the front, so that each shift
+    adds and compares contiguous slabs."""
+    rows = np.ascontiguousarray(np.moveaxis(squares, axis, 0))
+    out = np.full((length, *rows.shape[1:]), np.inf)
+    scratch = np.empty_like(rows)
+    for shift in range(1 - stop, length - start):
+        first, last = max(start, -shift), min(stop, length - shift)
+        offset = shift * step
+        moved = np.add(rows[first - start:last - start], offset * offset,
+                       out=scratch[:last - first])
+        dest = out[first + shift:last + shift]
+        np.minimum(dest, moved, out=dest)
+    return np.moveaxis(out, 0, axis)
 
 
 def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,
@@ -273,7 +356,7 @@ def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,
     cut.  Every region lies inside WT, so each voxel outside the box is
     background in all six region masks: the cut has the same surfaces
     (out-of-grid counts as outside, as background does), the same target
-    voxels for each distance transform, and so the same scores as the
+    voxels for each surface distance, and so the same scores as the
     whole grid.  A case with no tumour voxel cuts to a box of size zero.
     """
     if pred_labels.spatial_shape != gt_labels.spatial_shape:
@@ -282,7 +365,9 @@ def evaluate_case(pred_labels: LabelMap, gt_labels: LabelMap, spacing=None,
             f"ground truth {gt_labels.spatial_shape}"
         )
     shape = pred_labels.spatial_shape
-    tumour = np.flatnonzero(region_mask(pred_labels, "WT") | region_mask(gt_labels, "WT"))
+    # One table lookup per map: five comparisons and ors per map took twice as long.
+    tumour = np.flatnonzero(np.take(_IN_WT, pred_labels.labels, mode="clip")
+                            | np.take(_IN_WT, gt_labels.labels, mode="clip"))
     box = tuple(slice(int(c.min()), int(c.max()) + 1) if tumour.size else slice(0, 0)
                 for c in np.unravel_index(tumour, shape))
     cut = tuple(side.stop - side.start for side in box)

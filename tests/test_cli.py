@@ -12,12 +12,15 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import weakref
 
 import numpy as np
 import pytest
 
+import segopt
 from segopt import gradcheck, optim, synthdata
 from segopt.cli import PARALLEL_MIN_VOXELS, PRESETS, build_parser, case_workers, main
 from segopt.dro import DEFAULT_BETA
@@ -624,10 +627,10 @@ class TestEvaluate:
 
 @pytest.fixture(scope="module")
 def volume_dataset(tmp_path_factory):
-    """Five noisy 32x32x8 cases: 8,192 voxels each, the smallest mean case
+    """Five noisy 32x32x32 cases: 32,768 voxels each, the smallest mean case
     size that evaluate scores on several threads."""
     out = str(tmp_path_factory.mktemp("data") / "volume")
-    assert main(["synth", "--out", out, "--grid", "32x32x8", "--subgroups", "common:4,rare:1",
+    assert main(["synth", "--out", out, "--grid", "32x32x32", "--subgroups", "common:4,rare:1",
                  "--sigma", "0.3", "--no-et-frac", "0.2", "--seed", "6"]) == 0
     return out
 
@@ -771,7 +774,7 @@ class TestEvaluateWorkers:
     def test_worker_count_is_capped_by_cases_and_cpus(self, monkeypatch, volume_dataset):
         manifest = read_manifest(os.path.join(volume_dataset, "manifest.json"))
         cases = load(manifest)
-        assert min(case.num_voxels for case in cases) == PARALLEL_MIN_VOXELS == 8192
+        assert min(case.num_voxels for case in cases) == PARALLEL_MIN_VOXELS == 32768
         for cpus, want in ((1, 1), (2, 2), (8, len(cases))):
             self.use_cpus(monkeypatch, cpus)
             assert case_workers(cases) == case_workers(manifest.cases) == want, cpus
@@ -1245,3 +1248,29 @@ def test_readme_walkthrough_reproduces_the_numbers_it_quotes(tmp_path, capsys):
     assert {name: dice[name, "ET"] for name in ("all", "common", "rare")} == {
         "all": "0.0000", "common": "0.0000", "rare": "0.0000"}
     assert stdout.endswith("postprocess_et relabelled the ET of 44 of 44 cases\n")
+
+
+def test_readme_scale_evaluate_never_loads_scipy(tmp_path):
+    """hd95 needs numpy only: in a fresh process, evaluate of four ensemble
+    members on the README dataset scores every WT surface distance and
+    ends with no scipy module loaded."""
+    data, run, out = (str(tmp_path / name) for name in ("data", "run", "eval"))
+    assert main(["synth", "--grid", "24x24", "--subgroups", "common:40,rare:4",
+                 "--out", data]) == 0
+    assert main(["train", "--dataset", data, "--out", run, "--preset", "ensemble",
+                 "--epochs", "5"]) == 0
+    argv = ["evaluate", *(os.path.join(run, f"model_{arm}.json") for arm in PRESETS),
+            "--dataset", data, "--out", out]
+    code = ("import contextlib, io, sys\n"
+            "from segopt.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segopt.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout == "0 []\n"
+    wt = [row for row in csv_rows(os.path.join(out, "metrics.csv")) if row["region"] == "WT"]
+    assert len(wt) == 44 and all(row["hd95_defined"] == "true" for row in wt)

@@ -234,6 +234,54 @@ class TestHd95:
             assert got.tobytes() == want.tobytes()
 
 
+def oracle_surface_distances(src, dst, spacing):
+    """For each ``src`` voxel ``p``, in C order, the float minimum over every
+    ``dst`` voxel ``q`` of ``sqrt(((o0*s0)**2 + (o1*s1)**2) + ...)``, with
+    ``o_k = float(q_k - p_k)`` and the axes summed in order: all pairs, no
+    transform."""
+    p, q = np.argwhere(src), np.argwhere(dst)
+    total = None
+    for axis, step in enumerate(spacing):
+        offset = (q[None, :, axis] - p[:, None, axis]).astype(np.float64) * step
+        square = offset * offset
+        total = square if total is None else total + square
+    return np.sqrt(total.min(axis=1))
+
+
+class TestSurfaceDistanceOracle:
+    """_surface_distances is the float minimum over all (src, dst) pairs, to
+    the bit, on grids of rank 1 to 4."""
+
+    KINDS = ["random", "unit", "2.5-1-1", "0.3", "0.7"]
+
+    def spacing(self, kind, ndim, rng):
+        if kind == "random":
+            return tuple(float(s) for s in rng.uniform(0.3, 3.0, size=ndim))
+        if kind == "unit":
+            return (1.0,) * ndim
+        if kind == "2.5-1-1":
+            return (2.5,) + (1.0,) * (ndim - 1)
+        return (float(kind),) * ndim
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    def test_equals_the_pairwise_minimum_bit_for_bit(self, rng, ndim, kind):
+        high = {1: 40, 2: 14, 3: 9, 4: 6}[ndim]
+        for _ in range(60):
+            shape = tuple(int(s) for s in rng.integers(1, high, size=ndim))
+            src = rng.uniform(size=shape) < rng.uniform(0.05, 0.6)
+            dst = rng.uniform(size=shape) < rng.uniform(0.02, 0.6)
+            src.flat[int(rng.integers(src.size))] = True
+            dst.flat[int(rng.integers(dst.size))] = True
+            spacing = self.spacing(kind, ndim, rng)
+            want = oracle_surface_distances(src, dst, spacing)
+            for got in (_surface_distances(src, dst, spacing),
+                        _surface_distances(src, dst, spacing,
+                                           np.flatnonzero(src), np.flatnonzero(dst))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (shape, spacing)
+
+
 class TestPercentile95:
     """_percentile95 is np.percentile(x, 95) to the bit."""
 
@@ -296,17 +344,16 @@ class TestColumnStats:
 
 
 def transformed_sizes(monkeypatch):
-    """Record the voxel count of every distance transform the metrics run."""
-    from scipy import ndimage
-
+    """Record the voxel count of every surface distance transform the
+    metrics run."""
     sizes = []
-    original = ndimage.distance_transform_edt
+    original = metrics._surface_distances
 
-    def spy(input, *args, **kwargs):
-        sizes.append(input.size)
-        return original(input, *args, **kwargs)
+    def spy(src, *args, **kwargs):
+        sizes.append(src.size)
+        return original(src, *args, **kwargs)
 
-    monkeypatch.setattr(ndimage, "distance_transform_edt", spy)
+    monkeypatch.setattr(metrics, "_surface_distances", spy)
     return sizes
 
 
@@ -356,9 +403,9 @@ class TestHd95RowBound:
         calls = []
         original = metrics._surface_distances
 
-        def spy(src, dst, spacing):
+        def spy(src, *args):
             calls.append(src)
-            return original(src, dst, spacing)
+            return original(src, *args)
 
         monkeypatch.setattr(metrics, "_surface_distances", spy)
         z, y, x = np.ogrid[:16, :16, :14]

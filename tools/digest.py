@@ -16,7 +16,7 @@ and its batches hold a lone case of one grid beside cases of the other;
 paper's three-network ensemble (the ranger, gwdl and dro members) on the
 README dataset, and of the MLP on the 3-D one;
 ``gradcheck --trials 20`` for seeds 0-9; a ``--preset gwdl`` run given
-the builtin matrix as a ``--distance-matrix`` file; a 32x32x8 dataset,
+the builtin matrix as a ``--distance-matrix`` file; a 32x32x32 dataset,
 whose cases are large enough for ``evaluate`` to score them on several
 threads, and ``evaluate`` of the four ensemble members on it, once as made
 (1 mm spacing) and once through a copy of its manifest that records the
@@ -132,7 +132,7 @@ def commands(tiny: bool = False) -> list:
     out += [["gradcheck", "--trials", trials, "--seed", str(seed)] for seed in seeds]
     out.append(["train", "--dataset", "readme", "--out", "train_matrix", "--preset", "gwdl",
                 "--distance-matrix", "matrix.json", "--epochs", epochs])
-    out.append(["synth", "--out", "vol32", "--grid", "32x32x8",
+    out.append(["synth", "--out", "vol32", "--grid", "32x32x32",
                 "--subgroups", "common:2,rare:1", "--no-et-frac", "0.5", "--seed", "2"])
     out.append(["evaluate", *members, "--dataset", "vol32", "--out", "eval_vol32"])
     out.append(["evaluate", *members, "--dataset", "vol32/manifest_anisotropic.json",

@@ -344,8 +344,8 @@ class TestColumnStats:
 
 
 def transformed_sizes(monkeypatch):
-    """Record the voxel count of every surface distance transform the
-    metrics run."""
+    """Record the grid size of every surface distance search the metrics
+    run."""
     sizes = []
     original = metrics._surface_distances
 
